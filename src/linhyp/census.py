@@ -9,13 +9,12 @@ plus strata by cluster count.  All counts are exact integers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, WorkCeilingError
-from .hypergraphs import CLUSTER_GT2_EDGES, OVERLAP_GE3, TOO_MANY_CLUSTERS, cluster_threshold, edge_space
+from .hypergraphs import OVERLAP_GE3, cluster_threshold, edge_space, plus_violation
 from .partitions import PartitionVector, sigma
 
 DEFAULT_WORK_CEILING = 10 ** 8
@@ -54,30 +53,29 @@ class EdgeSpaceIndex:
         ]
 
         # linked[i]: edges sharing a vertex pair with edge i, plus i itself
-        occupants: dict[int, list[int]] = {}
-        for i, row in enumerate(self.subset_ids.get(2, [])):
-            for pid in row:
-                occupants.setdefault(pid, []).append(i)
         linked: list[set[int]] = [{i} for i in range(self.count)]
-        for group in occupants.values():
+        for group in self._pair_occupants().values():
             if len(group) > 1:
                 for i in group:
                     linked[i].update(group)
         self.linked: list[frozenset[int]] = [frozenset(s) for s in linked]
         self._cat: list[bytearray] | None = None
 
+    def _pair_occupants(self) -> dict[int, list[int]]:
+        """Vertex pair id -> the edges containing that pair, in index order."""
+        occupants: dict[int, list[int]] = {}
+        for i, row in enumerate(self.subset_ids.get(2, [])):
+            for pid in row:
+                occupants.setdefault(pid, []).append(i)
+        return occupants
+
     @property
     def cat(self) -> list[bytearray]:
         """Pairwise overlap category: 0 for <=1 shared, 1 for exactly 2, 2 for >=3."""
         if self._cat is None:
             cat = [bytearray(self.count) for _ in range(self.count)]
-            pair_rows = self.subset_ids.get(2, [])
             cooccur: dict[tuple[int, int], int] = {}
-            occupants: dict[int, list[int]] = {}
-            for i, row in enumerate(pair_rows):
-                for pid in row:
-                    occupants.setdefault(pid, []).append(i)
-            for group in occupants.values():
+            for group in self._pair_occupants().values():
                 for i, j in combinations(group, 2):
                     cooccur[(i, j)] = cooccur.get((i, j), 0) + 1
             # c shared vertices co-occur in binomial(c, 2) pair lists
@@ -108,33 +106,13 @@ class EdgeSpaceIndex:
                     linked_pairs.append((x, y))
         if not linked_pairs:
             return 0, None, (), combo
-        parent = list(range(m))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for x, y in linked_pairs:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-        members: dict[int, list[int]] = {}
-        for x in range(m):
-            members.setdefault(find(x), []).append(x)
-        clusters = []
-        free = []
-        for group in members.values():
-            if len(group) == 1:
-                free.append(combo[group[0]])
-            elif len(group) == 2:
-                clusters.append((combo[group[0]], combo[group[1]]))
-            else:
-                return None, CLUSTER_GT2_EDGES, None, None
-        if len(clusters) > cap:
-            return None, TOO_MANY_CLUSTERS, None, None
-        return len(clusters), None, tuple(clusters), tuple(free)
+        reason = plus_violation(linked_pairs, cap)
+        if reason is not None:
+            return None, reason, None, None
+        paired = {x for pair in linked_pairs for x in pair}
+        clusters = tuple((combo[x], combo[y]) for x, y in linked_pairs)
+        free = tuple(combo[x] for x in range(m) if x not in paired)
+        return len(clusters), None, clusters, free
 
     def compat_stats(self, h0: tuple[int, ...]) -> tuple[int, int, int]:
         """Statistics of the edges compatible with a fixed edge set h0.
@@ -200,9 +178,8 @@ def count_linear(
 
     Depth-first over edges in canonical order; a partial selection keeps
     the set of vertex pairs it occupies, and a candidate edge survives
-    exactly when none of its pairs is occupied.  The search forest is
-    split by first-edge index across workers, so the result does not
-    depend on the worker count.
+    exactly when none of its pairs is occupied.  workers is accepted for
+    interface compatibility; the search runs in one thread.
     """
     _guard(pv, r, m, work_ceiling)
     if m == 0:
@@ -228,16 +205,7 @@ def count_linear(
                 tot += tail_count(i + 1, used | ps, left - 1)
         return tot
 
-    first_limit = total_edges - m + 1
-    if workers <= 1:
-        return sum(tail_count(i + 1, pair_sets[i], m - 1) for i in range(first_limit))
-    chunks = [range(w, first_limit, workers) for w in range(workers)]
-
-    def run(chunk: range) -> int:
-        return sum(tail_count(i + 1, pair_sets[i], m - 1) for i in chunk)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(run, chunks))
+    return sum(tail_count(i + 1, pair_sets[i], m - 1) for i in range(total_edges - m + 1))
 
 
 def count_linear_naive(

@@ -5,7 +5,10 @@ edges are "linked" when they share at least two vertices; the connected
 components with two or more edges in that relation are the clusters.  A
 hypergraph is "plus-classified" with t clusters when every cluster is a
 pair of edges sharing exactly two vertices and t stays below the cluster
-expansion threshold.
+expansion threshold.  With no pair sharing three or more vertices, that
+holds exactly when no edge lies in two linked pairs, and then t is the
+number of linked pairs; plus_violation is this rule, shared by classify
+and EdgeSpaceIndex.classify_combo.
 """
 
 from __future__ import annotations
@@ -187,6 +190,26 @@ class Classification:
     reason: str | None
 
 
+def plus_violation(linked_pairs: list[tuple[int, int]], cap: int) -> str | None:
+    """The plus rule, for a subset with no pair sharing three or more vertices.
+
+    linked_pairs lists the index pairs of edges sharing exactly two
+    vertices.  Returns CLUSTER_GT2_EDGES when an edge lies in two of them
+    (its cluster has three or more edges), TOO_MANY_CLUSTERS when there
+    are more than cap of them, else None: the subset is plus with
+    len(linked_pairs) clusters.
+    """
+    seen: set[int] = set()
+    for x, y in linked_pairs:
+        if x in seen or y in seen:
+            return CLUSTER_GT2_EDGES
+        seen.add(x)
+        seen.add(y)
+    if len(linked_pairs) > cap:
+        return TOO_MANY_CLUSTERS
+    return None
+
+
 def classify(h: Hypergraph, cap: int) -> Classification:
     """Plus-classify a hypergraph against a cluster-count cap.
 
@@ -194,18 +217,18 @@ def classify(h: Hypergraph, cap: int) -> Classification:
     in three or more vertices, a cluster with more than two edges, more
     than cap clusters.
     """
-    order = h.sorted_edges()
-    vsets = [frozenset(e.vertices) for e in order]
-    for a, b in combinations(vsets, 2):
-        if len(a & b) >= 3:
+    vsets = [frozenset(e.vertices) for e in h.sorted_edges()]
+    linked_pairs = []
+    for i, j in combinations(range(len(vsets)), 2):
+        shared = len(vsets[i] & vsets[j])
+        if shared >= 3:
             return Classification(False, None, OVERLAP_GE3)
-    dec = decompose(h)
-    if any(len(c) > 2 for c in dec.clusters):
-        return Classification(False, None, CLUSTER_GT2_EDGES)
-    t = len(dec.clusters)
-    if t > cap:
-        return Classification(False, None, TOO_MANY_CLUSTERS)
-    return Classification(True, t, None)
+        if shared == 2:
+            linked_pairs.append((i, j))
+    reason = plus_violation(linked_pairs, cap)
+    if reason is not None:
+        return Classification(False, None, reason)
+    return Classification(True, len(linked_pairs), None)
 
 
 def to_text(h: Hypergraph) -> str:

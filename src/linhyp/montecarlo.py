@@ -4,13 +4,13 @@ Single edges are drawn exactly uniformly by unranking a uniform index
 through the part-suffix product counts, so part subsets come out with
 probability proportional to the product of their part sizes.  Trials
 are grouped into fixed-size blocks keyed (seed, block) on a counter
-RNG, which makes every report reproducible for any worker count.
+RNG, and every sampler draws its m-subsets through _draw_ids, so one
+seed pins the same draws everywhere and every report is reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -18,11 +18,14 @@ from itertools import combinations
 import numpy as np
 
 from .census import EdgeSpaceIndex
-from .errors import DomainError
+from .errors import DomainError, WorkCeilingError
 from .hypergraphs import Hypergraph, cluster_threshold, make_edge
 from .partitions import PartitionVector, falling_factorial, sigma
 
 BLOCK_TRIALS = 4096
+# largest sigma_r^2 for which the sampler builds the edge-pair overlap
+# matrix (one byte per ordered edge pair)
+SAMPLER_CAT_CEILING = 2 ** 31
 
 
 def make_rng(seed: int, lane: int = 0) -> np.random.Generator:
@@ -45,8 +48,24 @@ def _randbelow(rng: np.random.Generator, bound: int) -> int:
             return value
 
 
+def _blocks(trials: int) -> list[tuple[int, int]]:
+    """(block, trials in it): BLOCK_TRIALS per block, the last one short."""
+    return [
+        (b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+        for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
+    ]
+
+
+def _draw_ids(rng: np.random.Generator, total: int, m: int) -> tuple[int, ...]:
+    """Sorted uniform m-subset of range(total): redraw repeats until m distinct."""
+    chosen: set[int] = set()
+    while len(chosen) < m:
+        chosen.add(_randbelow(rng, total))
+    return tuple(sorted(chosen))
+
+
 class EdgeSampler:
-    """Exact uniform draws from the edge space of one instance."""
+    """Canonical-order unranking of one edge space: uniform ids give uniform edges."""
 
     def __init__(self, pv: PartitionVector, r: int):
         if not 1 <= r <= pv.k:
@@ -80,9 +99,6 @@ class EdgeSampler:
             i += 1
         return tuple(verts)
 
-    def draw(self, rng: np.random.Generator) -> tuple[int, ...]:
-        return self.unrank(_randbelow(rng, self.total))
-
 
 def sample_hypergraph(
     pv: PartitionVector, r: int, m: int, rng: np.random.Generator
@@ -91,16 +107,17 @@ def sample_hypergraph(
     sampler = EdgeSampler(pv, r)
     if not 0 <= m <= sampler.total:
         raise DomainError(f"need 0 <= m <= {sampler.total}, got {m}")
-    chosen: set[tuple[int, ...]] = set()
-    while len(chosen) < m:
-        chosen.add(sampler.draw(rng))
-    return Hypergraph(pv, r, frozenset(make_edge(pv, v) for v in chosen))
+    ids = _draw_ids(rng, sampler.total, m)
+    return Hypergraph(pv, r, frozenset(make_edge(pv, sampler.unrank(i)) for i in ids))
 
 
 def cluster_signature(vertex_sets: list[tuple[int, ...]]) -> tuple[int, str | None]:
     """(cluster count, violation reason) by direct pairwise overlap.
 
-    Standalone re-derivation used to cross-check the indexed classifier.
+    The deliberately independent oracle for classify and
+    EdgeSpaceIndex.classify_combo: it finds clusters by union-find and
+    must not call the shared rule plus_violation.  It applies no cluster
+    cap.
     """
     m = len(vertex_sets)
     sets = [set(v) for v in vertex_sets]
@@ -180,41 +197,6 @@ class SampleReport:
         return out
 
 
-def _run_block(
-    index: EdgeSpaceIndex,
-    m: int,
-    cap: int,
-    seed: int,
-    block: int,
-    trials: int,
-    track_overlaps: bool,
-) -> tuple[int, dict[int, int], dict[str, int], int]:
-    rng = make_rng(seed, block)
-    total = index.count
-    hits = 0
-    hist: dict[int, int] = {}
-    viol: dict[str, int] = {}
-    overlap = 0
-    cat = index.cat if track_overlaps else None
-    for _ in range(trials):
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            chosen.add(_randbelow(rng, total))
-        combo = tuple(sorted(chosen))
-        t, reason, _, _ = index.classify_combo(combo, cap)
-        if reason is None:
-            hist[t] = hist.get(t, 0) + 1
-            if t == 0:
-                hits += 1
-        else:
-            viol[reason] = viol.get(reason, 0) + 1
-        if cat is not None:
-            for i, j in combinations(combo, 2):
-                if cat[i][j]:
-                    overlap += 1
-    return hits, hist, viol, overlap
-
-
 def estimate_linear_probability(
     pv: PartitionVector,
     r: int,
@@ -230,49 +212,45 @@ def estimate_linear_probability(
     Also tallies the cluster histogram of the plus samples and the
     violation reasons of the rest; optionally the number of edge pairs
     sharing two or more vertices, for the overlap-expectation check.
+    workers is validated but the blocks run in one thread.  Edge spaces
+    with sigma_r^2 above SAMPLER_CAT_CEILING are refused before anything
+    is built.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
+    total = sigma(pv, r)
+    if total * total > SAMPLER_CAT_CEILING:
+        raise WorkCeilingError(total * total, SAMPLER_CAT_CEILING, "sampler overlap matrix")
+    if not 0 <= m <= total:
+        raise DomainError(f"need 0 <= m <= {total}, got m={m}")
     index = EdgeSpaceIndex(pv, r)
-    if not 0 <= m <= index.count:
-        raise DomainError(f"need 0 <= m <= {index.count}, got m={m}")
     cap = cluster_threshold(pv, r, m) if cluster_cap is None else cluster_cap
-    blocks = [
-        (b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
-        for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
-    ]
-    if workers == 1:
-        results = [
-            _run_block(index, m, cap, seed, b, size, track_overlaps) for b, size in blocks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda job: _run_block(index, m, cap, seed, job[0], job[1], track_overlaps),
-                    blocks,
-                )
-            )
-    hits = 0
+    cat = index.cat if track_overlaps else None
     hist: dict[int, int] = {}
     viol: dict[str, int] = {}
     overlap = 0
-    for bh, bhist, bviol, bover in results:
-        hits += bh
-        for t, c in bhist.items():
-            hist[t] = hist.get(t, 0) + c
-        for k, c in bviol.items():
-            viol[k] = viol.get(k, 0) + c
-        overlap += bover
+    for block, size in _blocks(trials):
+        rng = make_rng(seed, block)
+        for _ in range(size):
+            combo = _draw_ids(rng, total, m)
+            t, reason, _, _ = index.classify_combo(combo, cap)
+            if reason is None:
+                hist[t] = hist.get(t, 0) + 1
+            else:
+                viol[reason] = viol.get(reason, 0) + 1
+            if cat is not None:
+                for i, j in combinations(combo, 2):
+                    if cat[i][j]:
+                        overlap += 1
     return SampleReport(
         sizes=pv.sizes,
         r=r,
         m=m,
         trials=trials,
         seed=seed,
-        hits=hits,
+        hits=hist.get(0, 0),
         cluster_histogram=hist,
         violation_counts=viol,
         overlap_total=overlap if track_overlaps else None,
@@ -284,7 +262,7 @@ def draw_subset_ids(
 ) -> list[tuple[int, ...]]:
     """Raw uniform m-subsets as sorted edge-index tuples, one per trial.
 
-    Same block layout as estimate_linear_probability, so a seed pins
+    Same blocks and draws as estimate_linear_probability, so a seed pins
     the exact draws here too.
     """
     sampler = EdgeSampler(pv, r)
@@ -293,13 +271,9 @@ def draw_subset_ids(
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     out: list[tuple[int, ...]] = []
-    for block in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
+    for block, size in _blocks(trials):
         rng = make_rng(seed, block)
-        for _ in range(min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)):
-            chosen: set[int] = set()
-            while len(chosen) < m:
-                chosen.add(_randbelow(rng, sampler.total))
-            out.append(tuple(sorted(chosen)))
+        out.extend(_draw_ids(rng, sampler.total, m) for _ in range(size))
     return out
 
 
@@ -314,29 +288,12 @@ def edge_subset_probability(pv: PartitionVector, r: int, m: int, t: int) -> Frac
 def linked_pair_count(pv: PartitionVector, r: int) -> int:
     """Unordered pairs of distinct edges sharing at least two vertices.
 
-    Computed from vertex-subset occupancies by inclusion-exclusion over
-    the exact shared-subset size, never by scanning edge pairs.
+    The binomial inversion of EdgeSpaceIndex.compat_stats over the whole
+    edge space, never a scan of edge pairs.
     """
     if not 2 <= r <= pv.k:
         raise DomainError(f"need 2 <= r <= k, got r={r}, k={pv.k}")
-    index = EdgeSpaceIndex(pv, r)
-    t_counts: dict[int, int] = {}
-    for alpha in range(2, r + 1):
-        occupancy: dict[int, int] = {}
-        if alpha == r:
-            t_counts[alpha] = 0  # distinct edges never share all r vertices
-            continue
-        for row in index.subset_ids[alpha]:
-            for sid in row:
-                occupancy[sid] = occupancy.get(sid, 0) + 1
-        t_counts[alpha] = sum(math.comb(c, 2) for c in occupancy.values())
-    total = 0
-    for j in range(2, r + 1):
-        total += sum(
-            (-1) ** (alpha - j) * math.comb(alpha, j) * t_counts[alpha]
-            for alpha in range(j, r + 1)
-        )
-    return total
+    return EdgeSpaceIndex(pv, r).compat_stats(())[1]
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,15 @@ def test_workers_env_fallback(capsys, monkeypatch):
     assert rc == 2
 
 
+def test_sample_refuses_oversized_overlap_matrix(capsys):
+    # sigma_3 = 161700 at n=100: the overlap matrix would need about 26 GB,
+    # so the sampler must refuse before building anything
+    rc, out, err = run_cli(capsys, "sample", "--uniform-n", "100", "--r", "3", "--m", "10")
+    assert rc == 3 and out == ""
+    assert "sampler overlap matrix" in err
+    assert str(161700 ** 2) in err
+
+
 def test_estimate_uniform_decimal(capsys):
     rc, out, err = run_cli(
         capsys, "estimate", "--uniform-n", "20", "--r", "3", "--m", "1", "--variant", "uniform"

@@ -1,9 +1,12 @@
 """Tests for edges, the edge space, clusters, and plus classification."""
 
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linhyp import (
     DomainError,
@@ -156,3 +159,47 @@ def test_edge_space_domain():
         list(edge_space(pv, 4))
     assert len(list(edge_space(pv, 0))) == 1
     assert math.prod(pv.sizes) == len(list(edge_space(pv, 3)))
+
+
+@lru_cache(maxsize=None)
+def _index(sizes: tuple[int, ...], r: int) -> EdgeSpaceIndex:
+    return EdgeSpaceIndex(partition(sizes), r)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_plus_rule_agrees_with_union_find_oracle(data):
+    # the shared plus rule (classify, classify_combo) against the
+    # union-find oracle cluster_signature, with the cap applied to its t
+    sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=5), label="sizes"))
+    r = data.draw(st.sampled_from([r for r in (3, 4) if r <= len(sizes)]), label="r")
+    pv = partition(sizes)
+    index = _index(sizes, r)
+    m = data.draw(st.integers(0, min(5, index.count)), label="m")
+    ids = data.draw(
+        st.sets(st.integers(0, index.count - 1), min_size=m, max_size=m), label="ids"
+    )
+    combo = tuple(sorted(ids))
+    cap = data.draw(st.sampled_from((0, 1, 2, 50)), label="cap")
+    vsets = [index.edges[i] for i in combo]
+
+    t_sig, reason_sig = cluster_signature(vsets)
+    if reason_sig is not None:
+        expected = (None, reason_sig)
+    elif t_sig > cap:
+        expected = (None, "too_many_clusters")
+    else:
+        expected = (t_sig, None)
+    t, reason, clusters, free = index.classify_combo(combo, cap)
+    cls = classify(hypergraph(pv, r, vsets), cap)
+    assert (t, reason) == expected
+    assert (cls.clusters, cls.reason) == expected
+    assert cls.in_plus == (reason is None)
+    if reason is None:
+        # clusters and free edges partition the combo
+        assert len(clusters) == t
+        assert sorted([i for pair in clusters for i in pair] + list(free)) == list(combo)
+        for a, b in clusters:
+            assert len(set(index.edges[a]) & set(index.edges[b])) == 2
+        for f in free:
+            assert all(len(set(index.edges[f]) & set(index.edges[g])) <= 1 for g in combo if g != f)

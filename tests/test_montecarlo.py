@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from scipy import stats
@@ -11,9 +12,11 @@ from linhyp import (
     DomainError,
     EdgeSampler,
     census_by_cluster,
+    cluster_threshold,
     edge_subset_probability,
     estimate_linear_probability,
     expected_overlap_pairs,
+    hypergraph,
     linked_pair_count,
     make_rng,
     partition,
@@ -22,7 +25,7 @@ from linhyp import (
     uniform_partition,
 )
 from linhyp.census import EdgeSpaceIndex
-from linhyp.montecarlo import draw_subset_ids
+from linhyp.montecarlo import BLOCK_TRIALS, draw_subset_ids
 
 
 def test_unrank_matches_canonical_order():
@@ -59,6 +62,38 @@ def test_draws_are_seed_deterministic_and_lane_split():
     r0 = make_rng(3, 0).integers(0, 1 << 62, size=4).tolist()
     r1 = make_rng(3, 1).integers(0, 1 << 62, size=4).tolist()
     assert r0 != r1
+
+
+def test_samplers_share_one_draw_stream():
+    # estimate_linear_probability, draw_subset_ids and sample_hypergraph
+    # must consume the same seeded draws, across a block boundary too
+    pv = partition((2, 2, 2))
+    r, m, trials, seed = 3, 3, 5000, 23
+    assert BLOCK_TRIALS < trials <= 2 * BLOCK_TRIALS
+    index = EdgeSpaceIndex(pv, r)
+    cap = cluster_threshold(pv, r, m)
+    draws = draw_subset_ids(pv, r, m, trials, seed=seed)
+    hist: Counter = Counter()
+    viol: Counter = Counter()
+    overlap = 0
+    for combo in draws:
+        t, reason, _, _ = index.classify_combo(combo, cap)
+        if reason is None:
+            hist[t] += 1
+        else:
+            viol[reason] += 1
+        overlap += sum(1 for i, j in combinations(combo, 2) if index.cat[i][j])
+    rep = estimate_linear_probability(pv, r, m, trials=trials, seed=seed, track_overlaps=True)
+    assert rep.cluster_histogram == dict(hist)
+    assert rep.violation_counts == dict(viol)
+    assert rep.hits == hist[0]
+    assert rep.overlap_total == overlap
+
+    sampler = EdgeSampler(pv, r)
+    for s in (0, 1, 2):
+        (first,) = draw_subset_ids(pv, r, m, 1, seed=s)
+        h = sample_hypergraph(pv, r, m, make_rng(s, 0))
+        assert h == hypergraph(pv, r, [sampler.unrank(i) for i in first])
 
 
 def test_report_is_worker_count_independent():
