@@ -14,7 +14,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, WorkCeilingError
-from .hypergraphs import OVERLAP_GE3, cluster_threshold, edge_space, plus_violation
+from .hypergraphs import (
+    OVERLAP_GE3,
+    cluster_threshold,
+    edge_space,
+    plus_violation,
+    shared_pair_counts,
+)
 from .partitions import PartitionVector, sigma
 
 DEFAULT_WORK_CEILING = 10 ** 8
@@ -25,8 +31,9 @@ class EdgeSpaceIndex:
 
     Edges are indexed by their canonical enumeration order.  The index
     carries, per edge, the ids of its vertex subsets of each size from 2
-    to r-1, and the set of edges linked to it (sharing >= 2 vertices,
-    self included so that membership tests also exclude duplication).
+    to r-1.  Built on first use: linked, the set of edges linked to each
+    edge (sharing >= 2 vertices, self included so that membership tests
+    also exclude duplication), and cat, the pairwise overlap matrix.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -52,13 +59,7 @@ class EdgeSpaceIndex:
             frozenset(row) for row in self.subset_ids.get(2, [()] * self.count)
         ]
 
-        # linked[i]: edges sharing a vertex pair with edge i, plus i itself
-        linked: list[set[int]] = [{i} for i in range(self.count)]
-        for group in self._pair_occupants().values():
-            if len(group) > 1:
-                for i in group:
-                    linked[i].update(group)
-        self.linked: list[frozenset[int]] = [frozenset(s) for s in linked]
+        self._linked: list[frozenset[int]] | None = None
         self._cat: list[bytearray] | None = None
 
     def _pair_occupants(self) -> dict[int, list[int]]:
@@ -68,6 +69,18 @@ class EdgeSpaceIndex:
             for pid in row:
                 occupants.setdefault(pid, []).append(i)
         return occupants
+
+    @property
+    def linked(self) -> list[frozenset[int]]:
+        """linked[i]: the edges sharing a vertex pair with edge i, and i itself."""
+        if self._linked is None:
+            linked: list[set[int]] = [{i} for i in range(self.count)]
+            for group in self._pair_occupants().values():
+                if len(group) > 1:
+                    for i in group:
+                        linked[i].update(group)
+            self._linked = [frozenset(s) for s in linked]
+        return self._linked
 
     @property
     def cat(self) -> list[bytearray]:
@@ -135,18 +148,7 @@ class EdgeSpaceIndex:
                 for sid in rows[i]:
                     occ[sid] = occ.get(sid, 0) + 1
             t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in occ.values() if c > 1)
-        # binomial inversion: N_j pairs share exactly j vertices
-        n_ge2 = 0
-        n_eq2 = 0
-        for j in range(2, self.r):
-            nj = sum(
-                (-1) ** (alpha - j) * math.comb(alpha, j) * t_by_alpha[alpha]
-                for alpha in range(j, self.r)
-            )
-            n_ge2 += nj
-            if j == 2:
-                n_eq2 = nj
-        return len(pool), n_ge2, n_eq2
+        return (len(pool), *shared_pair_counts(t_by_alpha, self.r))
 
 
 def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int) -> int:

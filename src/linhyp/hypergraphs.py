@@ -8,7 +8,8 @@ pair of edges sharing exactly two vertices and t stays below the cluster
 expansion threshold.  With no pair sharing three or more vertices, that
 holds exactly when no edge lies in two linked pairs, and then t is the
 number of linked pairs; plus_violation is this rule, shared by classify
-and EdgeSpaceIndex.classify_combo.
+and EdgeSpaceIndex.classify_combo.  The sampler's montecarlo.classify_rows
+applies the same rule, in the same order of reasons, to arrays.
 """
 
 from __future__ import annotations
@@ -208,6 +209,29 @@ def plus_violation(linked_pairs: list[tuple[int, int]], cap: int) -> str | None:
     if len(linked_pairs) > cap:
         return TOO_MANY_CLUSTERS
     return None
+
+
+def shared_pair_counts(t_by_alpha, r: int):
+    """Edge pairs sharing >= 2 and exactly 2 vertices, by binomial inversion.
+
+    t_by_alpha[alpha], for alpha = 2..r-1, counts the unordered edge
+    pairs containing each alpha-subset of vertices, summed over the
+    subsets: the sum over edge pairs of binomial(shared, alpha).  N_j,
+    the pairs sharing exactly j vertices, follows by inversion.  Returns
+    (sum of N_j over j >= 2, N_2); works on ints and elementwise on
+    integer arrays.
+    """
+    n_ge2 = 0
+    n_eq2 = 0
+    for j in range(2, r):
+        nj = sum(
+            (-1) ** (alpha - j) * math.comb(alpha, j) * t_by_alpha[alpha]
+            for alpha in range(j, r)
+        )
+        n_ge2 = n_ge2 + nj
+        if j == 2:
+            n_eq2 = nj
+    return n_ge2, n_eq2
 
 
 def classify(h: Hypergraph, cap: int) -> Classification:

@@ -1,11 +1,26 @@
 """Uniform sampling of edge sets and the linearity hit-rate estimator.
 
-Single edges are drawn exactly uniformly by unranking a uniform index
-through the part-suffix product counts, so part subsets come out with
-probability proportional to the product of their part sizes.  Trials
-are grouped into fixed-size blocks keyed (seed, block) on a counter
-RNG, and every sampler draws its m-subsets through _draw_ids, so one
-seed pins the same draws everywhere and every report is reproducible.
+Every sampler runs one batch path, a block of BLOCK_TRIALS rows at a
+time, each block on its own counter RNG keyed (seed, block):
+
+1. draw: Floyd's algorithm, column by column, gives each row an exactly
+   uniform sorted m-subset of edge ids, with no rejection;
+2. unrank: EdgeSampler.unrank_many maps the ids to vertex tuples through
+   the part-suffix counts, so part subsets come out with probability
+   proportional to the product of their part sizes;
+3. classify: classify_rows sorts each row's vertex-subset codes and reads
+   the plus classification and the overlap count off the runs of equal
+   codes.
+
+Nothing indexes the edge space or its edge pairs, so a block needs
+O(BLOCK_TRIALS * m * r) memory however large sigma_r is.  One seed pins
+the same draws in estimate_linear_probability, draw_subset_ids and
+sample_hypergraph, and every report is reproducible; the stream is not
+the one of the earlier per-trial loop, so seeded outputs differ from it.
+Before anything is allocated the sampler refuses edge spaces whose
+counts do not fit in int64 (DomainError), trials * m^2 above
+SAMPLER_WORK_CEILING, and blocks of more than SAMPLER_BLOCK_CELLS
+vertex-subset codes (WorkCeilingError).
 """
 
 from __future__ import annotations
@@ -13,19 +28,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
 from .census import EdgeSpaceIndex
 from .errors import DomainError, WorkCeilingError
-from .hypergraphs import Hypergraph, cluster_threshold, make_edge
+from .hypergraphs import (
+    CLUSTER_GT2_EDGES,
+    OVERLAP_GE3,
+    TOO_MANY_CLUSTERS,
+    Hypergraph,
+    cluster_threshold,
+    make_edge,
+    shared_pair_counts,
+)
 from .partitions import PartitionVector, falling_factorial, sigma
 
 BLOCK_TRIALS = 4096
-# largest sigma_r^2 for which the sampler builds the edge-pair overlap
-# matrix (one byte per ordered edge pair)
-SAMPLER_CAT_CEILING = 2 ** 31
+# the draw compares up to m ids per id and the classifier sorts m*C(r,2)
+# pair codes per row: refuse runs whose trials * m^2 exceed this
+SAMPLER_WORK_CEILING = 2 * 10 ** 10
+# vertex-subset codes classified at once in one block; each code costs
+# about 8 bytes in each of a handful of (rows, codes) int64 arrays
+SAMPLER_BLOCK_CELLS = 2 ** 23
+# edge ids, suffix counts and subset codes are int64
+INT64_LIMIT = 2 ** 63
+# classify_rows reason codes: 0 is plus
+REASONS = (None, OVERLAP_GE3, CLUSTER_GT2_EDGES, TOO_MANY_CLUSTERS)
 
 
 def make_rng(seed: int, lane: int = 0) -> np.random.Generator:
@@ -35,33 +67,31 @@ def make_rng(seed: int, lane: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2 ** 64 - 1), lane]))
 
 
-def _randbelow(rng: np.random.Generator, bound: int) -> int:
-    if bound <= 0:
-        raise DomainError(f"bound must be positive, got {bound}")
-    if bound < 2 ** 63:
-        return int(rng.integers(0, bound))
-    nbits = bound.bit_length()
-    nbytes = (nbits + 7) // 8
-    while True:
-        value = int.from_bytes(rng.bytes(nbytes), "big") >> (8 * nbytes - nbits)
-        if value < bound:
-            return value
+def _blocks(trials: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """(generator, rows) per block: BLOCK_TRIALS rows, the last one short."""
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        yield make_rng(seed, block), min(BLOCK_TRIALS, trials - start)
 
 
-def _blocks(trials: int) -> list[tuple[int, int]]:
-    """(block, trials in it): BLOCK_TRIALS per block, the last one short."""
-    return [
-        (b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
-        for b in range((trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS)
-    ]
+def _draw_block(rng: np.random.Generator, total: int, rows: int, m: int) -> np.ndarray:
+    """(rows, m) sorted uniform m-subsets of range(total), by Floyd's algorithm.
 
-
-def _draw_ids(rng: np.random.Generator, total: int, m: int) -> tuple[int, ...]:
-    """Sorted uniform m-subset of range(total): redraw repeats until m distinct."""
-    chosen: set[int] = set()
-    while len(chosen) < m:
-        chosen.add(_randbelow(rng, total))
-    return tuple(sorted(chosen))
+    Column c draws t uniform in [0, j], j = total - m + c, and takes j
+    instead when t is already in the row.  All columns are drawn up
+    front: a row whose draws are distinct keeps them as they are, so
+    only rows with a repeat run the column loop.
+    """
+    draws = rng.integers(0, np.arange(total - m, total, dtype=np.int64) + 1, size=(rows, m))
+    ids = np.sort(draws, axis=1)
+    repeat = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
+    if repeat.any():
+        sub = draws[repeat]
+        for c in range(1, m):
+            col = sub[:, c]
+            taken = (sub[:, :c] == col[:, None]).any(axis=1)
+            sub[:, c] = np.where(taken, total - m + c, col)
+        ids[repeat] = np.sort(sub, axis=1)
+    return ids
 
 
 class EdgeSampler:
@@ -83,7 +113,10 @@ class EdgeSampler:
         self.total = suffix[0][r]
 
     def unrank(self, idx: int) -> tuple[int, ...]:
-        """Vertex tuple of the idx-th edge in the canonical order."""
+        """Vertex tuple of the idx-th edge in the canonical order.
+
+        The scalar form, kept as the oracle of unrank_many.
+        """
         if not 0 <= idx < self.total:
             raise DomainError(f"index {idx} outside [0, {self.total})")
         verts = []
@@ -99,16 +132,156 @@ class EdgeSampler:
             i += 1
         return tuple(verts)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The suffix table and the first vertex of each part, as int64 arrays."""
+        first = np.cumsum((1,) + self.pv.sizes[:-1], dtype=np.int64)
+        return np.array(self.suffix, dtype=np.int64), first
+
+    def unrank_many(self, ids: np.ndarray) -> np.ndarray:
+        """Vertex tuples of an int64 array of edge ids, shape ids.shape + (r,).
+
+        Each of the r levels is one searchsorted on a suffix column.
+        With key the weight from the id to the end of the order, the
+        next vertex lies in the first part i with suffix[i+1][j] < key;
+        that column falls with i, so its reverse is sorted.  Needs every
+        suffix count below 2**63.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.total):
+            raise DomainError(f"edge ids outside [0, {self.total})")
+        k = self.pv.k
+        suffix, first = self._arrays
+        key = self.total - ids
+        out = np.empty(ids.shape + (self.r,), dtype=np.int64)
+        for level, j in enumerate(range(self.r, 0, -1)):
+            part = k - np.searchsorted(suffix[:0:-1, j], key)
+            step = suffix[part + 1, j - 1]
+            local, rest = np.divmod(suffix[part, j] - key, step)
+            out[..., level] = first[part] + local
+            key = step - rest
+        return out
+
+
+def _batch_sampler(pv: PartitionVector, r: int, m: int, trials: int) -> EdgeSampler:
+    """The edge sampler of a batch run, once the request passes the guards."""
+    if trials < 1:
+        raise DomainError(f"need at least one trial, got {trials}")
+    total = sigma(pv, r)
+    if total >= INT64_LIMIT:
+        raise DomainError(
+            f"the edge space has sigma_r = {total} edges; the sampler needs edge ids below 2**63"
+        )
+    sampler = EdgeSampler(pv, r)
+    if max(sampler.suffix[0]) >= INT64_LIMIT:
+        raise DomainError(
+            f"a part-suffix count reaches {max(sampler.suffix[0])}; "
+            "the sampler needs every count below 2**63"
+        )
+    if not 0 <= m <= total:
+        raise DomainError(f"need 0 <= m <= {total}, got m={m}")
+    work = trials * max(m, 1) ** 2
+    if work > SAMPLER_WORK_CEILING:
+        raise WorkCeilingError(work, SAMPLER_WORK_CEILING, "sampler work (trials x m^2)")
+    return sampler
+
 
 def sample_hypergraph(
     pv: PartitionVector, r: int, m: int, rng: np.random.Generator
 ) -> Hypergraph:
     """One uniform m-subset of the edge space, as a hypergraph."""
-    sampler = EdgeSampler(pv, r)
-    if not 0 <= m <= sampler.total:
-        raise DomainError(f"need 0 <= m <= {sampler.total}, got {m}")
-    ids = _draw_ids(rng, sampler.total, m)
-    return Hypergraph(pv, r, frozenset(make_edge(pv, sampler.unrank(i)) for i in ids))
+    sampler = _batch_sampler(pv, r, m, 1)
+    (verts,) = sampler.unrank_many(_draw_block(rng, sampler.total, 1, m)).tolist()
+    return Hypergraph(pv, r, frozenset(make_edge(pv, vs) for vs in verts))
+
+
+def _subset_sizes(r: int, track_overlaps: bool) -> range:
+    """Subset sizes classify_rows codes: 2 and 3 decide the plus rule, the rest the overlap count."""
+    return range(2, r if track_overlaps else min(r, 4))
+
+
+def _classifier_guard(n: int, r: int, m: int, trials: int, track_overlaps: bool) -> None:
+    """Refuse subset codes that overflow int64 and blocks above SAMPLER_BLOCK_CELLS."""
+    alphas = _subset_sizes(r, track_overlaps)
+    if alphas and (n + 1) ** alphas[-1] >= INT64_LIMIT:
+        raise DomainError(
+            f"codes of {alphas[-1]}-subsets of {n} vertices need (n+1)^{alphas[-1]} below 2**63"
+        )
+    cells = min(trials, BLOCK_TRIALS) * m * sum(math.comb(r, a) for a in alphas)
+    if cells > SAMPLER_BLOCK_CELLS:
+        raise WorkCeilingError(
+            cells, SAMPLER_BLOCK_CELLS, "sampler block", unit="vertex-subset codes"
+        )
+
+
+def _subset_codes(verts: np.ndarray, alpha: int, base: int) -> np.ndarray:
+    """(rows, m * C(r, alpha)) codes of every alpha-subset of every edge, edge-major."""
+    cols = []
+    for pos in combinations(range(verts.shape[2]), alpha):
+        code = verts[:, :, pos[0]]
+        for p in pos[1:]:
+            code = code * base + verts[:, :, p]
+        cols.append(code)
+    return np.stack(cols, axis=2).reshape(len(verts), -1)
+
+
+def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = False):
+    """Plus-classify every row of a (rows, m, r) array of sorted edge vertex tuples.
+
+    The alpha-subsets of each edge (alpha = 2, 3, and up to r-1 with
+    track_overlaps) become int64 codes.  Sorting a row puts equal codes
+    in runs; a run of occ codes adds C(occ, 2) to T_alpha, the number of
+    edge pairs sharing an alpha-subset.  In plus_violation's order: a
+    shared 3-subset is OVERLAP_GE3; an edge whose shared vertex pairs
+    link it to two others (the sum of occ - 1 over its pairs is >= 2) is
+    CLUSTER_GT2_EDGES; otherwise there are t = T_2 linked pairs, and
+    TOO_MANY_CLUSTERS when t > cap.
+
+    Returns (t, reason, overlaps): reason indexes REASONS, and t is the
+    cluster count where reason is 0.  overlaps counts the edge pairs
+    sharing two or more vertices, by shared_pair_counts, with
+    track_overlaps; else it is None.
+    """
+    rows, m, r = verts.shape
+    t_by_alpha = {}
+    in_two_pairs = np.zeros(rows, dtype=bool)
+    for alpha in _subset_sizes(r, track_overlaps):
+        codes = _subset_codes(verts, alpha, n + 1)
+        width = codes.shape[1]
+        ordered = np.sort(codes, axis=1)
+        same = ordered[:, 1:] == ordered[:, :-1]
+        hit = np.flatnonzero(same.any(axis=1))
+        shared = np.zeros(rows, dtype=np.int64)
+        if hit.size:
+            same = same[hit]
+            # rank of a code within its run of equal codes: a run of occ
+            # ranks sums to C(occ, 2)
+            pos = np.arange(width)
+            start = np.zeros((hit.size, width), dtype=np.int64)
+            start[:, 1:] = np.where(same, 0, pos[1:])
+            rank = pos - np.maximum.accumulate(start, axis=1)
+            shared[hit] = rank.sum(axis=1)
+            if alpha == 2:
+                # a run of three edges, or an edge with two shared pairs
+                in_run = np.zeros((hit.size, width), dtype=bool)
+                in_run[:, 1:] = same
+                in_run[:, :-1] |= same
+                row, col = np.nonzero(in_run)
+                order = np.argsort(codes[hit], axis=1)
+                edge = order[row, col] // math.comb(r, 2)
+                keys, count = np.unique(row * m + edge, return_counts=True)
+                in_two_pairs[hit[keys[count >= 2] // m]] = True
+                in_two_pairs[hit[(rank >= 2).any(axis=1)]] = True
+        t_by_alpha[alpha] = shared
+    t = t_by_alpha.get(2, np.zeros(rows, dtype=np.int64))
+    reason = np.where(t > cap, 3, 0).astype(np.int8)
+    reason[in_two_pairs] = 2
+    if 3 in t_by_alpha:
+        reason[t_by_alpha[3] > 0] = 1
+    overlaps = None
+    if track_overlaps:
+        overlaps = np.zeros(rows, dtype=np.int64) + shared_pair_counts(t_by_alpha, r)[0]
+    return t, reason, overlaps
 
 
 def cluster_signature(vertex_sets: list[tuple[int, ...]]) -> tuple[int, str | None]:
@@ -212,38 +385,29 @@ def estimate_linear_probability(
     Also tallies the cluster histogram of the plus samples and the
     violation reasons of the rest; optionally the number of edge pairs
     sharing two or more vertices, for the overlap-expectation check.
-    workers is validated but the blocks run in one thread.  Edge spaces
-    with sigma_r^2 above SAMPLER_CAT_CEILING are refused before anything
-    is built.
+    workers is validated but the blocks run in one thread.  The guards
+    in the module docstring run before anything is allocated.
     """
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    total = sigma(pv, r)
-    if total * total > SAMPLER_CAT_CEILING:
-        raise WorkCeilingError(total * total, SAMPLER_CAT_CEILING, "sampler overlap matrix")
-    if not 0 <= m <= total:
-        raise DomainError(f"need 0 <= m <= {total}, got m={m}")
-    index = EdgeSpaceIndex(pv, r)
+    if cluster_cap is not None and cluster_cap < 0:
+        raise DomainError(f"need cluster_cap >= 0, got {cluster_cap}")
+    sampler = _batch_sampler(pv, r, m, trials)
+    _classifier_guard(pv.n, r, m, trials, track_overlaps)
     cap = cluster_threshold(pv, r, m) if cluster_cap is None else cluster_cap
-    cat = index.cat if track_overlaps else None
     hist: dict[int, int] = {}
     viol: dict[str, int] = {}
     overlap = 0
-    for block, size in _blocks(trials):
-        rng = make_rng(seed, block)
-        for _ in range(size):
-            combo = _draw_ids(rng, total, m)
-            t, reason, _, _ = index.classify_combo(combo, cap)
-            if reason is None:
-                hist[t] = hist.get(t, 0) + 1
-            else:
-                viol[reason] = viol.get(reason, 0) + 1
-            if cat is not None:
-                for i, j in combinations(combo, 2):
-                    if cat[i][j]:
-                        overlap += 1
+    for rng, rows in _blocks(trials, seed):
+        verts = sampler.unrank_many(_draw_block(rng, sampler.total, rows, m))
+        t, reason, overlaps = classify_rows(verts, pv.n, cap, track_overlaps)
+        for value, count in zip(*np.unique(t[reason == 0], return_counts=True)):
+            hist[int(value)] = hist.get(int(value), 0) + int(count)
+        for code, count in enumerate(np.bincount(reason, minlength=len(REASONS))):
+            if code and count:
+                viol[REASONS[code]] = viol.get(REASONS[code], 0) + int(count)
+        if track_overlaps:
+            overlap += int(overlaps.sum())
     return SampleReport(
         sizes=pv.sizes,
         r=r,
@@ -265,15 +429,10 @@ def draw_subset_ids(
     Same blocks and draws as estimate_linear_probability, so a seed pins
     the exact draws here too.
     """
-    sampler = EdgeSampler(pv, r)
-    if not 0 <= m <= sampler.total:
-        raise DomainError(f"need 0 <= m <= {sampler.total}, got {m}")
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
+    sampler = _batch_sampler(pv, r, m, trials)
     out: list[tuple[int, ...]] = []
-    for block, size in _blocks(trials):
-        rng = make_rng(seed, block)
-        out.extend(_draw_ids(rng, sampler.total, m) for _ in range(size))
+    for rng, rows in _blocks(trials, seed):
+        out.extend(map(tuple, _draw_block(rng, sampler.total, rows, m).tolist()))
     return out
 
 

@@ -1,9 +1,11 @@
 """End-to-end checks of the linhyp command-line interface."""
 
 import json
+import math
 
 import pytest
 
+from linhyp import montecarlo
 from linhyp.cli import main
 from linhyp.verify import enumerable_grid
 
@@ -58,13 +60,61 @@ def test_workers_env_fallback(capsys, monkeypatch):
     assert rc == 2
 
 
-def test_sample_refuses_oversized_overlap_matrix(capsys):
-    # sigma_3 = 161700 at n=100: the overlap matrix would need about 26 GB,
-    # so the sampler must refuse before building anything
-    rc, out, err = run_cli(capsys, "sample", "--uniform-n", "100", "--r", "3", "--m", "10")
+def _refuse_drawing(monkeypatch):
+    # a refused request must fail before the sampler draws (allocates) anything
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(montecarlo, "_draw_block", no_draw)
+
+
+def test_sample_admits_edge_spaces_beyond_the_old_overlap_matrix(capsys):
+    # sigma_3 = 161700 at n=100: no edge-pair matrix is built any more
+    rc, out, err = run_cli(
+        capsys, "sample", "--uniform-n", "100", "--r", "3", "--m", "10", "--trials", "4096"
+    )
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    tallies = sum(int(c) for c in payload["cluster_histogram"].values())
+    tallies += sum(int(c) for c in payload["violation_counts"].values())
+    assert tallies == 4096 and payload["trials"] == "4096"
+
+
+def test_sample_refuses_work_above_ceiling(capsys, monkeypatch):
+    _refuse_drawing(monkeypatch)
+    argv = ("sample", "--uniform-n", "1000", "--r", "3", "--m", "300", "--trials", "1000000")
+    rc, out, err = run_cli(capsys, *argv)
     assert rc == 3 and out == ""
-    assert "sampler overlap matrix" in err
-    assert str(161700 ** 2) in err
+    assert "sampler work (trials x m^2)" in err
+    assert str(10 ** 6 * 300 ** 2) in err and str(montecarlo.SAMPLER_WORK_CEILING) in err
+
+
+def test_sample_refuses_oversized_block(capsys, monkeypatch):
+    _refuse_drawing(monkeypatch)
+    argv = ("sample", "--uniform-n", "1000", "--r", "3", "--m", "1000", "--trials", "4096")
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 3 and out == ""
+    assert "sampler block" in err and "vertex-subset codes" in err
+    assert str(4096 * 1000 * 3) in err
+
+
+def test_sample_refuses_counts_beyond_int64(capsys, monkeypatch):
+    _refuse_drawing(monkeypatch)
+
+    def no_sampler(*args):
+        raise AssertionError("built the suffix table before refusing")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "EdgeSampler", no_sampler)
+        rc, out, err = run_cli(capsys, "sample", "--uniform-n", "1000000", "--r", "4", "--m", "2")
+    assert rc == 2 and out == ""
+    assert "2**63" in err and str(math.comb(10 ** 6, 4)) in err
+    # sigma_3 fits, but 2-subset codes of 6e9 vertices do not
+    rc, out, err = run_cli(
+        capsys, "sample", "--parts", "3000000000,3000000000,1", "--r", "3", "--m", "2"
+    )
+    assert rc == 2 and out == ""
+    assert "2-subsets" in err and "2**63" in err
 
 
 def test_estimate_uniform_decimal(capsys):

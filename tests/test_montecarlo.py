@@ -5,7 +5,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from linhyp import (
@@ -25,7 +28,13 @@ from linhyp import (
     uniform_partition,
 )
 from linhyp.census import EdgeSpaceIndex
-from linhyp.montecarlo import BLOCK_TRIALS, draw_subset_ids
+from linhyp.montecarlo import (
+    BLOCK_TRIALS,
+    REASONS,
+    _draw_block,
+    classify_rows,
+    draw_subset_ids,
+)
 
 
 def test_unrank_matches_canonical_order():
@@ -233,3 +242,54 @@ def test_sample_report_json_shape():
     assert payload["trials"] == "4096"
     assert set(payload["cluster_histogram"]) <= {"0", "1"}
     assert isinstance(payload["p_hat"], float)
+
+
+def test_unrank_many_is_the_scalar_bijection():
+    # irregular parts at every r from 3 to k, and k = r
+    cases = [((4, 2, 3, 1, 2), r) for r in (3, 4, 5)] + [((2, 3, 1), 3), ((3, 1, 2, 2), 4)]
+    for sizes, r in cases:
+        pv = partition(sizes)
+        sampler = EdgeSampler(pv, r)
+        got = [tuple(v) for v in sampler.unrank_many(np.arange(sampler.total)).tolist()]
+        assert got == [sampler.unrank(i) for i in range(sampler.total)], (sizes, r)
+        assert got == EdgeSpaceIndex(pv, r).edges, (sizes, r)
+    sampler = EdgeSampler(partition((2, 2, 2)), 3)
+    assert sampler.unrank_many(np.zeros((2, 0), dtype=np.int64)).shape == (2, 0, 3)
+    with pytest.raises(DomainError):
+        sampler.unrank_many(np.array([0, 8]))
+
+
+def test_negative_cluster_cap_is_refused():
+    # a negative cap would make every subset too_many_clusters for classify
+    with pytest.raises(DomainError, match="cluster_cap"):
+        estimate_linear_probability(partition((2, 2, 2)), 3, 1, trials=10, cluster_cap=-1)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_batch_classifier_agrees_with_classify_combo(data):
+    # every drawn row: classify_rows's (t, reason) against classify_combo,
+    # and its overlap count against the cat matrix
+    sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=5), label="sizes"))
+    r = data.draw(st.sampled_from([r for r in (3, 4) if r <= len(sizes)]), label="r")
+    pv = partition(sizes)
+    index = EdgeSpaceIndex(pv, r)
+    sampler = EdgeSampler(pv, r)
+    total = index.count
+    m = data.draw(st.one_of(st.sampled_from((0, total)), st.integers(0, total)), label="m")
+    cap = data.draw(st.sampled_from((0, 1, 2, 50)), label="cap")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    ids = _draw_block(make_rng(seed), total, 6, m)
+    verts = sampler.unrank_many(ids)
+    t, reason, overlaps = classify_rows(verts, pv.n, cap, track_overlaps=True)
+    t_plain, reason_plain, none = classify_rows(verts, pv.n, cap)
+    assert none is None
+    assert reason_plain.tolist() == reason.tolist()
+    for row, combo in enumerate(ids.tolist()):
+        assert combo == sorted(set(combo)) and len(combo) == m
+        want_t, want_reason, _, _ = index.classify_combo(tuple(combo), cap)
+        got_reason = REASONS[reason[row]]
+        assert (int(t[row]) if got_reason is None else None, got_reason) == (want_t, want_reason)
+        assert got_reason is not None or t_plain[row] == t[row]
+        cat = sum(1 for i, j in combinations(combo, 2) if index.cat[i][j])
+        assert overlaps[row] == cat
