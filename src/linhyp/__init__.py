@@ -19,12 +19,10 @@ from .census import (
 from .errors import DomainError, WorkCeilingError
 from .hypergraphs import (
     Classification,
-    ClusterDecomposition,
     Edge,
     Hypergraph,
     classify,
     cluster_threshold,
-    decompose,
     edge_space,
     from_text,
     hypergraph,

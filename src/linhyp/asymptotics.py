@@ -17,6 +17,7 @@ from .partitions import PartitionVector, falling_factorial, log_sigma, sigma
 
 __all__ = [
     "EstimateResult",
+    "cluster_mean",
     "estimate_partite",
     "estimate_refined_uniform",
     "estimate_uniform",
@@ -63,6 +64,20 @@ class EstimateResult:
         }
 
 
+def cluster_mean(pv: PartitionVector, r: int, m: int) -> Fraction:
+    """A = sigma_2 sigma_{r-2}^2 [m]_2 / (2 sigma_r^2), exactly.
+
+    The leading-order mean number of two-edge clusters in m uniform
+    edges: estimate_partite's correction is -A, and ratio_series uses A
+    as its term ratio.
+    """
+    s_r = sigma(pv, r)
+    return Fraction(
+        sigma(pv, 2) * sigma(pv, r - 2) ** 2 * falling_factorial(m, 2),
+        2 * s_r * s_r,
+    )
+
+
 def _check_m(m: int) -> None:
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
@@ -79,11 +94,7 @@ def estimate_partite(pv: PartitionVector, r: int, m: int) -> EstimateResult:
         raise DomainError(f"need 3 <= r <= k, got r={r}, k={pv.k}")
     _check_m(m)
     leading = m * log_sigma(pv, r) - log_factorial(m)
-    s_r = sigma(pv, r)
-    correction = -Fraction(
-        sigma(pv, 2) * sigma(pv, r - 2) ** 2 * falling_factorial(m, 2),
-        2 * s_r * s_r,
-    )
+    correction = -cluster_mean(pv, r, m)
     n = pv.n
     budget = m * m / n ** 3 + m ** 3 / n ** 4
     return EstimateResult(leading, float(correction), budget, correction)

@@ -30,10 +30,12 @@ class EdgeSpaceIndex:
     """Precomputed structures over the full edge space of one instance.
 
     Edges are indexed by their canonical enumeration order.  The index
-    carries, per edge, the ids of its vertex subsets of each size from 2
-    to r-1.  Built on first use: linked, the set of edges linked to each
-    edge (sharing >= 2 vertices, self included so that membership tests
-    also exclude duplication), and cat, the pairwise overlap matrix.
+    carries, per edge, the frozenset of ids of its vertex subsets of each
+    size alpha from 2 to r-1 in subset_ids[alpha]; subset_ids[2], the
+    edge's vertex pairs, is the one pair-occupancy view (empty rows when
+    r <= 2, where edges have no proper vertex pairs).  Two distinct edges
+    are linked exactly when their pair rows meet.  Built on first use:
+    cat, the pairwise overlap matrix.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -44,51 +46,27 @@ class EdgeSpaceIndex:
         self.position = {vs: i for i, vs in enumerate(self.edges)}
 
         # intern vertex subsets of sizes 2..r-1 as small integers
-        self.subset_ids: dict[int, list[tuple[int, ...]]] = {}
-        for alpha in range(2, max(r, 2)):
+        self.subset_ids: dict[int, list[frozenset[int]]] = {2: [frozenset()] * self.count}
+        for alpha in range(2, r):
             table: dict[tuple[int, ...], int] = {}
-            rows = []
-            for vs in self.edges:
-                row = []
-                for sub in combinations(vs, alpha):
-                    sid = table.setdefault(sub, len(table))
-                    row.append(sid)
-                rows.append(tuple(row))
-            self.subset_ids[alpha] = rows
-        self.pair_sets: list[frozenset[int]] = [
-            frozenset(row) for row in self.subset_ids.get(2, [()] * self.count)
-        ]
+            self.subset_ids[alpha] = [
+                frozenset(table.setdefault(sub, len(table)) for sub in combinations(vs, alpha))
+                for vs in self.edges
+            ]
 
-        self._linked: list[frozenset[int]] | None = None
         self._cat: list[bytearray] | None = None
-
-    def _pair_occupants(self) -> dict[int, list[int]]:
-        """Vertex pair id -> the edges containing that pair, in index order."""
-        occupants: dict[int, list[int]] = {}
-        for i, row in enumerate(self.subset_ids.get(2, [])):
-            for pid in row:
-                occupants.setdefault(pid, []).append(i)
-        return occupants
-
-    @property
-    def linked(self) -> list[frozenset[int]]:
-        """linked[i]: the edges sharing a vertex pair with edge i, and i itself."""
-        if self._linked is None:
-            linked: list[set[int]] = [{i} for i in range(self.count)]
-            for group in self._pair_occupants().values():
-                if len(group) > 1:
-                    for i in group:
-                        linked[i].update(group)
-            self._linked = [frozenset(s) for s in linked]
-        return self._linked
 
     @property
     def cat(self) -> list[bytearray]:
         """Pairwise overlap category: 0 for <=1 shared, 1 for exactly 2, 2 for >=3."""
         if self._cat is None:
+            occupants: dict[int, list[int]] = {}
+            for i, row in enumerate(self.subset_ids[2]):
+                for pid in row:
+                    occupants.setdefault(pid, []).append(i)
             cat = [bytearray(self.count) for _ in range(self.count)]
             cooccur: dict[tuple[int, int], int] = {}
-            for group in self._pair_occupants().values():
+            for group in occupants.values():
                 for i, j in combinations(group, 2):
                     cooccur[(i, j)] = cooccur.get((i, j), 0) + 1
             # c shared vertices co-occur in binomial(c, 2) pair lists
@@ -131,17 +109,18 @@ class EdgeSpaceIndex:
         """Statistics of the edges compatible with a fixed edge set h0.
 
         Compatible means sharing at most one vertex with every edge of
-        h0 (which also rules out duplicating one).  Returns the count of
-        compatible edges, the number of unordered compatible pairs
+        h0 and not being one of them: the edge's vertex pairs avoid every
+        pair h0 occupies, as in count_linear's search.  Returns the count
+        of compatible edges, the number of unordered compatible pairs
         sharing >= 2 vertices, and the number sharing exactly 2.
         """
-        bad: set[int] = set()
-        for g in h0:
-            bad.update(self.linked[g])
-        pool = [i for i in range(self.count) if i not in bad]
+        pairs = self.subset_ids[2]
+        used = frozenset().union(*(pairs[g] for g in h0))
+        members = set(h0)
+        pool = [i for i, row in enumerate(pairs) if used.isdisjoint(row) and i not in members]
         # T[alpha] = sum over alpha-subsets of binomial(occupancy, 2)
         t_by_alpha: dict[int, int] = {}
-        for alpha in range(2, max(self.r, 2)):
+        for alpha in range(2, self.r):
             rows = self.subset_ids[alpha]
             occ: dict[int, int] = {}
             for i in pool:
@@ -190,24 +169,24 @@ def count_linear(
     total_edges = index.count
     if m == 1:
         return total_edges
-    pair_sets = index.pair_sets
+    pairs = index.subset_ids[2]
 
     def tail_count(start: int, used: frozenset, left: int) -> int:
         if left == 1:
             c = 0
             isd = used.isdisjoint
             for i in range(start, total_edges):
-                if isd(pair_sets[i]):
+                if isd(pairs[i]):
                     c += 1
             return c
         tot = 0
         for i in range(start, total_edges - left + 1):
-            ps = pair_sets[i]
+            ps = pairs[i]
             if used.isdisjoint(ps):
                 tot += tail_count(i + 1, used | ps, left - 1)
         return tot
 
-    return sum(tail_count(i + 1, pair_sets[i], m - 1) for i in range(total_edges - m + 1))
+    return sum(tail_count(i + 1, pairs[i], m - 1) for i in range(total_edges - m + 1))
 
 
 def count_linear_naive(

@@ -8,8 +8,11 @@ pair of edges sharing exactly two vertices and t stays below the cluster
 expansion threshold.  With no pair sharing three or more vertices, that
 holds exactly when no edge lies in two linked pairs, and then t is the
 number of linked pairs; plus_violation is this rule, shared by classify
-and EdgeSpaceIndex.classify_combo.  The sampler's montecarlo.classify_rows
-applies the same rule, in the same order of reasons, to arrays.
+and EdgeSpaceIndex.classify_combo.  classify is the one place that finds
+a hypergraph's clusters: it returns them as edge pairs, and the
+switching moves read them from it.  The sampler's
+montecarlo.classify_rows applies the same rule, in the same order of
+reasons, to arrays.
 """
 
 from __future__ import annotations
@@ -102,62 +105,6 @@ def edge_space(pv: PartitionVector, r: int) -> Iterator[Edge]:
     return rec(0, (), ())
 
 
-@dataclass(frozen=True)
-class ClusterDecomposition:
-    """Link structure of a hypergraph.
-
-    edge_order fixes the indexing: adjacency[i] lists the edges sharing
-    at least two vertices with edge_order[i], links collects every vertex
-    pair contained in two or more edges, and clusters are the connected
-    components of the linked-edges graph with at least two members.
-    """
-
-    edge_order: tuple[Edge, ...]
-    links: frozenset[tuple[int, int]]
-    adjacency: tuple[frozenset[int], ...]
-    clusters: tuple[frozenset[int], ...]
-
-    def cluster_edges(self, i: int) -> tuple[Edge, ...]:
-        return tuple(self.edge_order[j] for j in sorted(self.clusters[i]))
-
-
-def decompose(h: Hypergraph) -> ClusterDecomposition:
-    """Compute links, the linked-edges graph, and its clusters."""
-    order = h.sorted_edges()
-    m = len(order)
-    vsets = [frozenset(e.vertices) for e in order]
-    links: set[tuple[int, int]] = set()
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for i, j in combinations(range(m), 2):
-        inter = vsets[i] & vsets[j]
-        if len(inter) >= 2:
-            adj[i].add(j)
-            adj[j].add(i)
-            links.update(combinations(sorted(inter), 2))
-    seen: set[int] = set()
-    clusters = []
-    for i in range(m):
-        if i in seen or not adj[i]:
-            continue
-        comp = {i}
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        clusters.append(frozenset(comp))
-    clusters.sort(key=min)
-    return ClusterDecomposition(
-        edge_order=order,
-        links=frozenset(links),
-        adjacency=tuple(frozenset(a) for a in adj),
-        clusters=tuple(clusters),
-    )
-
-
 def is_linear(h: Hypergraph) -> bool:
     """True when every pair of edges shares at most one vertex."""
     vsets = [frozenset(e.vertices) for e in h.edges]
@@ -184,11 +131,17 @@ def cluster_threshold(pv: PartitionVector, r: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of the plus test: cluster count, or the failure reason."""
+    """Outcome of the plus test: cluster count, or the failure reason.
+
+    pairs holds the clusters of a plus hypergraph, each as its two edges
+    in sorted order, listed in sorted order of their first edges; it is
+    empty when the hypergraph is not plus.
+    """
 
     in_plus: bool
     clusters: int | None
     reason: str | None
+    pairs: tuple[tuple[Edge, Edge], ...] = ()
 
 
 def plus_violation(linked_pairs: list[tuple[int, int]], cap: int) -> str | None:
@@ -239,9 +192,12 @@ def classify(h: Hypergraph, cap: int) -> Classification:
 
     Failure reasons, checked in this order: a pair of edges overlapping
     in three or more vertices, a cluster with more than two edges, more
-    than cap clusters.
+    than cap clusters.  A plus hypergraph's clusters are its linked
+    pairs; they come back in Classification.pairs, and the switching
+    code reads them from there.
     """
-    vsets = [frozenset(e.vertices) for e in h.sorted_edges()]
+    order = h.sorted_edges()
+    vsets = [frozenset(e.vertices) for e in order]
     linked_pairs = []
     for i, j in combinations(range(len(vsets)), 2):
         shared = len(vsets[i] & vsets[j])
@@ -252,7 +208,8 @@ def classify(h: Hypergraph, cap: int) -> Classification:
     reason = plus_violation(linked_pairs, cap)
     if reason is not None:
         return Classification(False, None, reason)
-    return Classification(True, len(linked_pairs), None)
+    pairs = tuple((order[i], order[j]) for i, j in linked_pairs)
+    return Classification(True, len(pairs), None, pairs)
 
 
 def to_text(h: Hypergraph) -> str:

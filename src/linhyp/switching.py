@@ -5,6 +5,10 @@ are link-free against everything kept; a reverse move removes an ordered
 pair of link-free edges and inserts an unordered pair overlapping in
 exactly two vertices.  The two move sets biject, which bijection_audit
 verifies by aggregate counting with both sides computed independently.
+
+Clusters come from hypergraphs.classify (Classification.pairs) for one
+hypergraph, and from EdgeSpaceIndex.classify_combo in the audit's sweep;
+the move counts are written once, in _forward_total and _reverse_total.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
+from .asymptotics import cluster_mean
 from .census import DEFAULT_WORK_CEILING, EdgeSpaceIndex, _guard
 from .errors import DomainError
 from .hypergraphs import (
@@ -23,11 +28,10 @@ from .hypergraphs import (
     Hypergraph,
     classify,
     cluster_threshold,
-    decompose,
     edge_space,
     make_edge,
 )
-from .partitions import PartitionVector, falling_factorial, sigma
+from .partitions import PartitionVector, sigma
 
 
 class ForwardMove(NamedTuple):
@@ -61,12 +65,10 @@ def enumerate_forward(h: Hypergraph) -> list[ForwardMove]:
     cls = _classified(h)
     if cls.clusters == 0:
         raise DomainError("no cluster to switch away")
-    dec = decompose(h)
     pool = list(edge_space(h.pv, h.r))
     moves: list[ForwardMove] = []
-    for ci in range(len(dec.clusters)):
-        pair = dec.cluster_edges(ci)
-        kept = [e for e in dec.edge_order if e not in pair]
+    for pair in cls.pairs:
+        kept = [e for e in h.edges if e not in pair]
         stage1 = [x for x in pool if all(_overlap(x, g) <= 1 for g in kept)]
         for e1 in stage1:
             for e2 in stage1:
@@ -98,26 +100,22 @@ def apply_forward(h: Hypergraph, move: ForwardMove) -> Hypergraph:
         raise DomainError("second replacement edge shares a link")
     out = Hypergraph(h.pv, h.r, frozenset(kept) | {e1, e2})
     cls = _classified(out)
-    if cls.clusters != len(decompose(h).clusters) - 1:
+    if cls.clusters != classify(h, h.m).clusters - 1:
         raise AssertionError("forward move did not lower the cluster count by one")
     return out
 
 
 def enumerate_reverse(h: Hypergraph) -> list[ReverseMove]:
     """All reverse moves available from a plus hypergraph."""
-    _classified(h)
-    dec = decompose(h)
-    clustered = set()
-    for comp in dec.clusters:
-        clustered |= comp
-    free = [dec.edge_order[i] for i in range(h.m) if i not in clustered]
+    clustered = {e for pair in _classified(h).pairs for e in pair}
+    free = [e for e in h.sorted_edges() if e not in clustered]
     pool = list(edge_space(h.pv, h.r))
     moves: list[ReverseMove] = []
     for e1 in free:
         for e2 in free:
             if e1 == e2:
                 continue
-            kept = [g for g in dec.edge_order if g not in (e1, e2)]
+            kept = [g for g in h.edges if g not in (e1, e2)]
             stage = [x for x in pool if all(_overlap(x, g) <= 1 for g in kept)]
             for i, j in combinations(range(len(stage)), 2):
                 if _overlap(stage[i], stage[j]) == 2:
@@ -146,50 +144,69 @@ def apply_reverse(h: Hypergraph, move: ReverseMove) -> Hypergraph:
             raise DomainError("inserted edge shares a link with a kept edge")
     out = Hypergraph(h.pv, h.r, frozenset(kept) | {e, f})
     cls = _classified(out)
-    if cls.clusters != len(decompose(h).clusters) + 1:
+    if cls.clusters != classify(h, h.m).clusters + 1:
         raise AssertionError("reverse move did not raise the cluster count by one")
     return out
 
 
-def _index_ids(index: EdgeSpaceIndex, h: Hypergraph) -> tuple[int, ...]:
+def _plus_ids(h: Hypergraph, index: EdgeSpaceIndex):
+    """(ids, clusters, free): h's edges, cluster pairs and free edges as index ids.
+
+    Raises DomainError when an edge lies outside the edge space or h is
+    not plus-classified.  Ids follow sorted vertex tuples, as classify does.
+    """
+    position = index.position
     try:
-        return tuple(sorted(index.position[e.vertices] for e in h.edges))
+        ids = tuple(sorted(position[e.vertices] for e in h.edges))
     except KeyError as exc:
         raise DomainError(f"edge {exc.args[0]} outside the edge space") from exc
+    clusters = tuple(
+        (position[a.vertices], position[b.vertices]) for a, b in _classified(h).pairs
+    )
+    paired = {i for pair in clusters for i in pair}
+    return ids, clusters, tuple(i for i in ids if i not in paired)
+
+
+def _forward_total(stats, combo: tuple[int, ...], clusters) -> int:
+    """Forward moves from combo, summed over its clusters.
+
+    A cluster (a, b) is replaced by an ordered pair of distinct edges
+    that are compatible with the rest of combo and not linked to each
+    other.  stats(h0) returns EdgeSpaceIndex.compat_stats(h0).
+    """
+    total = 0
+    for a, b in clusters:
+        size, n_ge2, _ = stats(tuple(i for i in combo if i != a and i != b))
+        total += size * (size - 1) - 2 * n_ge2
+    return total
+
+
+def _reverse_total(stats, combo: tuple[int, ...], free) -> int:
+    """Reverse moves from combo, summed over unordered pairs of free edges.
+
+    Each pair, removed in either order, is replaced by a compatible pair
+    sharing exactly two vertices.  stats is as in _forward_total.
+    """
+    total = 0
+    for g1, g2 in combinations(free, 2):
+        total += 2 * stats(tuple(i for i in combo if i != g1 and i != g2))[2]
+    return total
 
 
 def count_forward_moves(h: Hypergraph, index: EdgeSpaceIndex | None = None) -> int:
     """|forward moves| without materializing them (cross-checked in tests)."""
     index = index or EdgeSpaceIndex(h.pv, h.r)
-    cap = cluster_threshold(h.pv, h.r, h.m)
-    ids = _index_ids(index, h)
-    t, reason, clusters, _ = index.classify_combo(ids, cap)
-    if reason is not None:
-        raise DomainError(f"hypergraph is not plus-classified ({reason})")
-    if t == 0:
+    ids, clusters, _ = _plus_ids(h, index)
+    if not clusters:
         raise DomainError("no cluster to switch away")
-    total = 0
-    for a, b in clusters:
-        h0 = tuple(i for i in ids if i != a and i != b)
-        size, n_ge2, _ = index.compat_stats(h0)
-        total += size * (size - 1) - 2 * n_ge2
-    return total
+    return _forward_total(index.compat_stats, ids, clusters)
 
 
 def count_reverse_moves(h: Hypergraph, index: EdgeSpaceIndex | None = None) -> int:
     """|reverse moves| without materializing them (cross-checked in tests)."""
     index = index or EdgeSpaceIndex(h.pv, h.r)
-    cap = cluster_threshold(h.pv, h.r, h.m)
-    ids = _index_ids(index, h)
-    _, reason, _, free = index.classify_combo(ids, cap)
-    if reason is not None:
-        raise DomainError(f"hypergraph is not plus-classified ({reason})")
-    total = 0
-    for g1, g2 in combinations(free, 2):
-        h0 = tuple(i for i in ids if i != g1 and i != g2)
-        _, _, n_eq2 = index.compat_stats(h0)
-        total += 2 * n_eq2
-    return total
+    ids, _, free = _plus_ids(h, index)
+    return _reverse_total(index.compat_stats, ids, free)
 
 
 @dataclass(frozen=True)
@@ -338,19 +355,11 @@ def bijection_audit(
             continue
         counts[t] = counts.get(t, 0) + 1
         if t >= 1:
-            fwd = 0
-            for a, b in clusters:
-                h0 = tuple(i for i in combo if i != a and i != b)
-                size, n_ge2, _ = stats(h0)
-                fwd += size * (size - 1) - 2 * n_ge2
+            fwd = _forward_total(stats, combo, clusters)
             fwd_sum[t] = fwd_sum.get(t, 0) + fwd
             lo, hi = fwd_range.get(t, (fwd, fwd))
             fwd_range[t] = (min(lo, fwd), max(hi, fwd))
-        rev = 0
-        for g1, g2 in combinations(free, 2):
-            h0 = tuple(i for i in combo if i != g1 and i != g2)
-            _, _, n_eq2 = stats(h0)
-            rev += 2 * n_eq2
+        rev = _reverse_total(stats, combo, free)
         rev_sum[t] = rev_sum.get(t, 0) + rev
         lo, hi = rev_range.get(t, (rev, rev))
         rev_range[t] = (min(lo, rev), max(hi, rev))
@@ -557,12 +566,7 @@ def ratio_series(
         raise DomainError(f"cutoff t_prime must be >= 1, got {t_prime}")
 
     n_terms = cluster_threshold(pv, r, m)
-    s_r = sigma(pv, r)
-    a_exact = Fraction(
-        sigma(pv, 2) * sigma(pv, r - 2) ** 2 * falling_factorial(m, 2),
-        2 * s_r * s_r,
-    )
-    a_value = float(a_exact)
+    a_value = float(cluster_mean(pv, r, m))
     n = pv.n
     shift = budget_constant * (m * m / n ** 3 + m ** 3 / n ** 4)
 

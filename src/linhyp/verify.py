@@ -286,6 +286,23 @@ def _check_sampling(suite: _Suite, workers: int) -> None:
     )
 
 
+INCLUSION_KL_BOUND = 8.0
+
+
+def _bernoulli_kl(hits: int, trials: int, p: Fraction) -> float:
+    """KL(hits/trials || p) between Bernoulli laws, in nats.
+
+    By the Chernoff bound, trials * KL >= c has probability at most
+    2 exp(-c) for any trials * p, even when hits of a rare event are few;
+    for large trials * p, c = 8 is the 4-sigma band (z^2 / 2 = 8).
+    """
+    total = 0.0
+    for k, q in ((hits, p), (trials - hits, 1 - p)):
+        if k:
+            total += k / trials * math.log(k / trials / float(q)) if q else math.inf
+    return total
+
+
 def _check_subset_inclusion(suite: _Suite, trials: int) -> None:
     bad = []
     rng = make_rng(20240503)
@@ -299,11 +316,10 @@ def _check_subset_inclusion(suite: _Suite, trials: int) -> None:
             t = int(rng.integers(1, g.m + 1))
             fixed = frozenset(int(x) for x in rng.choice(total, size=t, replace=False))
             hits = sum(1 for s in samples if fixed <= s)
-            p = float(edge_subset_probability(g.pv, g.r, g.m, t))
-            spread = 4 * math.sqrt(p * (1 - p) / trials)
+            p = edge_subset_probability(g.pv, g.r, g.m, t)
             checked += 1
-            if abs(hits / trials - p) > spread:
-                bad.append(f"{g.label} t={t}: {hits / trials:.6f} vs {p:.6f}")
+            if trials * _bernoulli_kl(hits, trials, p) > INCLUSION_KL_BOUND:
+                bad.append(f"{g.label} t={t}: {hits / trials:.6f} vs {float(p):.6f}")
     suite.check(
         f"inclusion frequencies match exact probabilities ({checked} triples)",
         not bad,

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from linhyp import (
@@ -140,11 +141,11 @@ def test_criterion_05_subset_inclusion_frequencies():
                 bad.append(f"{g.label} t={t}: power bound broken")
         if g.m < 1:
             continue
-        samples = draw_subset_ids(g.pv, g.r, g.m, trials, seed=1105)
+        samples = np.array(draw_subset_ids(g.pv, g.r, g.m, trials, seed=1105))
         for _ in range(10):
             t = int(rng.integers(1, g.m + 1))
             fixed = tuple(int(x) for x in rng.choice(total, size=t, replace=False))
-            hits = sum(1 for s in samples if all(x in s for x in fixed))
+            hits = int(np.logical_and.reduce([(samples == x).any(axis=1) for x in fixed]).sum())
             p = float(edge_subset_probability(g.pv, g.r, g.m, t))
             spread = 4 * math.sqrt(p * (1 - p) / trials)
             checked += 1

@@ -134,6 +134,14 @@ def test_compat_stats_against_brute_force():
             assert index.compat_stats(h0) == (len(pool), ge2, eq2), (sizes, r, h0)
 
 
+def test_compat_stats_excludes_h0_when_edges_have_no_pairs():
+    # at r = 2 no two distinct edges share two vertices, so every edge
+    # outside h0 is compatible and h0's own edges are not
+    index = EdgeSpaceIndex(partition((2, 2, 2)), 2)
+    assert index.compat_stats(()) == (12, 0, 0)
+    assert index.compat_stats((0, 5)) == (10, 0, 0)
+
+
 def test_classify_combo_matches_pinned_strata():
     pv = partition((2, 2, 2, 2))
     index = EdgeSpaceIndex(pv, 4)

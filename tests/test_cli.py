@@ -2,10 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
-from linhyp import montecarlo
+from linhyp import montecarlo, verify
 from linhyp.cli import main
 from linhyp.verify import enumerable_grid
 
@@ -211,10 +212,21 @@ def test_series_cli_smoke(capsys):
 
 
 def test_verify_cli_run(capsys):
-    # default trial count: fewer samples make rare strata trip the 4-sigma
-    # window on a single lucky hit, which the suite rightly reports
     rc = main(["verify", "--threads", "2"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_inclusion_band_holds_at_any_trial_count():
+    # a single hit of a rare triple (trials * p << 1) is no evidence of
+    # bias; a normal 4-sigma band failed it at 1000 and 20000 trials
+    assert 20000 * verify._bernoulli_kl(1, 20000, Fraction(1, 10 ** 6)) <= verify.INCLUSION_KL_BOUND
+    assert 20000 * verify._bernoulli_kl(5, 20000, Fraction(1, 10 ** 6)) > verify.INCLUSION_KL_BOUND
+    assert verify._bernoulli_kl(7, 7, Fraction(1)) == 0.0
+    for trials in (1000, 20000):
+        lines = []
+        suite = verify._Suite(lines.append)
+        verify._check_subset_inclusion(suite, trials)
+        assert suite.failures == 0, lines

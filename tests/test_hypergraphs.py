@@ -13,7 +13,6 @@ from linhyp import (
     Hypergraph,
     classify,
     cluster_threshold,
-    decompose,
     edge_space,
     from_text,
     hypergraph,
@@ -72,13 +71,13 @@ def test_edge_space_uniform_is_combinations():
     assert got == list(combinations(range(1, 7), 3))
 
 
-def test_decompose_cluster_and_links():
+def test_classify_cluster_pairs():
     pv = partition((2, 2, 2))
     h = hypergraph(pv, 3, [(1, 3, 5), (1, 3, 6), (2, 4, 6)])
-    dec = decompose(h)
-    assert len(dec.clusters) == 1
-    assert dec.cluster_edges(0) == (make_edge(pv, (1, 3, 5)), make_edge(pv, (1, 3, 6)))
-    assert dec.links == frozenset({(1, 3)})
+    cls = classify(h, cluster_threshold(pv, 3, h.m))
+    assert cls.clusters == 1
+    assert cls.pairs == ((make_edge(pv, (1, 3, 5)), make_edge(pv, (1, 3, 6))),)
+    assert classify(h, 0).pairs == ()
     assert not is_linear(h)
     assert is_linear(hypergraph(pv, 3, [(1, 3, 5), (2, 4, 6)]))
 
@@ -196,6 +195,10 @@ def test_plus_rule_agrees_with_union_find_oracle(data):
     assert (cls.clusters, cls.reason) == expected
     assert cls.in_plus == (reason is None)
     if reason is None:
+        # classify's edge pairs are classify_combo's clusters
+        assert tuple(
+            (index.position[a.vertices], index.position[b.vertices]) for a, b in cls.pairs
+        ) == clusters
         # clusters and free edges partition the combo
         assert len(clusters) == t
         assert sorted([i for pair in clusters for i in pair] + list(free)) == list(combo)

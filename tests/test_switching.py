@@ -73,6 +73,16 @@ def test_enumerate_matches_counts_everywhere():
             assert len(enumerate_reverse(h)) == count_reverse_moves(h, index)
 
 
+def test_move_counts_build_no_overlap_matrix():
+    # the clusters come from classify, so no sigma_r^2 cat is built
+    pv = uniform_partition(40)
+    h = hypergraph(pv, 3, [(1, 2, 3), (1, 2, 4), (5, 6, 7), (8, 9, 10)])
+    index = EdgeSpaceIndex(pv, 3)
+    assert count_forward_moves(h, index) == 92172776
+    assert count_reverse_moves(h, index) == 1063440
+    assert index._cat is None
+
+
 def test_moves_pair_off_exactly():
     # every forward move has exactly one reverse move undoing it
     for index, h, t in _plus_subsets((2, 2, 2), 3, 2):
