@@ -25,13 +25,12 @@ from .verify import enumerable_grid, run_verification
 WORKERS_ENV = "LINHYP_WORKERS"
 
 
-def _add_instance_args(p: argparse.ArgumentParser, with_m: bool = True) -> None:
+def _add_instance_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--parts", help="comma-separated part sizes, e.g. 2,2,2")
     group.add_argument("--uniform-n", type=int, help="n singleton parts (uniform case)")
     p.add_argument("--r", type=int, required=True, help="vertices per edge")
-    if with_m:
-        p.add_argument("--m", type=int, required=True, help="number of edges")
+    p.add_argument("--m", type=int, required=True, help="number of edges")
 
 
 def _instance(args) -> PartitionVector:

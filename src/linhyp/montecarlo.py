@@ -232,8 +232,8 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     track_overlaps) become int64 codes.  Sorting a row puts equal codes
     in runs; a run of occ codes adds C(occ, 2) to T_alpha, the number of
     edge pairs sharing an alpha-subset.  In plus_violation's order: a
-    shared 3-subset is OVERLAP_GE3; an edge whose shared vertex pairs
-    link it to two others (the sum of occ - 1 over its pairs is >= 2) is
+    shared 3-subset is OVERLAP_GE3; linked pairs that touch fewer than
+    2 T_2 distinct edges (some edge lies in two of them) are
     CLUSTER_GT2_EDGES; otherwise there are t = T_2 linked pairs, and
     TOO_MANY_CLUSTERS when t > cap.
 
@@ -262,16 +262,15 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
             rank = pos - np.maximum.accumulate(start, axis=1)
             shared[hit] = rank.sum(axis=1)
             if alpha == 2:
-                # a run of three edges, or an edge with two shared pairs
+                # the T_2 linked pairs form a matching exactly when they
+                # touch 2 T_2 distinct edges
                 in_run = np.zeros((hit.size, width), dtype=bool)
                 in_run[:, 1:] = same
                 in_run[:, :-1] |= same
-                row, col = np.nonzero(in_run)
-                order = np.argsort(codes[hit], axis=1)
-                edge = order[row, col] // math.comb(r, 2)
-                keys, count = np.unique(row * m + edge, return_counts=True)
-                in_two_pairs[hit[keys[count >= 2] // m]] = True
-                in_two_pairs[hit[(rank >= 2).any(axis=1)]] = True
+                touched = np.zeros_like(in_run)
+                np.put_along_axis(touched, np.argsort(codes[hit], axis=1), in_run, axis=1)
+                touched = touched.reshape(hit.size, m, -1).any(axis=2)
+                in_two_pairs[hit] = touched.sum(axis=1) < 2 * shared[hit]
         t_by_alpha[alpha] = shared
     t = t_by_alpha.get(2, np.zeros(rows, dtype=np.int64))
     reason = np.where(t > cap, 3, 0).astype(np.int8)
@@ -377,7 +376,6 @@ def estimate_linear_probability(
     trials: int,
     seed: int = 0,
     workers: int = 1,
-    cluster_cap: int | None = None,
     track_overlaps: bool = False,
 ) -> SampleReport:
     """Hit-rate estimate of the linearity probability at m uniform edges.
@@ -390,11 +388,9 @@ def estimate_linear_probability(
     """
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    if cluster_cap is not None and cluster_cap < 0:
-        raise DomainError(f"need cluster_cap >= 0, got {cluster_cap}")
     sampler = _batch_sampler(pv, r, m, trials)
     _classifier_guard(pv.n, r, m, trials, track_overlaps)
-    cap = cluster_threshold(pv, r, m) if cluster_cap is None else cluster_cap
+    cap = cluster_threshold(pv, r, m)
     hist: dict[int, int] = {}
     viol: dict[str, int] = {}
     overlap = 0

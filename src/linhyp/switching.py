@@ -9,6 +9,11 @@ verifies by aggregate counting with both sides computed independently.
 Clusters come from hypergraphs.classify (Classification.pairs) for one
 hypergraph, and from EdgeSpaceIndex.classify_combo in the audit's sweep;
 the move counts are written once, in _forward_total and _reverse_total.
+classify also decides whether a given move is valid: apply_forward
+accepts it exactly when the result has one cluster fewer, apply_reverse
+exactly when the inserted pair is one of the result's clusters.  The
+enumerations scan the edge space by vertex sets, once per kept set, and
+stay independent of EdgeSpaceIndex, so that they cross-check the counts.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 from typing import Iterable, NamedTuple
 
 from .asymptotics import cluster_mean
-from .census import DEFAULT_WORK_CEILING, EdgeSpaceIndex, _guard
+from .census import DEFAULT_WORK_CEILING, EdgeSpaceIndex, _guard, census_by_cluster
 from .errors import DomainError
 from .hypergraphs import (
     Classification,
@@ -29,7 +35,6 @@ from .hypergraphs import (
     classify,
     cluster_threshold,
     edge_space,
-    make_edge,
 )
 from .partitions import PartitionVector, sigma
 
@@ -48,16 +53,33 @@ class ReverseMove(NamedTuple):
     inserted: frozenset[Edge]
 
 
-def _overlap(a: Edge, b: Edge) -> int:
-    return len(set(a.vertices) & set(b.vertices))
-
-
-def _classified(h: Hypergraph) -> Classification:
-    cap = cluster_threshold(h.pv, h.r, h.m)
+def _classified(h: Hypergraph, cap: int | None = None) -> Classification:
+    if cap is None:
+        cap = cluster_threshold(h.pv, h.r, h.m)
     cls = classify(h, cap)
     if not cls.in_plus:
         raise DomainError(f"hypergraph is not plus-classified ({cls.reason})")
     return cls
+
+
+def _candidates(h: Hypergraph, removals: Iterable[tuple[Edge, Edge]]):
+    """(removed, stage) per removal: the edges linked to no edge h keeps.
+
+    stage holds (edge, vertex set) pairs in edge-space order; the edge
+    space is scanned once per kept set, each vertex set built once.
+    """
+    pool = [(x, frozenset(x.vertices)) for x in edge_space(h.pv, h.r)]
+    for removed in removals:
+        kept = [frozenset(g.vertices) for g in h.edges if g not in removed]
+        yield removed, [(x, vs) for x, vs in pool if all(len(vs & g) <= 1 for g in kept)]
+
+
+def _swapped(h: Hypergraph, removed, inserted) -> Hypergraph:
+    """h with removed swapped for inserted; refused unless m edges of size r remain."""
+    edges = (h.edges - set(removed)) | set(inserted)
+    if len(edges) != h.m or any(len(x.vertices) != h.r for x in edges):
+        raise DomainError(f"a move must leave {h.m} distinct edges of size {h.r}")
+    return Hypergraph(h.pv, h.r, frozenset(edges))
 
 
 def enumerate_forward(h: Hypergraph) -> list[ForwardMove]:
@@ -65,43 +87,32 @@ def enumerate_forward(h: Hypergraph) -> list[ForwardMove]:
     cls = _classified(h)
     if cls.clusters == 0:
         raise DomainError("no cluster to switch away")
-    pool = list(edge_space(h.pv, h.r))
     moves: list[ForwardMove] = []
-    for pair in cls.pairs:
-        kept = [e for e in h.edges if e not in pair]
-        stage1 = [x for x in pool if all(_overlap(x, g) <= 1 for g in kept)]
-        for e1 in stage1:
-            for e2 in stage1:
-                if e2 != e1 and _overlap(e1, e2) <= 1:
-                    moves.append(ForwardMove(frozenset(pair), (e1, e2)))
+    for pair, stage in _candidates(h, cls.pairs):
+        cluster = frozenset(pair)
+        moves += [
+            ForwardMove(cluster, (e1, e2))
+            for (e1, v1), (e2, v2) in permutations(stage, 2)
+            if len(v1 & v2) <= 1
+        ]
     return moves
 
 
 def apply_forward(h: Hypergraph, move: ForwardMove) -> Hypergraph:
-    """Perform one forward move, validating every constraint."""
-    if len(move.cluster) != 2:
-        raise DomainError("a cluster holds exactly two edges")
-    e, f = sorted(move.cluster, key=lambda x: x.vertices)
-    if e not in h.edges or f not in h.edges:
-        raise DomainError("cluster edges not in the hypergraph")
-    if _overlap(e, f) != 2:
-        raise DomainError("cluster edges must share exactly two vertices")
-    kept = [g for g in h.edges if g not in (e, f)]
-    for g in kept:
-        if _overlap(e, g) >= 2 or _overlap(f, g) >= 2:
-            raise DomainError("selected pair is not a whole cluster")
-    e1, e2 = move.replacement
-    for x in (e1, e2):
-        if len(x.vertices) != h.r:
-            raise DomainError(f"replacement edge {x.vertices} has the wrong size")
-    if any(_overlap(e1, g) >= 2 for g in kept):
-        raise DomainError("first replacement edge shares a link with a kept edge")
-    if any(_overlap(e2, g) >= 2 for g in kept) or _overlap(e2, e1) >= 2 or e1 == e2:
-        raise DomainError("second replacement edge shares a link")
-    out = Hypergraph(h.pv, h.r, frozenset(kept) | {e1, e2})
-    cls = _classified(out)
-    if cls.clusters != classify(h, h.m).clusters - 1:
-        raise AssertionError("forward move did not lower the cluster count by one")
+    """Perform one forward move, validated by classify alone.
+
+    The cluster must be one of h's, and the result must have one cluster
+    fewer.  The kept edges hold the other clusters, so that happens
+    exactly when neither replacement edge is linked to a kept edge or to
+    the other one.
+    """
+    cap = cluster_threshold(h.pv, h.r, h.m)
+    cls = _classified(h, cap)
+    if tuple(sorted(move.cluster)) not in cls.pairs:
+        raise DomainError("selected pair is not a cluster of the hypergraph")
+    out = _swapped(h, move.cluster, move.replacement)
+    if _classified(out, cap).clusters != cls.clusters - 1:
+        raise DomainError("a replacement edge shares a link")
     return out
 
 
@@ -109,43 +120,36 @@ def enumerate_reverse(h: Hypergraph) -> list[ReverseMove]:
     """All reverse moves available from a plus hypergraph."""
     clustered = {e for pair in _classified(h).pairs for e in pair}
     free = [e for e in h.sorted_edges() if e not in clustered]
-    pool = list(edge_space(h.pv, h.r))
-    moves: list[ReverseMove] = []
-    for e1 in free:
-        for e2 in free:
-            if e1 == e2:
-                continue
-            kept = [g for g in h.edges if g not in (e1, e2)]
-            stage = [x for x in pool if all(_overlap(x, g) <= 1 for g in kept)]
-            for i, j in combinations(range(len(stage)), 2):
-                if _overlap(stage[i], stage[j]) == 2:
-                    moves.append(ReverseMove((e1, e2), frozenset({stage[i], stage[j]})))
-    return moves
+    inserts = {
+        frozenset(pair): [
+            frozenset({x, y}) for (x, vx), (y, vy) in combinations(stage, 2) if len(vx & vy) == 2
+        ]
+        for pair, stage in _candidates(h, combinations(free, 2))
+    }
+    return [
+        ReverseMove((e1, e2), inserted)
+        for e1, e2 in permutations(free, 2)
+        for inserted in inserts[frozenset((e1, e2))]
+    ]
 
 
 def apply_reverse(h: Hypergraph, move: ReverseMove) -> Hypergraph:
-    """Perform one reverse move, validating every constraint."""
+    """Perform one reverse move, validated by classify alone.
+
+    The removed edges must be two distinct link-free edges of h, and the
+    inserted pair must be a cluster of the result.  The kept edges hold
+    h's clusters and link nothing else, so the result then has one
+    cluster more.
+    """
+    cap = cluster_threshold(h.pv, h.r, h.m)
+    cls = _classified(h, cap)
+    clustered = {e for pair in cls.pairs for e in pair}
     e1, e2 = move.removed
-    if e1 == e2 or e1 not in h.edges or e2 not in h.edges:
-        raise DomainError("removed edges must be two distinct members")
-    for x in (e1, e2):
-        if any(_overlap(x, g) >= 2 for g in h.edges if g != x):
-            raise DomainError("removed edges must be link-free")
-    kept = [g for g in h.edges if g not in (e1, e2)]
-    if len(move.inserted) != 2:
-        raise DomainError("the inserted pair holds exactly two edges")
-    e, f = sorted(move.inserted, key=lambda x: x.vertices)
-    if e == f or _overlap(e, f) != 2:
-        raise DomainError("inserted pair must share exactly two vertices")
-    for x in (e, f):
-        if len(x.vertices) != h.r:
-            raise DomainError(f"inserted edge {x.vertices} has the wrong size")
-        if any(_overlap(x, g) >= 2 for g in kept):
-            raise DomainError("inserted edge shares a link with a kept edge")
-    out = Hypergraph(h.pv, h.r, frozenset(kept) | {e, f})
-    cls = _classified(out)
-    if cls.clusters != classify(h, h.m).clusters + 1:
-        raise AssertionError("reverse move did not raise the cluster count by one")
+    if e1 == e2 or not {e1, e2} <= h.edges - clustered:
+        raise DomainError("removed edges must be two distinct link-free members")
+    out = _swapped(h, move.removed, move.inserted)
+    if tuple(sorted(move.inserted)) not in _classified(out, cap).pairs:
+        raise DomainError("the inserted pair is not a cluster of the result")
     return out
 
 
@@ -339,15 +343,7 @@ def bijection_audit(
     rev_sum: dict[int, int] = {}
     fwd_range: dict[int, tuple[int, int]] = {}
     rev_range: dict[int, tuple[int, int]] = {}
-    stats_memo: dict[tuple[int, ...], tuple[int, int, int]] = {}
-
-    def stats(h0: tuple[int, ...]) -> tuple[int, int, int]:
-        got = stats_memo.get(h0)
-        if got is None:
-            got = index.compat_stats(h0)
-            stats_memo[h0] = got
-        return got
-
+    stats = cache(index.compat_stats)
     for combo in combinations(range(index.count), m):
         t, reason, clusters, free = index.classify_combo(combo, cap)
         if reason is not None:
@@ -533,8 +529,6 @@ def ratio_series(
     exact_sum: Fraction | None = None
     census = None
     if with_census:
-        from .census import census_by_cluster
-
         census = census_by_cluster(pv, r, m, work_ceiling=work_ceiling)
         if census.linear > 0:
             exact_sum = Fraction(sum(census.by_cluster.values()), census.linear)

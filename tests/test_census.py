@@ -1,9 +1,12 @@
 """Tests for exhaustive counting: pinned vectors, oracle agreement, guards."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linhyp import (
     CensusResult,
@@ -16,6 +19,7 @@ from linhyp import (
     exact_linear_probability,
     make_rng,
     partition,
+    sigma,
     uniform_partition,
 )
 from linhyp.census import EdgeSpaceIndex
@@ -66,6 +70,19 @@ def test_count_linear_matches_census_and_naive():
         fast = count_linear(pv, r, m)
         assert fast == strata.get(0, 0), (sizes, r, m)
         assert fast == count_linear_naive(pv, r, m), (sizes, r, m)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_count_linear_matches_naive_on_random_partitions(data):
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=6), label="sizes")
+    pv = partition(sizes)
+    r = data.draw(st.integers(3, min(4, pv.k)), label="r")
+    # keep the naive filter's subset space small
+    edges = sigma(pv, r)
+    ms = [m for m in range(min(5, edges), 0, -1) if math.comb(edges, m) <= 20_000]
+    m = data.draw(st.sampled_from(ms), label="m")
+    assert count_linear(pv, r, m) == count_linear_naive(pv, r, m)
 
 
 def test_count_linear_worker_count_is_irrelevant():

@@ -259,12 +259,6 @@ def test_unrank_many_is_the_scalar_bijection():
         sampler.unrank_many(np.array([0, 8]))
 
 
-def test_negative_cluster_cap_is_refused():
-    # a negative cap would make every subset too_many_clusters for classify
-    with pytest.raises(DomainError, match="cluster_cap"):
-        estimate_linear_probability(partition((2, 2, 2)), 3, 1, trials=10, cluster_cap=-1)
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_batch_classifier_agrees_with_classify_combo(data):

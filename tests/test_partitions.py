@@ -2,8 +2,11 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linhyp import (
     DomainError,
@@ -61,6 +64,14 @@ def test_sigma_known_values():
         pvn = uniform_partition(n)
         for s in range(n + 1):
             assert sigma(pvn, s) == math.comb(n, s)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6))
+def test_sigma_matches_sum_over_part_subsets(sizes):
+    pv = partition(sizes)
+    for s in range(len(sizes) + 1):
+        assert sigma(pv, s) == sum(math.prod(c) for c in combinations(sizes, s)), (sizes, s)
 
 
 def test_sigma_order_domain():

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from linhyp import (
     count_brackets,
     count_forward_moves,
     count_reverse_moves,
+    edge_space,
     enumerate_forward,
     enumerate_reverse,
     hypergraph,
@@ -110,6 +111,33 @@ def test_moves_pair_off_exactly():
             ]
             assert len(redo) == 1
             assert apply_forward(out, redo[0]) == h
+
+
+def _accepts(apply, h, move):
+    try:
+        apply(h, move)
+    except DomainError:
+        return False
+    return True
+
+
+def test_apply_accepts_exactly_the_enumerated_moves():
+    # every candidate move, valid or not: apply_* raises DomainError
+    # exactly on the candidates that enumerate_* leaves out
+    cases = [((2, 2, 2), 3, 2), ((2, 2, 2), 3, 3), ((2, 2, 2), 3, 4), ((3, 1, 2), 3, 3), ((2, 2, 2, 2), 4, 2)]
+    for sizes, r, m in cases:
+        space = list(edge_space(partition(sizes), r))
+        for _, h, t in _plus_subsets(sizes, r, m):
+            forward = set(enumerate_forward(h)) if t else set()
+            reverse = set(enumerate_reverse(h))
+            for cluster in combinations(h.sorted_edges(), 2):
+                for replacement in product(space, repeat=2):
+                    mv = ForwardMove(frozenset(cluster), replacement)
+                    assert _accepts(apply_forward, h, mv) == (mv in forward), mv
+            for removed in product(h.sorted_edges(), repeat=2):
+                for inserted in combinations(space, 2):
+                    mv = ReverseMove(removed, frozenset(inserted))
+                    assert _accepts(apply_reverse, h, mv) == (mv in reverse), mv
 
 
 def test_apply_forward_validations():
