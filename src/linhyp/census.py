@@ -1,9 +1,10 @@
 """Exact censuses of the edge-subset space.
 
-count_linear walks a canonical-order search tree with vertex-pair
-occupancy pruning; count_linear_naive filters every subset and exists to
-cross-check it.  census_by_cluster classifies every m-subset into the
-plus strata by cluster count.  All counts are exact integers.
+One search, _plus_strata, extends only plus prefixes in canonical edge
+order and counts the plus m-subsets by cluster count.  census_by_cluster
+is that search at the census's cluster cap; count_linear is the same
+search at cap 0.  count_linear_naive filters every subset and exists to
+cross-check them.  All counts are exact integers.
 """
 
 from __future__ import annotations
@@ -148,6 +149,42 @@ def count_all(pv: PartitionVector, r: int, m: int) -> int:
     return math.comb(edge_count, m)
 
 
+def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
+    """Plus m-subsets by cluster count: stratum 0, then populated strata.
+
+    Plus is hereditary under a fixed cap, so extending only plus
+    prefixes in canonical edge order visits exactly the plus subsets.
+    State: used and clustered, the pairs all chosen and all clustered
+    edges occupy; free, the chosen edges in no cluster; and t.  A
+    candidate meeting no used pair joins as a free edge; while t < cap,
+    one meeting exactly one used pair, held by a free edge, opens a
+    cluster with it; anything else is refused.
+    """
+    pairs = index.subset_ids[2]
+    strata = {0: 0}
+
+    def extend(start: int, used: frozenset, clustered: frozenset, free: tuple, t: int, left: int):
+        if left == 0:
+            strata[t] = strata.get(t, 0) + 1
+            return
+        if left == 1 and t >= cap:
+            strata[t] = strata.get(t, 0) + sum(map(used.isdisjoint, pairs[start:]))
+            return
+        for i in range(start, len(pairs) - left + 1):
+            ps = pairs[i]
+            if used.isdisjoint(ps):
+                extend(i + 1, used | ps, clustered, free + (i,), t, left - 1)
+            elif t < cap:
+                shared = used & ps
+                if len(shared) == 1 and clustered.isdisjoint(shared):
+                    f = next(g for g in free if not shared.isdisjoint(pairs[g]))
+                    rest = tuple(g for g in free if g != f)
+                    extend(i + 1, used | ps, clustered | pairs[f] | ps, rest, t + 1, left - 1)
+
+    extend(0, frozenset(), frozenset(), (), 0, m)
+    return {t: c for t, c in sorted(strata.items()) if c or t == 0}
+
+
 def count_linear(
     pv: PartitionVector,
     r: int,
@@ -155,38 +192,9 @@ def count_linear(
     work_ceiling: int = DEFAULT_WORK_CEILING,
     workers: int = 1,
 ) -> int:
-    """Exact number of linear hypergraphs with m edges.
-
-    Depth-first over edges in canonical order; a partial selection keeps
-    the set of vertex pairs it occupies, and a candidate edge survives
-    exactly when none of its pairs is occupied.  workers is accepted for
-    interface compatibility; the search runs in one thread.
-    """
+    """Exact number of linear m-edge hypergraphs: the plus search at cap 0, one thread."""
     _guard(pv, r, m, work_ceiling)
-    if m == 0:
-        return 1
-    index = EdgeSpaceIndex(pv, r)
-    total_edges = index.count
-    if m == 1:
-        return total_edges
-    pairs = index.subset_ids[2]
-
-    def tail_count(start: int, used: frozenset, left: int) -> int:
-        if left == 1:
-            c = 0
-            isd = used.isdisjoint
-            for i in range(start, total_edges):
-                if isd(pairs[i]):
-                    c += 1
-            return c
-        tot = 0
-        for i in range(start, total_edges - left + 1):
-            ps = pairs[i]
-            if used.isdisjoint(ps):
-                tot += tail_count(i + 1, used | ps, left - 1)
-        return tot
-
-    return sum(tail_count(i + 1, pairs[i], m - 1) for i in range(total_edges - m + 1))
+    return _plus_strata(EdgeSpaceIndex(pv, r), m, 0)[0]
 
 
 def count_linear_naive(
@@ -255,25 +263,16 @@ def census_by_cluster(
     m: int,
     work_ceiling: int = DEFAULT_WORK_CEILING,
 ) -> CensusResult:
-    """Classify every m-subset of the edge space into plus strata."""
-    _guard(pv, r, m, work_ceiling)
+    """Stratify the m-subsets of the edge space by plus-search cluster count."""
+    edge_count = _guard(pv, r, m, work_ceiling)
     cap = cluster_threshold(pv, r, m)
-    index = EdgeSpaceIndex(pv, r)
-    by_cluster: dict[int, int] = {0: 0}
-    not_plus = 0
-    total = 0
-    for combo in combinations(range(index.count), m):
-        total += 1
-        t, reason, _, _ = index.classify_combo(combo, cap)
-        if reason is None:
-            by_cluster[t] = by_cluster.get(t, 0) + 1
-        else:
-            not_plus += 1
+    by_cluster = _plus_strata(EdgeSpaceIndex(pv, r), m, cap)
+    total = math.comb(edge_count, m)
     return CensusResult(
         total=total,
         linear=by_cluster[0],
         by_cluster=by_cluster,
-        not_plus=not_plus,
+        not_plus=total - sum(by_cluster.values()),
         cluster_cap=cap,
     )
 

@@ -8,7 +8,10 @@ pair of edges sharing exactly two vertices and t stays below the cluster
 expansion threshold.  With no pair sharing three or more vertices, that
 holds exactly when no edge lies in two linked pairs, and then t is the
 number of linked pairs; plus_violation is this rule, shared by classify
-and EdgeSpaceIndex.classify_combo.  classify is the one place that finds
+and EdgeSpaceIndex.classify_combo.  The census's plus search
+(census._plus_strata) applies the same rule incrementally, one edge at a
+time, and is held to the oracle montecarlo.cluster_signature by a
+property test.  classify is the one place that finds
 a hypergraph's clusters: it returns them as edge pairs, and the
 switching moves read them from it.  The sampler's
 montecarlo.classify_rows applies the same rule, in the same order of
@@ -17,6 +20,7 @@ reasons, to arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,12 +115,14 @@ def is_linear(h: Hypergraph) -> bool:
     return all(len(a & b) <= 1 for a, b in combinations(vsets, 2))
 
 
+@functools.lru_cache(maxsize=256)
 def cluster_threshold(pv: PartitionVector, r: int, m: int) -> int:
     """Cap on the cluster count for plus-classification.
 
     ceil(ln n + 56 sigma_{r-2}^2 sigma_2 m^2 / sigma_r^2), with the
     rational part kept exact and only ln n in floating point, so the
-    ceiling cannot drift.
+    ceiling cannot drift.  Cached: every switching move and census asks
+    for it.
     """
     if not 2 <= r <= pv.k:
         raise DomainError(f"need 2 <= r <= k, got r={r}, k={pv.k}")

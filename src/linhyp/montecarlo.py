@@ -286,10 +286,10 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
 def cluster_signature(vertex_sets: list[tuple[int, ...]]) -> tuple[int, str | None]:
     """(cluster count, violation reason) by direct pairwise overlap.
 
-    The deliberately independent oracle for classify and
-    EdgeSpaceIndex.classify_combo: it finds clusters by union-find and
-    must not call the shared rule plus_violation.  It applies no cluster
-    cap.
+    The deliberately independent oracle for classify,
+    EdgeSpaceIndex.classify_combo and the census's plus search: it finds
+    clusters by union-find and must not call the shared rule
+    plus_violation.  It applies no cluster cap.
     """
     m = len(vertex_sets)
     sets = [set(v) for v in vertex_sets]

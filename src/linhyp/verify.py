@@ -131,9 +131,16 @@ def _check_switchings(suite: _Suite) -> None:
     bad_sums = []
     bad_brackets = []
     soft_nonempty = []
+    census_mismatch = []
     pinned_384 = None
     for g in enumerable_grid():
         rep = bijection_audit(g.pv, g.r, g.m)
+        # the audit sweeps every subset through classify_combo, which
+        # the census's plus search does not use
+        census = census_by_cluster(g.pv, g.r, g.m)
+        nonzero = {t: c for t, c in census.by_cluster.items() if c}
+        if (nonzero, census.not_plus) != ({t: c for t, c in rep.strata.items() if c}, rep.not_plus):
+            census_mismatch.append(f"{g.label}: {nonzero} vs {rep.strata}")
         for t, c in rep.strata.items():
             if t >= 1 and c > 0 and g.m < 2 * t:
                 soft_nonempty.append(f"{g.label} t={t}")
@@ -165,6 +172,11 @@ def _check_switchings(suite: _Suite) -> None:
         "parts=2,2,2 r=3 m=2 switching totals equal 384",
         pinned_384 == (384, 384),
         str(pinned_384),
+    )
+    suite.check(
+        "census strata and not_plus equal the audit's subset sweep on the whole grid",
+        not census_mismatch,
+        "; ".join(census_mismatch[:3]),
     )
     suite.check(
         "occupied strata satisfy m >= 2t",

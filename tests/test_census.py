@@ -22,7 +22,8 @@ from linhyp import (
     sigma,
     uniform_partition,
 )
-from linhyp.census import EdgeSpaceIndex
+from linhyp.census import EdgeSpaceIndex, _plus_strata
+from linhyp.montecarlo import cluster_signature
 
 # (sizes, r, m) -> (total, by_cluster, not_plus); enumerated independently
 # by a throwaway brute-force script before this module existed, then frozen
@@ -171,3 +172,57 @@ def test_classify_combo_matches_pinned_strata():
         else:
             bad += 1
     assert tally == {1: 96} and bad == 464
+
+
+def _assert_plus_search_matches_oracle(pv, r, m):
+    # the search applies the plus rule one edge at a time; hold it to
+    # cluster_signature on every m-subset, with the cap applied to its count
+    index = EdgeSpaceIndex(pv, r)
+    signatures = [
+        cluster_signature([index.edges[i] for i in combo])
+        for combo in combinations(range(index.count), m)
+    ]
+    for cap in (0, 1, 2, 50):
+        want = {0: 0}
+        for t, reason in signatures:
+            if reason is None and t <= cap:
+                want[t] = want.get(t, 0) + 1
+        assert _plus_strata(index, m, cap) == want, (pv.sizes, r, m, cap)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plus_search_matches_union_find_oracle(data):
+    r = data.draw(st.sampled_from((3, 4, 2)), label="r")
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=max(3, r), max_size=5), label="sizes")
+    pv = partition(sizes)
+    edges = sigma(pv, r)
+    # largest m first: strata t >= 2 need m >= 4
+    ms = [m for m in range(min(8, edges), -1, -1) if math.comb(edges, m) <= 20_000]
+    m = data.draw(st.sampled_from(ms), label="m")
+    _assert_plus_search_matches_oracle(pv, r, m)
+
+
+def test_plus_search_matches_oracle_where_caps_bind():
+    # random draws seldom reach t >= 2; these cells reach t = 2 and 3,
+    # so caps 1 and 2 cut populated strata
+    for sizes, r, m in (
+        ((2, 3, 3), 3, 6),
+        ((1, 1, 2, 3), 3, 6),
+        ((1, 2, 2, 2), 3, 5),
+        ((2, 2, 2, 3), 4, 4),
+    ):
+        _assert_plus_search_matches_oracle(partition(sizes), r, m)
+
+
+def test_census_does_not_use_the_overlap_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the census must not use the overlap matrix")
+
+    monkeypatch.setattr(EdgeSpaceIndex, "classify_combo", refuse)
+    monkeypatch.setattr(EdgeSpaceIndex, "cat", property(refuse))
+    for sizes in ((3, 3, 3), (1,) * 7):
+        total, strata, not_plus = PINNED[(sizes, 3, 4)]
+        res = census_by_cluster(partition(sizes), 3, 4)
+        assert (res.total, res.by_cluster, res.not_plus) == (total, strata, not_plus)
+        assert count_linear(partition(sizes), 3, 4) == strata[0]
