@@ -53,6 +53,7 @@ from .partitions import (
     partition,
     sigma,
     sigma_ratio_check,
+    sigmas,
     uniform_partition,
 )
 from .switching import (

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError
-from .partitions import PartitionVector, sigma
+from .partitions import PartitionVector, sigmas
 
 OVERLAP_GE3 = "overlap_ge3"
 CLUSTER_GT2_EDGES = "cluster_gt2_edges"
@@ -128,10 +128,8 @@ def cluster_threshold(pv: PartitionVector, r: int, m: int) -> int:
         raise DomainError(f"need 2 <= r <= k, got r={r}, k={pv.k}")
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
-    s_r = sigma(pv, r)
-    if s_r == 0:
-        raise DomainError("empty edge space")
-    rational = Fraction(56 * sigma(pv, r - 2) ** 2 * sigma(pv, 2) * m * m, s_r * s_r)
+    sig = sigmas(pv, r)
+    rational = Fraction(56 * sig[r - 2] ** 2 * sig[2] * m * m, sig[r] * sig[r])
     return math.ceil(rational + Fraction(math.log(pv.n)))
 
 

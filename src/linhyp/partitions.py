@@ -2,16 +2,18 @@
 
 Vertices 1..n are laid out in consecutive blocks: part 0 holds 1..n_0,
 part 1 holds the next n_1 integers, and so on.  Everything here is exact
-integer or rational arithmetic except log_sigma, which works in floating
-point with rescaling so that huge part counts stay representable.
+integer or rational arithmetic up to the final math.log in log_sigma,
+which takes the exact sigma however large it is.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import DomainError
@@ -34,19 +36,17 @@ class PartitionVector:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        try:
+            sizes = tuple(operator.index(s) for s in self.sizes)
+        except TypeError:
+            raise DomainError(f"part sizes must be integers, got {self.sizes}") from None
         if not sizes:
             raise DomainError("a partition vector needs at least one part")
         if any(s < 1 for s in sizes):
             raise DomainError(f"part sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
-        bounds = []
-        acc = 0
-        for s in sizes:
-            acc += s
-            bounds.append(acc)
         # bounds[i] = last vertex id of part i
-        object.__setattr__(self, "_bounds", tuple(bounds))
+        object.__setattr__(self, "_bounds", tuple(accumulate(sizes)))
 
     @property
     def k(self) -> int:
@@ -87,49 +87,28 @@ def _check_order(pv: PartitionVector, s: int) -> None:
         raise DomainError(f"symmetric function order {s} outside 0..{pv.k}")
 
 
-def sigma(pv: PartitionVector, s: int) -> int:
-    """Elementary symmetric function of the part sizes, exact.
+def sigmas(pv: PartitionVector, s: int) -> tuple[int, ...]:
+    """sigma_0, ..., sigma_s of the part sizes, exact, from one pass.
 
-    Computed by the truncated product DP (k*s multiplications), never by
-    summing the binomial(k, s) monomials.
+    The coefficients of prod_i (1 + n_i x) truncated at degree s: k*s
+    multiplications, never a sum over the binomial(k, s) monomials.
     """
     _check_order(pv, s)
-    coeff = [0] * (s + 1)
-    coeff[0] = 1
-    top = 0
+    coeff = [1] + [0] * s
     for size in pv.sizes:
-        top = min(top + 1, s)
-        for j in range(top, 0, -1):
+        for j in range(s, 0, -1):
             coeff[j] += coeff[j - 1] * size
-    return coeff[s]
+    return tuple(coeff)
+
+
+def sigma(pv: PartitionVector, s: int) -> int:
+    """Elementary symmetric function of the part sizes, exact."""
+    return sigmas(pv, s)[s]
 
 
 def log_sigma(pv: PartitionVector, s: int) -> float:
-    """Natural log of sigma(pv, s) in floating point.
-
-    Same DP as sigma but on floats, rescaling whenever coefficients grow
-    past 1e280 so nothing overflows.  All terms are positive, so there is
-    no cancellation and the relative error stays near k*s ulps (within
-    1e-9 up to a million parts).
-    """
-    _check_order(pv, s)
-    if s == 0:
-        return 0.0
-    coeff = [0.0] * (s + 1)
-    coeff[0] = 1.0
-    shift = 0.0
-    top = 0
-    for size in pv.sizes:
-        top = min(top + 1, s)
-        for j in range(top, 0, -1):
-            coeff[j] += coeff[j - 1] * size
-        big = max(coeff)
-        if big > 1e280:
-            inv = 1.0 / big
-            for j in range(s + 1):
-                coeff[j] *= inv
-            shift += math.log(big)
-    return math.log(coeff[s]) + shift
+    """Natural log of sigma(pv, s): math.log of the exact integer."""
+    return math.log(sigma(pv, s))
 
 
 def normalized_sigma(pv: PartitionVector, j: int) -> Fraction:
@@ -142,7 +121,9 @@ def newton_gap(pv: PartitionVector, j: int) -> Fraction:
     """S_j^2 - S_{j-1} S_{j+1}, exact; nonnegative by Newton's inequality."""
     if not 1 <= j <= pv.k - 1:
         raise DomainError(f"newton gap needs 1 <= j <= k-1, got j={j}, k={pv.k}")
-    gap = normalized_sigma(pv, j) ** 2 - normalized_sigma(pv, j - 1) * normalized_sigma(pv, j + 1)
+    sig = sigmas(pv, j + 1)
+    lo, mid, hi = (Fraction(sig[i], math.comb(pv.k, i)) for i in range(j - 1, j + 2))
+    gap = mid * mid - lo * hi
     if gap < 0:
         raise AssertionError(f"Newton inequality violated for {pv.sizes}, j={j}: {gap}")
     return gap
@@ -175,7 +156,8 @@ def sigma_ratio_check(pv: PartitionVector, s: int, r: int) -> SigmaRatioCheck:
     """
     if not 1 <= s <= r <= pv.k:
         raise DomainError(f"need 1 <= s <= r <= k, got s={s}, r={r}, k={pv.k}")
-    ratio = Fraction(sigma(pv, s), sigma(pv, r))
+    sig = sigmas(pv, r)
+    ratio = Fraction(sig[s], sig[r])
     mean_recip = pv.reciprocal_sum() / pv.k  # equals C k / n
     bound = Fraction(falling_factorial(r, r - s), falling_factorial(pv.k - s, r - s))
     bound *= mean_recip ** (r - s)

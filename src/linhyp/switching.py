@@ -36,7 +36,7 @@ from .hypergraphs import (
     cluster_threshold,
     edge_space,
 )
-from .partitions import PartitionVector, sigma
+from .partitions import PartitionVector, sigmas
 
 
 class ForwardMove(NamedTuple):
@@ -236,11 +236,10 @@ def count_brackets(pv: PartitionVector, r: int, m: int, t: int) -> CountBrackets
     if t < 1 or m < 2 * t:
         raise DomainError(f"stratum t={t} needs m >= 2t, got m={m}")
 
-    def sig(s: int) -> int:
-        return sigma(pv, s) if s >= 0 else 0
-
-    s_r, s_1, s_2 = sig(r), sig(1), sig(2)
-    s_rm2, s_rm3, s_rm4 = sig(r - 2), sig(r - 3), sig(r - 4)
+    sig = sigmas(pv, r)
+    s_r, s_1, s_2 = sig[r], sig[1], sig[2]
+    s_rm2, s_rm3 = sig[r - 2], sig[r - 3]
+    s_rm4 = sig[r - 4] if r >= 4 else 0  # a negative order reads as 0
     pair_per_edge = math.comb(r, 2)
 
     fwd_hi = Fraction(t * s_r * s_r)
@@ -360,7 +359,8 @@ def bijection_audit(
         lo, hi = rev_range.get(t, (rev, rev))
         rev_range[t] = (min(lo, rev), max(hi, rev))
 
-    s_2, s_rm2, s_r = sigma(pv, 2), sigma(pv, r - 2), sigma(pv, r)
+    sig = sigmas(pv, r)
+    s_2, s_rm2, s_r = sig[2], sig[r - 2], sig[r]
     records = []
     for t in range(1, m // 2 + 1):
         count_t = counts.get(t, 0)

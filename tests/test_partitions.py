@@ -20,6 +20,7 @@ from linhyp import (
     partition,
     sigma,
     sigma_ratio_check,
+    sigmas,
     uniform_partition,
 )
 
@@ -39,6 +40,8 @@ def test_partition_vector_basic():
     assert list(pv.part_vertices(2)) == [5, 6]
     assert [pv.part_of(v) for v in range(1, 7)] == [0, 0, 1, 1, 2, 2]
     assert pv.reciprocal_sum() == Fraction(3, 2)
+    # numpy integers are integral sizes too
+    assert partition(make_rng(0).integers(1, 4, size=5)).k == 5
 
 
 def test_partition_vector_rejects_bad_sizes():
@@ -48,6 +51,8 @@ def test_partition_vector_rejects_bad_sizes():
         partition((2, 0, 2))
     with pytest.raises(DomainError):
         partition((2, -1))
+    with pytest.raises(DomainError):
+        partition((2.5, 1))
 
 
 def test_uniform_partition_is_all_singletons():
@@ -71,7 +76,9 @@ def test_sigma_known_values():
 def test_sigma_matches_sum_over_part_subsets(sizes):
     pv = partition(sizes)
     for s in range(len(sizes) + 1):
-        assert sigma(pv, s) == sum(math.prod(c) for c in combinations(sizes, s)), (sizes, s)
+        want = tuple(sum(math.prod(c) for c in combinations(sizes, j)) for j in range(s + 1))
+        assert sigmas(pv, s) == want, (sizes, s)
+        assert sigma(pv, s) == want[s], (sizes, s)
 
 
 def test_sigma_order_domain():
@@ -89,12 +96,11 @@ def test_log_sigma_matches_exact_small():
         sizes = tuple(int(rng.integers(1, 9)) for _ in range(k))
         pv = partition(sizes)
         s = int(rng.integers(0, k + 1))
-        exact = sigma(pv, s)
-        assert abs(log_sigma(pv, s) - math.log(exact)) < 1e-12 * max(1.0, math.log(exact))
+        assert log_sigma(pv, s) == math.log(sigma(pv, s))
 
 
 def test_log_sigma_large_k():
-    # 2*10^5 parts, order 3: the float recurrence must hold 1e-9 accuracy
+    # 2*10^5 parts, order 3: sigma_3 is near 1e16, past exact float range
     rng = make_rng(77)
     sizes = tuple(int(x) for x in rng.integers(1, 6, size=200000))
     pv = partition(sizes)
@@ -104,7 +110,7 @@ def test_log_sigma_large_k():
 
 def test_log_sigma_rescaling_branch():
     # equal parts make sigma analytic: sigma_s = binomial(k, s) c^s,
-    # far beyond float range so the 1e280 rescale must trigger
+    # far beyond float range, so only the log of the exact integer holds it
     k, s, c = 2000, 120, 1000
     pv = partition((c,) * k)
     expected = math.log(math.comb(k, s)) + s * math.log(c)

@@ -28,7 +28,9 @@ from linhyp import (
     series_sum_bounds,
     uniform_partition,
 )
+from linhyp.asymptotics import cluster_mean
 from linhyp.census import EdgeSpaceIndex
+from linhyp.hypergraphs import cluster_threshold
 from linhyp.switching import ForwardMove, ReverseMove
 
 
@@ -234,6 +236,32 @@ def test_count_brackets_pinned_and_contain_measurements():
     assert rec.brackets.forward_low <= lo <= hi <= rec.brackets.forward_high
     lo, hi = rec.reverse_measured
     assert rec.brackets.reverse_low <= lo <= hi <= rec.brackets.reverse_high
+
+
+@pytest.mark.parametrize(
+    "sizes, r, mean, cap, brackets",
+    [
+        ((1,) * 30, 4, Fraction(145, 1323), 28, (679479570, 751034025, 10329075, 82312875)),
+        ((1,) * 30, 5, Fraction(14500, 41067), 83, (14522073930, 20307960036, 0, 7170366000)),
+        ((1,) * 50, 5, Fraction(122500, 1168561), 28, (4073864858840, 4489143937600, 45018750000, 470596000000)),
+        (
+            (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8), 4, Fraction(436334416, 5322723849), 23,
+            (20236666746, 21290895396, 1049907264, 1745337664),
+        ),
+        (
+            (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8), 5, Fraction(561652756, 1383914401), 95,
+            (650782092072, 797134694976, 0, 323511987456),
+        ),
+    ],
+)
+def test_orders_above_three_pinned(sizes, r, mean, cap, brackets):
+    # at r = 3 several of sigma_{r-4}..sigma_r coincide with sigma_0..sigma_2,
+    # so only r >= 4 shows a wrong order read from the sigma tuple
+    pv = partition(sizes)
+    assert cluster_mean(pv, r, 2) == mean
+    assert cluster_threshold(pv, r, 2) == cap
+    br = count_brackets(pv, r, 2, 1)
+    assert (br.forward_low, br.forward_high, br.reverse_low, br.reverse_high) == brackets
 
 
 def test_count_brackets_domain():
