@@ -10,9 +10,10 @@ cross-check them.  All counts are exact integers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DomainError, WorkCeilingError
 from .hypergraphs import (
@@ -35,8 +36,9 @@ class EdgeSpaceIndex:
     size alpha from 2 to r-1 in subset_ids[alpha]; subset_ids[2], the
     edge's vertex pairs, is the one pair-occupancy view (empty rows when
     r <= 2, where edges have no proper vertex pairs).  Two distinct edges
-    are linked exactly when their pair rows meet.  Built on first use:
-    cat, the pairwise overlap matrix.
+    are linked exactly when their pair rows meet.  Built on first use,
+    and only when two edges are compared: cat, the pairwise overlap
+    matrix, from the occupants of each vertex pair.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -66,15 +68,10 @@ class EdgeSpaceIndex:
                 for pid in row:
                     occupants.setdefault(pid, []).append(i)
             cat = [bytearray(self.count) for _ in range(self.count)]
-            cooccur: dict[tuple[int, int], int] = {}
+            # c shared vertices meet in binomial(c, 2) pair lists
             for group in occupants.values():
                 for i, j in combinations(group, 2):
-                    cooccur[(i, j)] = cooccur.get((i, j), 0) + 1
-            # c shared vertices co-occur in binomial(c, 2) pair lists
-            for (i, j), times in cooccur.items():
-                value = 1 if times == 1 else 2
-                cat[i][j] = value
-                cat[j][i] = value
+                    cat[i][j] = cat[j][i] = min(cat[i][j] + 1, 2)
             self._cat = cat
         return self._cat
 
@@ -85,8 +82,10 @@ class EdgeSpaceIndex:
         pairs when plus-classified (reason None), else t is None and
         reason names the violation.
         """
-        cat = self.cat
         m = len(combo)
+        if m < 2:
+            return 0, None, (), combo
+        cat = self.cat
         linked_pairs = []
         for x in range(m - 1):
             row = cat[combo[x]]
@@ -122,12 +121,8 @@ class EdgeSpaceIndex:
         # T[alpha] = sum over alpha-subsets of binomial(occupancy, 2)
         t_by_alpha: dict[int, int] = {}
         for alpha in range(2, self.r):
-            rows = self.subset_ids[alpha]
-            occ: dict[int, int] = {}
-            for i in pool:
-                for sid in rows[i]:
-                    occ[sid] = occ.get(sid, 0) + 1
-            t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in occ.values() if c > 1)
+            occ = Counter(chain.from_iterable(map(self.subset_ids[alpha].__getitem__, pool)))
+            t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in occ.values())
         return (len(pool), *shared_pair_counts(t_by_alpha, self.r))
 
 
@@ -193,6 +188,8 @@ def count_linear(
     workers: int = 1,
 ) -> int:
     """Exact number of linear m-edge hypergraphs: the plus search at cap 0, one thread."""
+    if workers < 1:
+        raise DomainError(f"need workers >= 1, got {workers}")
     _guard(pv, r, m, work_ceiling)
     return _plus_strata(EdgeSpaceIndex(pv, r), m, 0)[0]
 

@@ -12,6 +12,7 @@ from linhyp import (
     CensusResult,
     DomainError,
     WorkCeilingError,
+    bijection_audit,
     census_by_cluster,
     count_all,
     count_linear,
@@ -91,6 +92,9 @@ def test_count_linear_worker_count_is_irrelevant():
     base = count_linear(pv, 3, 3, workers=1)
     for workers in (2, 3, 5):
         assert count_linear(pv, 3, 3, workers=workers) == base
+    for workers in (0, -1):
+        with pytest.raises(DomainError):
+            count_linear(partition((2, 2, 2)), 3, 2, workers=workers)
 
 
 def test_count_all_and_trivial_m():
@@ -130,7 +134,7 @@ def test_census_result_consistency_enforced():
 
 def test_compat_stats_against_brute_force():
     rng = make_rng(313)
-    for sizes, r in [((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 7, 3)]:
+    for sizes, r in [((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 7, 3), ((1,) * 8, 5)]:
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, r)
         vsets = [set(vs) for vs in index.edges]
@@ -158,6 +162,18 @@ def test_compat_stats_excludes_h0_when_edges_have_no_pairs():
     index = EdgeSpaceIndex(partition((2, 2, 2)), 2)
     assert index.compat_stats(()) == (12, 0, 0)
     assert index.compat_stats((0, 5)) == (10, 0, 0)
+
+
+def test_cat_matches_vertex_intersections():
+    # 0, 1 or 2 for at most one, exactly two or at least three shared vertices
+    for sizes, r in [((3, 1, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 8, 5)]:
+        index = EdgeSpaceIndex(partition(sizes), r)
+        vsets = [set(vs) for vs in index.edges]
+        want = [
+            [0 if i == j else {0: 0, 1: 0, 2: 1}.get(len(a & b), 2) for j, b in enumerate(vsets)]
+            for i, a in enumerate(vsets)
+        ]
+        assert [list(row) for row in index.cat] == want, (sizes, r)
 
 
 def test_classify_combo_matches_pinned_strata():
@@ -226,3 +242,13 @@ def test_census_does_not_use_the_overlap_matrix(monkeypatch):
         res = census_by_cluster(partition(sizes), 3, 4)
         assert (res.total, res.by_cluster, res.not_plus) == (total, strata, not_plus)
         assert count_linear(partition(sizes), 3, 4) == strata[0]
+
+
+def test_audit_below_two_edges_does_not_use_the_overlap_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an audit of fewer than two edges compares no edges")
+
+    monkeypatch.setattr(EdgeSpaceIndex, "cat", property(refuse))
+    for m, strata in ((0, {0: 1}), (1, {0: 8})):
+        audit = bijection_audit(partition((2, 2, 2)), 3, m)
+        assert (audit.strata, audit.not_plus, audit.records) == (strata, 0, ())

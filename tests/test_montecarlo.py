@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -259,8 +259,23 @@ def test_unrank_many_is_the_scalar_bijection():
         sampler.unrank_many(np.array([0, 8]))
 
 
+class _Drawn:
+    """Fixed draws, by label, for an explicit example of a st.data() test."""
+
+    def __init__(self, **draws):
+        self.draws = draws
+
+    def draw(self, strategy, label):
+        return self.draws[label]
+
+    def __repr__(self):
+        return f"_Drawn({self.draws})"
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(data=st.data())
+# the whole edge space of parts 3,3,3: every pair code runs three deep
+@example(data=_Drawn(sizes=[3, 3, 3], r=3, m=27, cap=50, seed=0))
 def test_batch_classifier_agrees_with_classify_combo(data):
     # every drawn row: classify_rows's (t, reason) against classify_combo,
     # and its overlap count against the cat matrix
