@@ -83,12 +83,10 @@ class EdgeSpaceIndex:
         reason names the violation.
         """
         m = len(combo)
-        if m < 2:
-            return 0, None, (), combo
-        cat = self.cat
         linked_pairs = []
+        # cat is read only when two edges are compared
         for x in range(m - 1):
-            row = cat[combo[x]]
+            row = self.cat[combo[x]]
             for y in range(x + 1, m):
                 c = row[combo[y]]
                 if c:

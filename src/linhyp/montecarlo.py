@@ -230,11 +230,10 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     """Plus-classify every row of a (rows, m, r) array of sorted edge vertex tuples.
 
     The alpha-subsets of each edge (alpha = 2, 3, and up to r-1 with
-    track_overlaps) become int64 codes.  T_alpha, the number of edge
-    pairs sharing an alpha-subset, is the number of equal code pairs in
-    a row: sorted, a run of occ equal codes has occ - d equal pairs d
-    places apart, C(occ, 2) over all lags d.  In plus_violation's order:
-    a shared 3-subset is OVERLAP_GE3; linked pairs that touch fewer than
+    track_overlaps) become int64 codes.  Sorting a row puts equal codes
+    in runs; a run of occ codes adds C(occ, 2) to T_alpha, the number of
+    edge pairs sharing an alpha-subset.  In plus_violation's order: a
+    shared 3-subset is OVERLAP_GE3; linked pairs that touch fewer than
     2 T_2 distinct edges (some edge lies in two of them) are
     CLUSTER_GT2_EDGES; otherwise there are t = T_2 linked pairs, and
     TOO_MANY_CLUSTERS when t > cap.
@@ -249,23 +248,24 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     in_two_pairs = np.zeros(rows, dtype=bool)
     for alpha in _subset_sizes(r, track_overlaps):
         codes = _subset_codes(verts, alpha, n + 1)
+        width = codes.shape[1]
         ordered = np.sort(codes, axis=1)
         same = ordered[:, 1:] == ordered[:, :-1]
         hit = np.flatnonzero(same.any(axis=1))
         shared = np.zeros(rows, dtype=np.int64)
         if hit.size:
             same = same[hit]
-            # lag marks the sorted codes equal to the one d places on
-            lag, d, equal = same, 1, 0
-            while lag.any():
-                equal = equal + lag.sum(axis=1)
-                d += 1
-                lag = lag[:, :-1] & same[:, d - 1:]
-            shared[hit] = equal
+            # rank of a code within its run of equal codes: a run of occ
+            # ranks sums to C(occ, 2)
+            pos = np.arange(width)
+            start = np.zeros((hit.size, width), dtype=np.int64)
+            start[:, 1:] = np.where(same, 0, pos[1:])
+            rank = pos - np.maximum.accumulate(start, axis=1)
+            shared[hit] = rank.sum(axis=1)
             if alpha == 2:
                 # the T_2 linked pairs form a matching exactly when they
                 # touch 2 T_2 distinct edges
-                in_run = np.zeros((hit.size, codes.shape[1]), dtype=bool)
+                in_run = np.zeros((hit.size, width), dtype=bool)
                 in_run[:, 1:] = same
                 in_run[:, :-1] |= same
                 touched = np.zeros_like(in_run)

@@ -134,10 +134,17 @@ def test_census_result_consistency_enforced():
 
 def test_compat_stats_against_brute_force():
     rng = make_rng(313)
-    for sizes, r in [((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 7, 3), ((1,) * 8, 5)]:
+    inputs = [((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 7, 3), ((1,) * 8, 5), ((3, 1, 2), 3)]
+    for sizes, r in inputs:
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, r)
         vsets = [set(vs) for vs in index.edges]
+        # cat: 0, 1 or 2 for at most one, exactly two or at least three shared vertices
+        want = [
+            [0 if i == j else {0: 0, 1: 0, 2: 1}.get(len(a & b), 2) for j, b in enumerate(vsets)]
+            for i, a in enumerate(vsets)
+        ]
+        assert [list(row) for row in index.cat] == want, (sizes, r)
         for _ in range(25):
             hsize = int(rng.integers(0, 4))
             h0 = tuple(sorted(int(x) for x in rng.choice(index.count, size=hsize, replace=False)))
@@ -162,18 +169,6 @@ def test_compat_stats_excludes_h0_when_edges_have_no_pairs():
     index = EdgeSpaceIndex(partition((2, 2, 2)), 2)
     assert index.compat_stats(()) == (12, 0, 0)
     assert index.compat_stats((0, 5)) == (10, 0, 0)
-
-
-def test_cat_matches_vertex_intersections():
-    # 0, 1 or 2 for at most one, exactly two or at least three shared vertices
-    for sizes, r in [((3, 1, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 8, 5)]:
-        index = EdgeSpaceIndex(partition(sizes), r)
-        vsets = [set(vs) for vs in index.edges]
-        want = [
-            [0 if i == j else {0: 0, 1: 0, 2: 1}.get(len(a & b), 2) for j, b in enumerate(vsets)]
-            for i, a in enumerate(vsets)
-        ]
-        assert [list(row) for row in index.cat] == want, (sizes, r)
 
 
 def test_classify_combo_matches_pinned_strata():
