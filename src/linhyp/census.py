@@ -32,13 +32,12 @@ class EdgeSpaceIndex:
     """Precomputed structures over the full edge space of one instance.
 
     Edges are indexed by their canonical enumeration order.  The index
-    carries, per edge, the frozenset of ids of its vertex subsets of each
-    size alpha from 2 to r-1 in subset_ids[alpha]; subset_ids[2], the
-    edge's vertex pairs, is the one pair-occupancy view (empty rows when
-    r <= 2, where edges have no proper vertex pairs).  Two distinct edges
-    are linked exactly when their pair rows meet.  Built on first use,
-    and only when two edges are compared: cat, the pairwise overlap
-    matrix, from the occupants of each vertex pair.
+    carries one table, pairs: per edge, the frozenset of ids of its
+    vertex pairs (at r = 2 the edge's one pair, which no other edge
+    holds; empty rows when r <= 1).  Two distinct edges are linked
+    exactly when their pair rows meet.  Built on first use, and only
+    when two edges are compared: cat, the pairwise overlap matrix, from
+    the occupants of each vertex pair.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -48,14 +47,12 @@ class EdgeSpaceIndex:
         self.count = len(self.edges)
         self.position = {vs: i for i, vs in enumerate(self.edges)}
 
-        # intern vertex subsets of sizes 2..r-1 as small integers
-        self.subset_ids: dict[int, list[frozenset[int]]] = {2: [frozenset()] * self.count}
-        for alpha in range(2, r):
-            table: dict[tuple[int, ...], int] = {}
-            self.subset_ids[alpha] = [
-                frozenset(table.setdefault(sub, len(table)) for sub in combinations(vs, alpha))
-                for vs in self.edges
-            ]
+        # intern vertex pairs as small integers
+        table: dict[tuple[int, int], int] = {}
+        self.pairs: list[frozenset[int]] = [
+            frozenset(table.setdefault(sub, len(table)) for sub in combinations(vs, 2))
+            for vs in self.edges
+        ]
 
         self._cat: list[bytearray] | None = None
 
@@ -64,7 +61,7 @@ class EdgeSpaceIndex:
         """Pairwise overlap category: 0 for <=1 shared, 1 for exactly 2, 2 for >=3."""
         if self._cat is None:
             occupants: dict[int, list[int]] = {}
-            for i, row in enumerate(self.subset_ids[2]):
+            for i, row in enumerate(self.pairs):
                 for pid in row:
                     occupants.setdefault(pid, []).append(i)
             cat = [bytearray(self.count) for _ in range(self.count)]
@@ -110,28 +107,21 @@ class EdgeSpaceIndex:
         h0 and not being one of them: the edge's vertex pairs avoid every
         pair h0 occupies, as in count_linear's search.  Returns the count
         of compatible edges, the number of unordered compatible pairs
-        sharing >= 2 vertices, and the number sharing exactly 2.
+        sharing >= 2 vertices, and the number sharing exactly 2.  Pairs
+        are counted off the pairs rows, larger subsets off the edge tuples.
         """
-        pairs = self.subset_ids[2]
+        pairs = self.pairs
         used = frozenset().union(*(pairs[g] for g in h0))
         members = set(h0)
         pool = [i for i, row in enumerate(pairs) if used.isdisjoint(row) and i not in members]
         # T[alpha] = sum over alpha-subsets of binomial(occupancy, 2)
         t_by_alpha: dict[int, int] = {}
         for alpha in range(2, self.r):
-            occ = Counter(chain.from_iterable(map(self.subset_ids[alpha].__getitem__, pool)))
+            subsets = map(pairs.__getitem__, pool) if alpha == 2 else (
+                combinations(self.edges[i], alpha) for i in pool)
+            occ = Counter(chain.from_iterable(subsets))
             t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in occ.values())
         return (len(pool), *shared_pair_counts(t_by_alpha, self.r))
-
-
-def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int) -> int:
-    edge_count = sigma(pv, r)
-    if not 0 <= m <= edge_count:
-        raise DomainError(f"m={m} outside 0..{edge_count}")
-    work = math.comb(edge_count, m) * max(1, m * (m - 1) // 2)
-    if work > work_ceiling:
-        raise WorkCeilingError(work, work_ceiling, "census")
-    return edge_count
 
 
 def count_all(pv: PartitionVector, r: int, m: int) -> int:
@@ -140,6 +130,15 @@ def count_all(pv: PartitionVector, r: int, m: int) -> int:
     if not 0 <= m <= edge_count:
         raise DomainError(f"m={m} outside 0..{edge_count}")
     return math.comb(edge_count, m)
+
+
+def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int) -> int:
+    """count_all, after refusing a full-sweep work estimate above the ceiling."""
+    total = count_all(pv, r, m)
+    work = total * max(1, m * (m - 1) // 2)
+    if work > work_ceiling:
+        raise WorkCeilingError(work, work_ceiling, "census")
+    return total
 
 
 def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
@@ -153,7 +152,7 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
     one meeting exactly one used pair, held by a free edge, opens a
     cluster with it; anything else is refused.
     """
-    pairs = index.subset_ids[2]
+    pairs = index.pairs
     strata = {0: 0}
 
     def extend(start: int, used: frozenset, clustered: frozenset, free: tuple, t: int, left: int):
@@ -259,10 +258,9 @@ def census_by_cluster(
     work_ceiling: int = DEFAULT_WORK_CEILING,
 ) -> CensusResult:
     """Stratify the m-subsets of the edge space by plus-search cluster count."""
-    edge_count = _guard(pv, r, m, work_ceiling)
+    total = _guard(pv, r, m, work_ceiling)
     cap = cluster_threshold(pv, r, m)
     by_cluster = _plus_strata(EdgeSpaceIndex(pv, r), m, cap)
-    total = math.comb(edge_count, m)
     return CensusResult(
         total=total,
         linear=by_cluster[0],

@@ -415,19 +415,16 @@ def estimate_linear_probability(
     )
 
 
-def draw_subset_ids(
-    pv: PartitionVector, r: int, m: int, trials: int, seed: int = 0
-) -> list[tuple[int, ...]]:
-    """Raw uniform m-subsets as sorted edge-index tuples, one per trial.
+def draw_subset_ids(pv: PartitionVector, r: int, m: int, trials: int, seed: int = 0) -> np.ndarray:
+    """Raw uniform m-subsets: a (trials, m) int64 array of sorted edge ids.
 
     Same blocks and draws as estimate_linear_probability, so a seed pins
     the exact draws here too.
     """
     sampler = _batch_sampler(pv, r, m, trials)
-    out: list[tuple[int, ...]] = []
-    for rng, rows in _blocks(trials, seed):
-        out.extend(map(tuple, _draw_block(rng, sampler.total, rows, m).tolist()))
-    return out
+    return np.concatenate(
+        [_draw_block(rng, sampler.total, rows, m) for rng, rows in _blocks(trials, seed)]
+    )
 
 
 def edge_subset_probability(pv: PartitionVector, r: int, m: int, t: int) -> Fraction:

@@ -325,7 +325,7 @@ def _check_subset_inclusion(suite: _Suite, trials: int) -> None:
         if g.m < 1:
             continue
         total = sigma(g.pv, g.r)
-        samples = np.array(draw_subset_ids(g.pv, g.r, g.m, trials, seed=11))
+        samples = draw_subset_ids(g.pv, g.r, g.m, trials, seed=11)
         for _ in range(10):
             t = int(rng.integers(1, g.m + 1))
             fixed = rng.choice(total, size=t, replace=False)

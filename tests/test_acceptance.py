@@ -141,7 +141,7 @@ def test_criterion_05_subset_inclusion_frequencies():
                 bad.append(f"{g.label} t={t}: power bound broken")
         if g.m < 1:
             continue
-        samples = np.array(draw_subset_ids(g.pv, g.r, g.m, trials, seed=1105))
+        samples = draw_subset_ids(g.pv, g.r, g.m, trials, seed=1105)
         for _ in range(10):
             t = int(rng.integers(1, g.m + 1))
             fixed = tuple(int(x) for x in rng.choice(total, size=t, replace=False))

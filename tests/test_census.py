@@ -1,6 +1,7 @@
 """Tests for exhaustive counting: pinned vectors, oracle agreement, guards."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -134,7 +135,9 @@ def test_census_result_consistency_enforced():
 
 def test_compat_stats_against_brute_force():
     rng = make_rng(313)
-    inputs = [((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 7, 3), ((1,) * 8, 5), ((3, 1, 2), 3)]
+    inputs = [
+        ((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 7, 3), ((1,) * 8, 5), ((1,) * 7, 6), ((3, 1, 2), 3)
+    ]
     for sizes, r in inputs:
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, r)
@@ -165,10 +168,27 @@ def test_compat_stats_against_brute_force():
 
 def test_compat_stats_excludes_h0_when_edges_have_no_pairs():
     # at r = 2 no two distinct edges share two vertices, so every edge
-    # outside h0 is compatible and h0's own edges are not
+    # outside h0 is compatible and h0's own edges are not; at r = 1 the
+    # pair rows are empty and only the membership test excludes h0
     index = EdgeSpaceIndex(partition((2, 2, 2)), 2)
     assert index.compat_stats(()) == (12, 0, 0)
     assert index.compat_stats((0, 5)) == (10, 0, 0)
+    index = EdgeSpaceIndex(partition((2, 2, 2)), 1)
+    assert index.compat_stats(()) == (6, 0, 0)
+    assert index.compat_stats((0, 5)) == (4, 0, 0)
+
+
+def test_index_size_grows_with_pairs_not_subsets():
+    # 18 edges of 17 vertices hold 18 * 136 pairs; a table of every vertex
+    # subset of size 2..r-1 would hold about 18 * 2**17 and peak near 140 MiB
+    tracemalloc.start()
+    try:
+        index = EdgeSpaceIndex(uniform_partition(18), 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.count == 18
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_classify_combo_matches_pinned_strata():
