@@ -3,7 +3,10 @@
 One search, _plus_strata, extends only plus prefixes in canonical edge
 order and counts the plus m-subsets by cluster count.  census_by_cluster
 is that search at the census's cluster cap; count_linear is the same
-search at cap 0.  count_linear_naive filters every subset and exists to
+search at cap 0.  The search runs once per edge orbit of the partition's
+automorphisms (edge_orbits), on the m-subsets that hold the orbit's
+root, and _orbit_mean turns the rooted tallies into totals over every
+m-subset.  count_linear_naive filters every subset and exists to
 cross-check them.  All counts are exact integers.
 """
 
@@ -14,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from typing import Callable
 
 from .errors import DomainError, WorkCeilingError
 from .hypergraphs import (
@@ -132,49 +136,123 @@ def count_all(pv: PartitionVector, r: int, m: int) -> int:
     return math.comb(edge_count, m)
 
 
-def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int) -> int:
-    """count_all, after refusing a full-sweep work estimate above the ceiling."""
+def orbit_count(pv: PartitionVector, r: int) -> int:
+    """Number of edge orbits, from the part-size histogram alone.
+
+    An orbit is a multiset of r part sizes using at most c_s parts of
+    size s: the x^r coefficient of prod_s (1 + x + ... + x^{c_s}).
+    """
+    coeff = [1] + [0] * r
+    for c in Counter(pv.sizes).values():
+        coeff = [sum(coeff[max(0, j - c):j + 1]) for j in range(r + 1)]
+    return coeff[r]
+
+
+def _guard(
+    pv: PartitionVector, r: int, m: int, work_ceiling: int, rooted: bool = True
+) -> int:
+    """count_all, after refusing a work estimate above the ceiling.
+
+    The estimate is C(m, 2) pair checks per visited m-subset.  Rooted
+    callers visit the m-subsets that hold an orbit root, orbits *
+    binomial(sigma_r - 1, m - 1) of them; the others visit all
+    binomial(sigma_r, m).  Nothing is allocated before the refusal.
+    """
     total = count_all(pv, r, m)
-    work = total * max(1, m * (m - 1) // 2)
+    visited = total
+    if rooted and m:
+        visited = orbit_count(pv, r) * math.comb(sigma(pv, r) - 1, m - 1)
+    work = visited * max(1, m * (m - 1) // 2)
     if work > work_ceiling:
         raise WorkCeilingError(work, work_ceiling, "census")
     return total
+
+
+def edge_orbits(index: EdgeSpaceIndex) -> list[tuple[int, int]]:
+    """(root edge id, orbit size) per orbit of the partition's automorphisms.
+
+    The automorphisms permute the vertices inside each part and swap
+    parts of equal size, so two edges share an orbit exactly when they
+    use the same multiset of part sizes.  The root is the orbit's first
+    edge in canonical order; orbits come in the order of their roots.
+    """
+    size_of = [0]  # size of the part holding each vertex, 1-based
+    for size in index.pv.sizes:
+        size_of += [size] * size
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for i, vs in enumerate(index.edges):
+        key = tuple(sorted([size_of[v] for v in vs]))
+        orbits.setdefault(key, [i, 0])[1] += 1
+    return [(root, size) for root, size in orbits.values()]
+
+
+def _orbit_mean(index: EdgeSpaceIndex, m: int, rooted: Callable[[int], Counter]) -> Counter:
+    """Totals over every m-subset of additive statistics, from one root per orbit.
+
+    rooted(root) tallies the statistics, key by key, over the m-subsets
+    that hold root.  The tally is the same for every edge of an orbit
+    and each subset holds m edges, so a total is sum_O |O| rooted(root_O)
+    / m.  Orbits that miss an edge, or a remainder, raise AssertionError.
+    """
+    orbits = edge_orbits(index)
+    if sum(size for _, size in orbits) != index.count:
+        raise AssertionError("edge orbits do not partition the edge space")
+    weighted: Counter = Counter()
+    for root, size in orbits:
+        for key, value in rooted(root).items():
+            weighted[key] += size * value
+    totals: Counter = Counter()
+    for key, value in weighted.items():
+        totals[key], rest = divmod(value, m)
+        if rest:
+            raise AssertionError(f"orbit-weighted {key} = {value} is not a multiple of m={m}")
+    return totals
 
 
 def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
     """Plus m-subsets by cluster count: stratum 0, then populated strata.
 
     Plus is hereditary under a fixed cap, so extending only plus
-    prefixes in canonical edge order visits exactly the plus subsets.
-    State: used and clustered, the pairs all chosen and all clustered
-    edges occupy; free, the chosen edges in no cluster; and t.  A
+    prefixes visits exactly the plus subsets.  Each orbit root starts
+    the state {root} and extends it in canonical order over the other
+    edges; _orbit_mean weights the rooted strata.  State: used and
+    clustered, the pairs all chosen and all clustered edges occupy;
+    free, the pair rows of the chosen edges in no cluster; and t.  A
     candidate meeting no used pair joins as a free edge; while t < cap,
     one meeting exactly one used pair, held by a free edge, opens a
     cluster with it; anything else is refused.
     """
-    pairs = index.pairs
-    strata = {0: 0}
+    if m == 0:
+        return {0: 1}
 
-    def extend(start: int, used: frozenset, clustered: frozenset, free: tuple, t: int, left: int):
-        if left == 0:
-            strata[t] = strata.get(t, 0) + 1
-            return
-        if left == 1 and t >= cap:
-            strata[t] = strata.get(t, 0) + sum(map(used.isdisjoint, pairs[start:]))
-            return
-        for i in range(start, len(pairs) - left + 1):
-            ps = pairs[i]
-            if used.isdisjoint(ps):
-                extend(i + 1, used | ps, clustered, free + (i,), t, left - 1)
-            elif t < cap:
-                shared = used & ps
-                if len(shared) == 1 and clustered.isdisjoint(shared):
-                    f = next(g for g in free if not shared.isdisjoint(pairs[g]))
-                    rest = tuple(g for g in free if g != f)
-                    extend(i + 1, used | ps, clustered | pairs[f] | ps, rest, t + 1, left - 1)
+    def rooted(root: int) -> Counter:
+        pairs = index.pairs[:root] + index.pairs[root + 1:]
+        strata: Counter = Counter()
 
-    extend(0, frozenset(), frozenset(), (), 0, m)
-    return {t: c for t, c in sorted(strata.items()) if c or t == 0}
+        def extend(start: int, used: frozenset, clustered: frozenset, free: tuple, t: int, left: int):
+            if left == 0:
+                strata[t] += 1
+                return
+            if left == 1 and t >= cap:
+                strata[t] += sum(map(used.isdisjoint, pairs[start:]))
+                return
+            for i in range(start, len(pairs) - left + 1):
+                ps = pairs[i]
+                if used.isdisjoint(ps):
+                    extend(i + 1, used | ps, clustered, free + (ps,), t, left - 1)
+                elif t < cap:
+                    shared = used & ps
+                    if len(shared) == 1 and clustered.isdisjoint(shared):
+                        f = next(g for g in free if not shared.isdisjoint(g))
+                        rest = tuple(g for g in free if g is not f)
+                        extend(i + 1, used | ps, clustered | f | ps, rest, t + 1, left - 1)
+
+        own = index.pairs[root]
+        extend(0, own, frozenset(), (own,), 0, m - 1)
+        return strata
+
+    strata = _orbit_mean(index, m, rooted)
+    return {t: c for t, c in sorted({0: 0, **strata}.items()) if c or t == 0}
 
 
 def count_linear(
@@ -200,9 +278,11 @@ def count_linear_naive(
     """Filter every m-subset for pairwise overlaps <= 1.
 
     Deliberately independent of count_linear: no pruning, no shared
-    search logic.  Kept as a cross-check oracle for the fast path.
+    search logic, and no orbit rooting, so it stays independent of
+    edge_orbits too; its guard prices the full sweep.  Kept as a
+    cross-check oracle for the fast path.
     """
-    _guard(pv, r, m, work_ceiling)
+    _guard(pv, r, m, work_ceiling, rooted=False)
     if m == 0:
         return 1
     index = EdgeSpaceIndex(pv, r)

@@ -7,7 +7,8 @@ exactly two vertices.  The two move sets biject, which bijection_audit
 verifies by aggregate counting with both sides computed independently.
 
 Clusters come from hypergraphs.classify (Classification.pairs) for one
-hypergraph, and from EdgeSpaceIndex.classify_combo in the audit's sweep;
+hypergraph, and from EdgeSpaceIndex.classify_combo in the audit's sweep
+of the m-subsets that hold an edge-orbit root (census.edge_orbits);
 the move counts are written once, in _forward_total and _reverse_total.
 classify also decides whether a given move is valid: apply_forward
 accepts it exactly when the result has one cluster fewer, apply_reverse
@@ -19,6 +20,7 @@ stay independent of EdgeSpaceIndex, so that they cross-check the counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -26,7 +28,7 @@ from itertools import combinations, permutations
 from typing import Iterable, NamedTuple
 
 from .asymptotics import cluster_mean
-from .census import DEFAULT_WORK_CEILING, EdgeSpaceIndex, _guard, census_by_cluster
+from .census import DEFAULT_WORK_CEILING, EdgeSpaceIndex, _guard, _orbit_mean, census_by_cluster
 from .errors import DomainError
 from .hypergraphs import (
     Classification,
@@ -293,7 +295,13 @@ class AuditStratum:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Aggregate switching audit over every m-subset of one instance."""
+    """Aggregate switching audit over every m-subset of one instance.
+
+    Strata, not_plus and the move sums are totals over every m-subset,
+    computed from the subsets that hold an orbit root; the measured
+    ranges are taken over those subsets, which meet every orbit of
+    hypergraphs.
+    """
 
     sizes: tuple[int, ...]
     r: int
@@ -332,32 +340,49 @@ def bijection_audit(
     and the reverse moves per link-free pair; the audit then reports,
     per stratum t, the forward total from stratum t against the reverse
     total from stratum t-1, which an exact bijection forces to agree.
+    Every quantity is invariant under the partition's automorphisms, so
+    only the m-subsets that hold an edge-orbit root are swept: strata,
+    not_plus and the move sums are weighted by orbit size and divided by
+    m exactly (census._orbit_mean), and the per-hypergraph ranges are
+    taken over the rooted subsets unweighted, since every orbit of
+    hypergraphs has a member there.
     """
     _guard(pv, r, m, work_ceiling)
     cap = cluster_threshold(pv, r, m)
     index = EdgeSpaceIndex(pv, r)
-    counts: dict[int, int] = {}
-    not_plus = 0
-    fwd_sum: dict[int, int] = {}
-    rev_sum: dict[int, int] = {}
     fwd_range: dict[int, tuple[int, int]] = {}
     rev_range: dict[int, tuple[int, int]] = {}
     stats = cache(index.compat_stats)
-    for combo in combinations(range(index.count), m):
-        t, reason, clusters, free = index.classify_combo(combo, cap)
-        if reason is not None:
-            not_plus += 1
-            continue
-        counts[t] = counts.get(t, 0) + 1
-        if t >= 1:
-            fwd = _forward_total(stats, combo, clusters)
-            fwd_sum[t] = fwd_sum.get(t, 0) + fwd
-            lo, hi = fwd_range.get(t, (fwd, fwd))
-            fwd_range[t] = (min(lo, fwd), max(hi, fwd))
-        rev = _reverse_total(stats, combo, free)
-        rev_sum[t] = rev_sum.get(t, 0) + rev
-        lo, hi = rev_range.get(t, (rev, rev))
-        rev_range[t] = (min(lo, rev), max(hi, rev))
+
+    def widen(ranges: dict[int, tuple[int, int]], t: int, value: int) -> None:
+        lo, hi = ranges.get(t, (value, value))
+        ranges[t] = (min(lo, value), max(hi, value))
+
+    def rooted(root: int) -> Counter:
+        tally: Counter = Counter()
+        others = [i for i in range(index.count) if i != root]
+        for rest in combinations(others, m - 1):
+            combo = tuple(sorted((root, *rest)))
+            t, reason, clusters, free = index.classify_combo(combo, cap)
+            if reason is not None:
+                tally["not_plus", None] += 1
+                continue
+            tally["plus", t] += 1
+            if t >= 1:
+                fwd = _forward_total(stats, combo, clusters)
+                tally["forward", t] += fwd
+                widen(fwd_range, t, fwd)
+            rev = _reverse_total(stats, combo, free)
+            tally["reverse", t] += rev
+            widen(rev_range, t, rev)
+        return tally
+
+    # the one 0-subset is plus with no clusters and no moves
+    totals = _orbit_mean(index, m, rooted) if m else Counter({("plus", 0): 1})
+    counts = dict(sorted((t, c) for (kind, t), c in totals.items() if kind == "plus"))
+    not_plus = totals["not_plus", None]
+    fwd_sum = {t: c for (kind, t), c in totals.items() if kind == "forward"}
+    rev_sum = {t: c for (kind, t), c in totals.items() if kind == "reverse"}
 
     sig = sigmas(pv, r)
     s_2, s_rm2, s_r = sig[2], sig[r - 2], sig[r]

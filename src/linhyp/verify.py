@@ -135,8 +135,8 @@ def _check_switchings(suite: _Suite) -> None:
     pinned_384 = None
     for g in enumerable_grid():
         rep = bijection_audit(g.pv, g.r, g.m)
-        # the audit sweeps every subset through classify_combo, which
-        # the census's plus search does not use
+        # the audit sweeps the subsets that hold an orbit root through
+        # classify_combo, which the census's plus search does not use
         census = census_by_cluster(g.pv, g.r, g.m)
         nonzero = {t: c for t, c in census.by_cluster.items() if c}
         if (nonzero, census.not_plus) != ({t: c for t, c in rep.strata.items() if c}, rep.not_plus):

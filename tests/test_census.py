@@ -24,7 +24,8 @@ from linhyp import (
     sigma,
     uniform_partition,
 )
-from linhyp.census import EdgeSpaceIndex, _plus_strata
+from linhyp import census
+from linhyp.census import EdgeSpaceIndex, _plus_strata, edge_orbits, orbit_count
 from linhyp.montecarlo import cluster_signature
 
 # (sizes, r, m) -> (total, by_cluster, not_plus); enumerated independently
@@ -124,6 +125,15 @@ def test_domain_and_ceiling_guards():
     assert info.value.required > info.value.ceiling
     # raising the ceiling re-enables the small case
     assert count_linear(pv, 3, 2, work_ceiling=10 ** 9) == 16
+
+
+def test_rooted_price_admits_what_the_rooted_search_runs():
+    # the rooted search visits 1 * C(219, 3) four-edge subsets, about 1.0e7
+    # pair checks; the naive filter still sweeps all C(220, 4) (5.7e8)
+    pv = uniform_partition(12)
+    assert count_linear(pv, 3, 4) == 41761720
+    with pytest.raises(WorkCeilingError):
+        count_linear_naive(pv, 3, 4)
 
 
 def test_census_result_consistency_enforced():
@@ -267,3 +277,66 @@ def test_audit_below_two_edges_does_not_use_the_overlap_matrix(monkeypatch):
     for m, strata in ((0, {0: 1}), (1, {0: 8})):
         audit = bijection_audit(partition((2, 2, 2)), 3, m)
         assert (audit.strata, audit.not_plus, audit.records) == (strata, 0, ())
+
+
+def _brute_orbit(pv, edge):
+    """Closure of one edge under in-part vertex swaps and swaps of equal-size parts."""
+    moves = []
+    for p in range(pv.k):
+        vs = list(pv.part_vertices(p))
+        moves += [{a: b, b: a} for a, b in zip(vs, vs[1:])]
+    for p, q in combinations(range(pv.k), 2):
+        if pv.sizes[p] == pv.sizes[q]:
+            a, b = pv.part_vertices(p), pv.part_vertices(q)
+            moves.append({**dict(zip(a, b)), **dict(zip(b, a))})
+    seen = {edge}
+    todo = [edge]
+    while todo:
+        e = todo.pop()
+        for move in moves:
+            image = tuple(sorted(move.get(v, v) for v in e))
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def test_edge_orbits_cover_the_edge_space_and_match_the_histogram_count():
+    for sizes in ((2, 2, 2), (3, 1, 2), (4, 2, 3, 1, 2), (1,) * 7, (2, 1, 2, 1), (3, 3, 1), (1, 1, 2, 3)):
+        pv = partition(sizes)
+        for r in range(0, pv.k + 1):
+            orbits = edge_orbits(EdgeSpaceIndex(pv, r))
+            assert sum(size for _, size in orbits) == sigma(pv, r), (sizes, r)
+            assert len(orbits) == orbit_count(pv, r), (sizes, r)
+    assert orbit_count(partition((4, 2, 3, 1, 2)), 3) == 7
+
+
+def test_edge_orbits_are_the_automorphism_orbits():
+    for sizes in ((2, 1, 2, 1), (3, 3, 1)):
+        pv = partition(sizes)
+        index = EdgeSpaceIndex(pv, 3)
+        covered = set()
+        for root, size in edge_orbits(index):
+            orbit = {index.position[e] for e in _brute_orbit(pv, index.edges[root])}
+            assert (len(orbit), min(orbit)) == (size, root), sizes
+            assert covered.isdisjoint(orbit), sizes
+            covered |= orbit
+        assert covered == set(range(index.count)), sizes
+
+
+@pytest.mark.parametrize("shift", [(1, 0), (1, -1)])
+def test_wrong_orbit_size_raises_instead_of_miscounting(monkeypatch, shift):
+    # (1, 0) leaves an edge uncovered; (1, -1) still sums to sigma_r but
+    # leaves a remainder when the weighted tallies are divided by m
+    true_orbits = census.edge_orbits
+
+    def wrong(index):
+        (a, x), (b, y), *rest = true_orbits(index)
+        return [(a, x + shift[0]), (b, y + shift[1]), *rest]
+
+    monkeypatch.setattr(census, "edge_orbits", wrong)
+    pv = partition((2, 1, 2, 1))
+    with pytest.raises(AssertionError):
+        _plus_strata(EdgeSpaceIndex(pv, 3), 4, 50)
+    with pytest.raises(AssertionError):
+        bijection_audit(pv, 3, 4)

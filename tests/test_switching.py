@@ -1,7 +1,9 @@
 """Tests for switching moves, their counts, the audit, and series bounds."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -31,7 +33,7 @@ from linhyp import (
 from linhyp.asymptotics import cluster_mean
 from linhyp.census import EdgeSpaceIndex
 from linhyp.hypergraphs import cluster_threshold
-from linhyp.switching import ForwardMove, ReverseMove
+from linhyp.switching import ForwardMove, ReverseMove, _forward_total, _reverse_total
 
 
 def _plus_subsets(sizes, r, m, cap=50):
@@ -224,6 +226,57 @@ def test_audit_matches_on_mixed_instances():
     for sizes, r, m in [((3, 1, 2), 3, 3), ((2, 2, 2, 2), 4, 3), ((1,) * 6, 3, 3)]:
         rep = bijection_audit(partition(sizes), r, m)
         assert rep.all_matched, (sizes, r, m)
+
+
+def _unrooted_audit(pv, r, m):
+    """The audit's sums and ranges from a sweep of every m-subset, no orbits."""
+    index = EdgeSpaceIndex(pv, r)
+    cap = cluster_threshold(pv, r, m)
+    stats = cache(index.compat_stats)
+    counts, fwd_sum, rev_sum, fwd_range, rev_range = {}, {}, {}, {}, {}
+    not_plus = 0
+    for combo in combinations(range(index.count), m):
+        t, reason, clusters, free = index.classify_combo(combo, cap)
+        if reason is not None:
+            not_plus += 1
+            continue
+        counts[t] = counts.get(t, 0) + 1
+        moves = [(rev_sum, rev_range, t, _reverse_total(stats, combo, free))]
+        if t >= 1:
+            moves.append((fwd_sum, fwd_range, t, _forward_total(stats, combo, clusters)))
+        for sums, ranges, s, value in moves:
+            sums[s] = sums.get(s, 0) + value
+            lo, hi = ranges.get(s, (value, value))
+            ranges[s] = (min(lo, value), max(hi, value))
+    return counts, not_plus, fwd_sum, rev_sum, fwd_range, rev_range
+
+
+@pytest.mark.parametrize(
+    "sizes, r, m",
+    [((4, 2, 3, 1, 2), 3, 3), ((3, 1, 2, 2), 3, 4), ((2, 2, 2, 3), 4, 3), ((1,) * 7, 3, 4)],
+)
+def test_rooted_audit_matches_an_unrooted_sweep(sizes, r, m):
+    pv = partition(sizes)
+    rep = bijection_audit(pv, r, m)
+    counts, not_plus, fwd_sum, rev_sum, fwd_range, rev_range = _unrooted_audit(pv, r, m)
+    records = []
+    for rec in rep.records:
+        t = rec.t
+        count_t, count_prev = counts.get(t, 0), counts.get(t - 1, 0)
+        records.append(replace(
+            rec,
+            count_t=count_t,
+            count_prev=count_prev,
+            sum_forward=fwd_sum.get(t, 0),
+            sum_reverse=rev_sum.get(t - 1, 0),
+            matched=fwd_sum.get(t, 0) == rev_sum.get(t - 1, 0),
+            ratio_exact=Fraction(count_t, count_prev) if count_prev else None,
+            forward_measured=fwd_range.get(t),
+            reverse_measured=rev_range.get(t - 1),
+        ))
+    want = replace(rep, strata=counts, not_plus=not_plus, records=tuple(records))
+    assert len(records) == m // 2
+    assert rep.to_json_dict() == want.to_json_dict()
 
 
 def test_count_brackets_pinned_and_contain_measurements():
