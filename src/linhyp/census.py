@@ -149,20 +149,26 @@ def orbit_count(pv: PartitionVector, r: int) -> int:
 
 
 def _guard(
-    pv: PartitionVector, r: int, m: int, work_ceiling: int, rooted: bool = True
+    pv: PartitionVector, r: int, m: int, work_ceiling: int, rooted: bool = True,
+    cat: bool = False,
 ) -> int:
     """count_all, after refusing a work estimate above the ceiling.
 
-    The estimate is C(m, 2) pair checks per visited m-subset.  Rooted
+    The estimate prices what the caller builds and runs: sigma_r for the
+    edge index, sigma_r^2 for cat when the caller reads it (cat=True and
+    m >= 2), and C(m, 2) pair checks per visited m-subset.  Rooted
     callers visit the m-subsets that hold an orbit root, orbits *
     binomial(sigma_r - 1, m - 1) of them; the others visit all
     binomial(sigma_r, m).  Nothing is allocated before the refusal.
     """
     total = count_all(pv, r, m)
+    edge_count = sigma(pv, r)
     visited = total
     if rooted and m:
-        visited = orbit_count(pv, r) * math.comb(sigma(pv, r) - 1, m - 1)
-    work = visited * max(1, m * (m - 1) // 2)
+        visited = orbit_count(pv, r) * math.comb(edge_count - 1, m - 1)
+    work = edge_count + visited * max(1, m * (m - 1) // 2)
+    if cat and m >= 2:
+        work += edge_count ** 2
     if work > work_ceiling:
         raise WorkCeilingError(work, work_ceiling, "census")
     return total
@@ -282,7 +288,7 @@ def count_linear_naive(
     edge_orbits too; its guard prices the full sweep.  Kept as a
     cross-check oracle for the fast path.
     """
-    _guard(pv, r, m, work_ceiling, rooted=False)
+    _guard(pv, r, m, work_ceiling, rooted=False, cat=True)
     if m == 0:
         return 1
     index = EdgeSpaceIndex(pv, r)

@@ -347,7 +347,7 @@ def bijection_audit(
     taken over the rooted subsets unweighted, since every orbit of
     hypergraphs has a member there.
     """
-    _guard(pv, r, m, work_ceiling)
+    _guard(pv, r, m, work_ceiling, cat=True)
     cap = cluster_threshold(pv, r, m)
     index = EdgeSpaceIndex(pv, r)
     fwd_range: dict[int, tuple[int, int]] = {}

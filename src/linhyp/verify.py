@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -19,8 +20,9 @@ import numpy as np
 
 from .asymptotics import estimate_partite
 from .census import census_by_cluster, count_linear, count_linear_naive
-from .hypergraphs import cluster_threshold
+from .hypergraphs import cluster_threshold, edge_space
 from .montecarlo import (
+    cluster_signature,
     draw_subset_ids,
     edge_subset_probability,
     estimate_linear_probability,
@@ -41,6 +43,8 @@ MULTIPARTITE_SHAPES = ((2, 2, 2), (3, 1, 2), (2, 2, 2, 2), (3, 3, 3))
 MAX_UNIFORM_N = 10
 MAX_GRID_M = 4
 ENUMERATION_CAP = 10 ** 5
+# every grid cell has a single edge orbit; these have two, three and seven
+ORBIT_CELLS = (((2, 1, 2, 1), 3, 4), ((3, 1, 2, 2), 3, 4), ((4, 2, 3, 1, 2), 3, 2))
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,9 @@ def _check_switchings(suite: _Suite) -> None:
     pinned_384 = None
     for g in enumerable_grid():
         rep = bijection_audit(g.pv, g.r, g.m)
-        # the audit sweeps the subsets that hold an orbit root through
-        # classify_combo, which the census's plus search does not use
+        # the audit classifies its rooted subsets with classify_combo, which
+        # the census's plus search does not use; both weight them by the
+        # same orbits (census._orbit_mean), held to an unrooted sweep below
         census = census_by_cluster(g.pv, g.r, g.m)
         nonzero = {t: c for t, c in census.by_cluster.items() if c}
         if (nonzero, census.not_plus) != ({t: c for t, c in rep.strata.items() if c}, rep.not_plus):
@@ -182,6 +187,31 @@ def _check_switchings(suite: _Suite) -> None:
         "occupied strata satisfy m >= 2t",
         not soft_nonempty,
         "; ".join(soft_nonempty[:3]),
+    )
+
+    orbit_mismatch = []
+    for sizes, r, m in ORBIT_CELLS:
+        pv = partition(sizes)
+        cap = cluster_threshold(pv, r, m)
+        strata: Counter = Counter()
+        for combo in combinations([e.vertices for e in edge_space(pv, r)], m):
+            t, reason = cluster_signature(list(combo))
+            strata[t if reason is None and t <= cap else None] += 1
+        not_plus = strata.pop(None, 0)
+        want = (dict(strata), not_plus)
+        census = census_by_cluster(pv, r, m)
+        rep = bijection_audit(pv, r, m)
+        for name, by_cluster, others in (
+            ("census", census.by_cluster, census.not_plus),
+            ("audit", rep.strata, rep.not_plus),
+        ):
+            got = ({t: c for t, c in by_cluster.items() if c}, others)
+            if got != want:
+                orbit_mismatch.append(f"{name} parts={sizes} r={r} m={m}: {got} vs {want}")
+    suite.check(
+        "census and audit strata equal an unrooted sweep on cells with several edge orbits",
+        not orbit_mismatch,
+        "; ".join(orbit_mismatch[:3]),
     )
 
 

@@ -24,7 +24,7 @@ from linhyp import (
     sigma,
     uniform_partition,
 )
-from linhyp import census
+from linhyp import census, switching
 from linhyp.census import EdgeSpaceIndex, _plus_strata, edge_orbits, orbit_count
 from linhyp.montecarlo import cluster_signature
 
@@ -134,6 +134,27 @@ def test_rooted_price_admits_what_the_rooted_search_runs():
     assert count_linear(pv, 3, 4) == 41761720
     with pytest.raises(WorkCeilingError):
         count_linear_naive(pv, 3, 4)
+
+
+def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):
+    # at m = 1 the rooted search visits one subset per orbit, but the index
+    # would hold all C(2000, 3) (1.3e9) edges; at m = 2 the audit visits
+    # 161699 rooted subsets but would read a 161700^2-byte cat
+    def refuse(*args):
+        raise AssertionError("a refused call must build nothing")
+
+    monkeypatch.setattr(census, "EdgeSpaceIndex", refuse)
+    monkeypatch.setattr(switching, "EdgeSpaceIndex", refuse)
+    calls = (
+        (count_linear, 2000, 1, math.comb(2000, 3)),
+        (census_by_cluster, 2000, 1, math.comb(2000, 3)),
+        (bijection_audit, 2000, 1, math.comb(2000, 3)),
+        (bijection_audit, 100, 2, math.comb(100, 3) ** 2),
+    )
+    for func, n, m, built in calls:
+        with pytest.raises(WorkCeilingError) as info:
+            func(uniform_partition(n), 3, m)
+        assert info.value.required > built, (func.__name__, n, m)
 
 
 def test_census_result_consistency_enforced():

@@ -188,37 +188,41 @@ def test_exit_code_on_work_ceiling(capsys):
     assert rc == 3
 
 
-# stdout of the unrooted full sweeps on a cell with seven edge orbits
-ORBIT_CELL = ("--parts", "4,2,3,1,2", "--r", "3", "--m", "4")
+# stdout of the unrooted full sweeps on parts 4,2,3,1,2 r=3, seven edge
+# orbits: the census at m=4, the audit at m=3, where it runs in under a second
 ORBIT_CELL_STDOUT = {
-    "census": (
+    ("census", "4"): (
         '{"by_cluster": {"0": "3063920", "1": "3587464", "2": "343548"}, '
         '"cluster_cap": "496", "linear": "3063920", "m": 4, "not_plus": "1219638", '
         '"parts": [4, 2, 3, 1, 2], "r": 3, "total": "8214570"}\n'
     ),
-    "audit-switchings": (
-        '{"all_matched": true, "cluster_cap": "496", "m": 4, "not_plus": "1219638", '
-        '"parts": [4, 2, 3, 1, 2], "r": 3, "records": [{"count_prev": "3063920", '
-        '"count_t": "3587464", "forward_bracket": ["528", "14400"], '
-        '"forward_measured": [4586, 6844], "matched": true, "ratio_exact": "448433/382990", '
-        '"ratio_formula": "33/10", "reverse_bracket": ["0", "47520"], '
-        '"reverse_measured": [5880, 8056], "sum_forward": "21735388976", '
-        '"sum_reverse": "21735388976", "t": 1}, {"count_prev": "3587464", '
-        '"count_t": "343548", "forward_bracket": ["1056", "28800"], '
-        '"forward_measured": [11472, 14968], "matched": true, "ratio_exact": "85887/896866", '
-        '"ratio_formula": "11/40", "reverse_bracket": ["0", "7920"], '
-        '"reverse_measured": [996, 1450], "sum_forward": "4778100112", '
-        '"sum_reverse": "4778100112", "t": 2}], "strata": {"0": "3063920", "1": "3587464", '
-        '"2": "343548"}}\n'
+    ("audit-switchings", "3"): (
+        '{"all_matched": true, "cluster_cap": "280", "m": 3, "not_plus": "12720", '
+        '"parts": [4, 2, 3, 1, 2], "r": 3, "records": [{"count_prev": "173536", '
+        '"count_t": "94584", "forward_bracket": ["3948", "14400"], '
+        '"forward_measured": [7750, 9058], "matched": true, "ratio_exact": "11823/21692", '
+        '"ratio_formula": "33/20", "reverse_bracket": ["0", "23760"], '
+        '"reverse_measured": [4270, 4962], "sum_forward": "822476640", '
+        '"sum_reverse": "822476640", "t": 1}], "strata": {"0": "173536", "1": "94584"}}\n'
     ),
 }
 
 
-@pytest.mark.parametrize("command", sorted(ORBIT_CELL_STDOUT))
-def test_orbit_rooted_stdout_is_byte_identical(capsys, command):
-    rc, out, err = run_cli(capsys, command, *ORBIT_CELL)
+@pytest.mark.parametrize("command, m", sorted(ORBIT_CELL_STDOUT))
+def test_orbit_rooted_stdout_is_byte_identical(capsys, command, m):
+    rc, out, err = run_cli(capsys, command, "--parts", "4,2,3,1,2", "--r", "3", "--m", m)
     assert (rc, err) == (0, "")
-    assert out == ORBIT_CELL_STDOUT[command]
+    assert out == ORBIT_CELL_STDOUT[command, m]
+
+
+def test_exit_code_on_work_ceiling_at_small_m(capsys):
+    # few rooted subsets, but a 1.3e9-edge index or a 161700^2-byte cat
+    for argv in (
+        ("census", "--uniform-n", "2000", "--r", "3", "--m", "1"),
+        ("audit-switchings", "--uniform-n", "100", "--r", "3", "--m", "2"),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (3, "") and "ceiling" in err, argv
 
 
 def test_audit_cli_smoke(capsys):
