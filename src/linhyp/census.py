@@ -143,7 +143,7 @@ def orbit_count(pv: PartitionVector, r: int) -> int:
     size s: the x^r coefficient of prod_s (1 + x + ... + x^{c_s}).
     """
     coeff = [1] + [0] * r
-    for c in Counter(pv.sizes).values():
+    for _, c in pv.size_counts:
         coeff = [sum(coeff[max(0, j - c):j + 1]) for j in range(r + 1)]
     return coeff[r]
 

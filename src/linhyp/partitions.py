@@ -1,9 +1,11 @@
 """Part-size vectors and exact elementary symmetric functions over them.
 
 Vertices 1..n are laid out in consecutive blocks: part 0 holds 1..n_0,
-part 1 holds the next n_1 integers, and so on.  Everything here is exact
-integer or rational arithmetic up to the final math.log in log_sigma,
-which takes the exact sigma however large it is.
+part 1 holds the next n_1 integers, and so on.  The elementary symmetric
+functions are taken over the part-size histogram, so equal parts cost one
+closed-form factor, not one step each.  Everything here is exact integer
+or rational arithmetic up to the final math.log in log_sigma, which takes
+the exact sigma however large it is.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable
 
@@ -31,30 +35,42 @@ def falling_factorial(x: int, t: int) -> int:
 
 @dataclass(frozen=True)
 class PartitionVector:
-    """Immutable vector of part sizes, all at least 1."""
+    """Immutable vector of part sizes, all at least 1.
+
+    n, the part bounds and the size histogram are built on first use and
+    kept; equality and hashing read sizes alone.
+    """
 
     sizes: tuple[int, ...]
 
     def __post_init__(self):
         try:
-            sizes = tuple(operator.index(s) for s in self.sizes)
+            sizes = tuple(map(operator.index, self.sizes))
         except TypeError:
             raise DomainError(f"part sizes must be integers, got {self.sizes}") from None
         if not sizes:
             raise DomainError("a partition vector needs at least one part")
-        if any(s < 1 for s in sizes):
+        if min(sizes) < 1:
             raise DomainError(f"part sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
-        # bounds[i] = last vertex id of part i
-        object.__setattr__(self, "_bounds", tuple(accumulate(sizes)))
 
     @property
     def k(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def n(self) -> int:
-        return self._bounds[-1]
+        return sum(self.sizes)
+
+    @cached_property
+    def _bounds(self) -> tuple[int, ...]:
+        """bounds[i] = last vertex id of part i."""
+        return tuple(accumulate(self.sizes))
+
+    @cached_property
+    def size_counts(self) -> tuple[tuple[int, int], ...]:
+        """(size, number of parts of that size), sizes in first-seen order."""
+        return tuple(Counter(self.sizes).items())
 
     def part_of(self, v: int) -> int:
         """0-based index of the part containing vertex v (1-based)."""
@@ -90,14 +106,21 @@ def _check_order(pv: PartitionVector, s: int) -> None:
 def sigmas(pv: PartitionVector, s: int) -> tuple[int, ...]:
     """sigma_0, ..., sigma_s of the part sizes, exact, from one pass.
 
-    The coefficients of prod_i (1 + n_i x) truncated at degree s: k*s
-    multiplications, never a sum over the binomial(k, s) monomials.
+    The coefficients of prod_i (1 + n_i x) = prod_size (1 + size x)^count
+    truncated at degree s, over the part-size histogram.  Each factor adds
+    C(count, i) size^i x^i for i <= min(count, s), which costs at most
+    s*min(count, s) multiplications: at most k*s in all, and at most d*s^2
+    for d distinct sizes, never a sum over the binomial(k, s) monomials.
     """
     _check_order(pv, s)
     coeff = [1] + [0] * s
-    for size in pv.sizes:
-        for j in range(s, 0, -1):
-            coeff[j] += coeff[j - 1] * size
+    for size, count in pv.size_counts:
+        prev = coeff[:]
+        term = 1
+        for i in range(1, min(count, s) + 1):
+            term = term * (count - i + 1) // i * size  # C(count, i) size^i
+            for j in range(i, s + 1):
+                coeff[j] += prev[j - i] * term
     return tuple(coeff)
 
 

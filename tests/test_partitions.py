@@ -12,6 +12,8 @@ from linhyp import (
     DomainError,
     PartitionVector,
     balance_constant,
+    cluster_threshold,
+    estimate_partite,
     falling_factorial,
     log_sigma,
     make_rng,
@@ -42,6 +44,37 @@ def test_partition_vector_basic():
     assert pv.reciprocal_sum() == Fraction(3, 2)
     # numpy integers are integral sizes too
     assert partition(make_rng(0).integers(1, 4, size=5)).k == 5
+
+
+def test_part_bounds_built_on_first_use_cover_the_vertices():
+    rng = make_rng(31)
+    pv = partition(rng.integers(1, 6, size=40))
+    assert "_bounds" not in vars(pv)
+    # part_vertices first here, part_of first on the fresh vector below
+    blocks = [pv.part_vertices(i) for i in range(pv.k)]
+    assert [v for block in blocks for v in block] == list(range(1, pv.n + 1))
+    assert [len(block) for block in blocks] == list(pv.sizes)
+    fresh = partition(pv.sizes)
+    assert [fresh.part_of(v) for v in range(1, pv.n + 1)] == [
+        i for i, block in enumerate(blocks) for _ in block
+    ]
+    with pytest.raises(DomainError):
+        fresh.part_of(pv.n + 1)
+
+
+def test_cached_views_leave_equality_and_hash_alone():
+    warm = partition((4, 1, 3, 1, 5, 3, 3))
+    assert warm.size_counts == ((4, 1), (1, 2), (3, 3), (5, 1))
+    assert warm.n == 20 and warm.part_of(20) == 6
+    assert {"size_counts", "_bounds", "n"} <= set(vars(warm))
+    fresh = partition((4, 1, 3, 1, 5, 3, 3))
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert warm != partition((4, 1, 3, 1, 5, 3, 2))
+    # cluster_threshold's lru_cache keys on the vector: the fresh one hits
+    first = cluster_threshold(warm, 3, 2)
+    hits = cluster_threshold.cache_info().hits
+    assert cluster_threshold(fresh, 3, 2) == first
+    assert cluster_threshold.cache_info().hits == hits + 1
 
 
 def test_partition_vector_rejects_bad_sizes():
@@ -81,6 +114,29 @@ def test_sigma_matches_sum_over_part_subsets(sizes):
         assert sigma(pv, s) == want[s], (sizes, s)
 
 
+def _per_part_sigmas(sizes, s):
+    """sigma_0..sigma_s from prod_i (1 + n_i x), one factor per part."""
+    coeff = [1] + [0] * s
+    for size in sizes:
+        for j in range(s, 0, -1):
+            coeff[j] += coeff[j - 1] * size
+    return tuple(coeff)
+
+
+def test_sigmas_match_the_per_part_product():
+    rng = make_rng(1212)
+    many = partition(rng.integers(1, 8, size=10**5))
+    want = _per_part_sigmas(many.sizes, 5)
+    for s in range(6):
+        # truncating the product at degree s keeps the lower coefficients
+        assert sigmas(many, s) == want[: s + 1], s
+    # one size's count below s, another's above it
+    mixed = partition((3,) * 2 + (5,) * 40 + (7,))
+    assert sigmas(mixed, 12) == _per_part_sigmas(mixed.sizes, 12)
+    distinct = partition(range(1, 301))
+    assert sigmas(distinct, 20) == _per_part_sigmas(distinct.sizes, 20)
+
+
 def test_sigma_order_domain():
     pv = partition((2, 2, 2))
     with pytest.raises(DomainError):
@@ -116,6 +172,21 @@ def test_log_sigma_rescaling_branch():
     expected = math.log(math.comb(k, s)) + s * math.log(c)
     assert expected > 1000
     assert abs(log_sigma(pv, s) - expected) < 1e-9 * expected
+
+
+def test_estimate_partite_matches_newton_identities_at_scale():
+    # sigma_1..sigma_3 from exact power sums p_j = sum_i n_i^j
+    rng = make_rng(4242)
+    pv = partition(rng.integers(1, 8, size=10**5))
+    m = pv.n
+    p1, p2, p3 = (sum(size ** j for size in pv.sizes) for j in (1, 2, 3))
+    e1 = p1
+    e2, rem2 = divmod(e1 * p1 - p2, 2)
+    e3, rem3 = divmod(e2 * p1 - e1 * p2 + p3, 3)
+    assert rem2 == rem3 == 0
+    est = estimate_partite(pv, 3, m)
+    assert est.correction_exact == -Fraction(e2 * e1 ** 2 * m * (m - 1), 2 * e3 * e3)
+    assert est.leading_log == pytest.approx(m * math.log(e3) - math.lgamma(m + 1), rel=1e-12)
 
 
 def test_normalized_sigma_and_newton_gap():
