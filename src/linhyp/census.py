@@ -3,11 +3,13 @@
 One search, _plus_strata, extends only plus prefixes in canonical edge
 order and counts the plus m-subsets by cluster count.  census_by_cluster
 is that search at the census's cluster cap; count_linear is the same
-search at cap 0.  The search runs once per edge orbit of the partition's
-automorphisms (edge_orbits), on the m-subsets that hold the orbit's
-root, and _orbit_mean turns the rooted tallies into totals over every
-m-subset.  count_linear_naive filters every subset and exists to
-cross-check them.  All counts are exact integers.
+search at cap 0.  The search is rooted at an edge pair: it runs once per
+orbit of ordered pairs of distinct edges under the partition's
+automorphisms, one root per edge orbit (edge_orbits) and one second edge
+per orbit of the root's stabiliser (stabiliser_orbits), on the m-subsets
+that hold both edges; _orbit_mean turns the rooted tallies into totals
+over every m-subset.  count_linear_naive filters every subset and
+exists to cross-check them.  All counts are exact integers.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Callable
 
@@ -59,6 +62,11 @@ class EdgeSpaceIndex:
         ]
 
         self._cat: list[bytearray] | None = None
+
+    @cached_property
+    def vertex_part(self) -> list[int]:
+        """0-based part of each vertex, by vertex id; entry 0 pads the 1-based ids."""
+        return [0] + [p for p, size in enumerate(self.pv.sizes) for _ in range(size)]
 
     @property
     def cat(self) -> list[bytearray]:
@@ -148,6 +156,42 @@ def orbit_count(pv: PartitionVector, r: int) -> int:
     return coeff[r]
 
 
+def pair_orbit_count(pv: PartitionVector, r: int) -> int:
+    """Number of orbits of ordered pairs of distinct edges, from the histogram alone.
+
+    A pair orbit is a multiset of part states, one per part that either
+    edge uses: the first edge only (x), the second only (y), both at one
+    vertex (xy), or, in a part of size >= 2, both at different vertices
+    (xy).  The c_s parts of size s hold at most c_s states, so the x^r y^r
+    coefficient of the product over sizes counts the orbits of all
+    ordered pairs; the orbit_count pairs of an edge with itself are taken
+    off.
+    """
+    w = r + 1
+    coeff = [1] + [0] * (w * w - 1)  # coeff[i * w + j] of x^i y^j
+    for size, c in pv.size_counts:
+        # x^i y^j of one size: sum over the b parts that hold both edges,
+        # with i + j - b <= c parts in use, of the ways to place the two
+        # edges in those b parts: b + 1 (how many at different vertices)
+        # at size >= 2, else 1
+        factor = []
+        for i in range(w):
+            for j in range(w):
+                lo, hi = max(0, i + j - c), min(i, j)
+                if lo <= hi:
+                    ways = (hi + 1) * (hi + 2) // 2 - lo * (lo + 1) // 2 if size >= 2 else hi - lo + 1
+                    factor.append((i, j, ways))
+        product = [0] * (w * w)
+        for k, u in enumerate(coeff):
+            if u:
+                i, j = divmod(k, w)
+                for a, b, v in factor:
+                    if i + a <= r and j + b <= r:
+                        product[k + a * w + b] += u * v
+        coeff = product
+    return coeff[-1] - orbit_count(pv, r)
+
+
 def _guard(
     pv: PartitionVector, r: int, m: int, work_ceiling: int, rooted: bool = True,
     cat: bool = False,
@@ -157,21 +201,45 @@ def _guard(
     The estimate prices what the caller builds and runs: sigma_r for the
     edge index, sigma_r^2 for cat when the caller reads it (cat=True and
     m >= 2), and C(m, 2) pair checks per visited m-subset.  Rooted
-    callers visit the m-subsets that hold an orbit root, orbits *
-    binomial(sigma_r - 1, m - 1) of them; the others visit all
-    binomial(sigma_r, m).  Nothing is allocated before the refusal.
+    callers at m >= 2 visit the m-subsets that hold a root pair,
+    pair_orbit_count * binomial(sigma_r - 2, m - 2) of them, and at m = 1
+    one subset per edge orbit; the others visit all binomial(sigma_r, m).
+    Each edge orbit has at most sigma_r - 1 stabiliser orbits, so the
+    pair orbits are counted only when that bound would refuse.  Nothing
+    is allocated before the refusal.
     """
     total = count_all(pv, r, m)
     edge_count = sigma(pv, r)
-    visited = total
-    if rooted and m:
-        visited = orbit_count(pv, r) * math.comb(edge_count - 1, m - 1)
-    work = edge_count + visited * max(1, m * (m - 1) // 2)
-    if cat and m >= 2:
-        work += edge_count ** 2
+    checks = max(1, m * (m - 1) // 2)
+    work = edge_count + (edge_count ** 2 if cat and m >= 2 else 0)
+    if not rooted or m == 0:
+        work += total * checks
+    elif m == 1:
+        work += orbit_count(pv, r)
+    else:
+        per_pair = math.comb(edge_count - 2, m - 2) * checks
+        pair_orbits = orbit_count(pv, r) * (edge_count - 1)
+        if work + pair_orbits * per_pair > work_ceiling:
+            pair_orbits = pair_orbit_count(pv, r)
+        work += pair_orbits * per_pair
     if work > work_ceiling:
         raise WorkCeilingError(work, work_ceiling, "census")
     return total
+
+
+def _orbits_by_label(index: EdgeSpaceIndex, label: list[int]) -> list[tuple[int, int]]:
+    """(first edge id, size) per class of edges with one multiset of vertex labels.
+
+    label holds a small integer per vertex id.  A label of rank k weighs
+    (r + 1)^k, so an edge's weight sum, at most r of each, encodes the
+    multiset.  Classes come in the order of their first edges.
+    """
+    rank = {x: k for k, x in enumerate(set(label))}
+    weight = [(index.r + 1) ** rank[x] for x in label]
+    classes: dict[int, list[int]] = {}
+    for i, vs in enumerate(index.edges):
+        classes.setdefault(sum(map(weight.__getitem__, vs)), [i, 0])[1] += 1
+    return [(first, size) for first, size in classes.values()]
 
 
 def edge_orbits(index: EdgeSpaceIndex) -> list[tuple[int, int]]:
@@ -182,36 +250,60 @@ def edge_orbits(index: EdgeSpaceIndex) -> list[tuple[int, int]]:
     use the same multiset of part sizes.  The root is the orbit's first
     edge in canonical order; orbits come in the order of their roots.
     """
-    size_of = [0]  # size of the part holding each vertex, 1-based
-    for size in index.pv.sizes:
-        size_of += [size] * size
-    orbits: dict[tuple[int, ...], list[int]] = {}
-    for i, vs in enumerate(index.edges):
-        key = tuple(sorted([size_of[v] for v in vs]))
-        orbits.setdefault(key, [i, 0])[1] += 1
-    return [(root, size) for root, size in orbits.values()]
+    sizes = index.pv.sizes
+    return _orbits_by_label(index, [sizes[p] for p in index.vertex_part])
 
 
-def _orbit_mean(index: EdgeSpaceIndex, m: int, rooted: Callable[[int], Counter]) -> Counter:
-    """Totals over every m-subset of additive statistics, from one root per orbit.
+def stabiliser_orbits(index: EdgeSpaceIndex, root: int) -> list[tuple[int, int]]:
+    """(representative id, orbit size) per orbit of root's stabiliser on the other edges.
 
-    rooted(root) tallies the statistics, key by key, over the m-subsets
-    that hold root.  The tally is the same for every edge of an orbit
-    and each subset holds m edges, so a total is sum_O |O| rooted(root_O)
-    / m.  Orbits that miss an edge, or a remainder, raise AssertionError.
+    An automorphism fixing root maps root's vertex in each part it uses
+    to root's vertex in the image part, so two edges share an orbit
+    exactly when they have the same multiset, over the parts that root
+    or the edge uses, of (part size, root uses the part, the edge uses
+    it, both at the same vertex).  Each vertex is labelled 3 * size +
+    [root uses its part] + [it is root's vertex]; the parts root uses
+    alone follow from the edge's labels.  Root is alone in its class,
+    which is dropped.  Representatives are the orbits' first edges in
+    canonical order, in that order.
+    """
+    sizes, part = index.pv.sizes, index.vertex_part
+    own = index.edges[root]
+    used = {part[u] for u in own}
+    label = [3 * sizes[p] + (p in used) for p in part]
+    for u in own:
+        label[u] += 1
+    return [(rep, size) for rep, size in _orbits_by_label(index, label) if rep != root]
+
+
+def _orbit_mean(index: EdgeSpaceIndex, m: int, rooted: Callable[[int, int], Counter]) -> Counter:
+    """Totals over every m-subset, m >= 2, of additive statistics, from root pairs.
+
+    rooted(root, rep) tallies the statistics, key by key, over the
+    m-subsets that hold both edges.  The tally is the same for every
+    ordered pair in the orbit of (root, rep), which holds |O1| |O2|
+    pairs when root's edge orbit is O1 and rep's orbit under root's
+    stabiliser is O2, and each m-subset holds m(m - 1) ordered pairs,
+    so a total is sum |O1| |O2| rooted(root, rep) / (m(m - 1)).  Orbits
+    that miss an edge, or a remainder, raise AssertionError.
     """
     orbits = edge_orbits(index)
     if sum(size for _, size in orbits) != index.count:
         raise AssertionError("edge orbits do not partition the edge space")
     weighted: Counter = Counter()
     for root, size in orbits:
-        for key, value in rooted(root).items():
-            weighted[key] += size * value
+        second = stabiliser_orbits(index, root)
+        if sum(rep_size for _, rep_size in second) != index.count - 1:
+            raise AssertionError("stabiliser orbits do not partition the other edges")
+        for rep, rep_size in second:
+            for key, value in rooted(root, rep).items():
+                weighted[key] += size * rep_size * value
+    pairs = m * (m - 1)
     totals: Counter = Counter()
     for key, value in weighted.items():
-        totals[key], rest = divmod(value, m)
+        totals[key], rest = divmod(value, pairs)
         if rest:
-            raise AssertionError(f"orbit-weighted {key} = {value} is not a multiple of m={m}")
+            raise AssertionError(f"pair-weighted {key} = {value} is not a multiple of m(m-1)={pairs}")
     return totals
 
 
@@ -219,20 +311,26 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
     """Plus m-subsets by cluster count: stratum 0, then populated strata.
 
     Plus is hereditary under a fixed cap, so extending only plus
-    prefixes visits exactly the plus subsets.  Each orbit root starts
-    the state {root} and extends it in canonical order over the other
-    edges; _orbit_mean weights the rooted strata.  State: used and
+    prefixes visits exactly the plus subsets.  Each root pair starts the
+    state {root, rep}, two free edges or, when they share exactly two
+    vertices and cap >= 1, one cluster; a pair that is not plus starts
+    nothing.  The state extends in canonical order over the other edges,
+    and _orbit_mean weights the rooted strata.  State: used and
     clustered, the pairs all chosen and all clustered edges occupy;
     free, the pair rows of the chosen edges in no cluster; and t.  A
     candidate meeting no used pair joins as a free edge; while t < cap,
     one meeting exactly one used pair, held by a free edge, opens a
-    cluster with it; anything else is refused.
+    cluster with it; anything else is refused.  The walk needs no skip
+    for the two fixed edges: each meets the used pairs in all of its
+    C(r, 2) >= 3 pairs.  Below two edges or below r = 3 no two edges are
+    linked, and every m-subset is linear.
     """
-    if m == 0:
-        return {0: 1}
+    if m < 2 or index.r < 3:
+        return {0: math.comb(index.count, m)}
+    pairs = index.pairs
+    count = index.count
 
-    def rooted(root: int) -> Counter:
-        pairs = index.pairs[:root] + index.pairs[root + 1:]
+    def rooted(root: int, rep: int) -> Counter:
         strata: Counter = Counter()
 
         def extend(start: int, used: frozenset, clustered: frozenset, free: tuple, t: int, left: int):
@@ -242,7 +340,7 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
             if left == 1 and t >= cap:
                 strata[t] += sum(map(used.isdisjoint, pairs[start:]))
                 return
-            for i in range(start, len(pairs) - left + 1):
+            for i in range(start, count - left + 1):
                 ps = pairs[i]
                 if used.isdisjoint(ps):
                     extend(i + 1, used | ps, clustered, free + (ps,), t, left - 1)
@@ -253,8 +351,12 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
                         rest = tuple(g for g in free if g is not f)
                         extend(i + 1, used | ps, clustered | f | ps, rest, t + 1, left - 1)
 
-        own = index.pairs[root]
-        extend(0, own, frozenset(), (own,), 0, m - 1)
+        a, b = pairs[root], pairs[rep]
+        shared = a & b
+        if not shared:
+            extend(0, a | b, frozenset(), (a, b), 0, m - 2)
+        elif len(shared) == 1 and cap >= 1:
+            extend(0, a | b, a | b, (), 1, m - 2)
         return strata
 
     strata = _orbit_mean(index, m, rooted)

@@ -8,8 +8,10 @@ verifies by aggregate counting with both sides computed independently.
 
 Clusters come from hypergraphs.classify (Classification.pairs) for one
 hypergraph, and from EdgeSpaceIndex.classify_combo in the audit's sweep
-of the m-subsets that hold an edge-orbit root (census.edge_orbits);
-the move counts are written once, in _forward_total and _reverse_total.
+of the m-subsets that hold a root pair: a root per edge orbit
+(census.edge_orbits) and a second edge per orbit of the root's
+stabiliser (census.stabiliser_orbits).  The move counts are written
+once, in _forward_total and _reverse_total.
 classify also decides whether a given move is valid: apply_forward
 accepts it exactly when the result has one cluster fewer, apply_reverse
 exactly when the inserted pair is one of the result's clusters.  The
@@ -298,7 +300,7 @@ class AuditReport:
     """Aggregate switching audit over every m-subset of one instance.
 
     Strata, not_plus and the move sums are totals over every m-subset,
-    computed from the subsets that hold an orbit root; the measured
+    computed from the subsets that hold a root pair; the measured
     ranges are taken over those subsets, which meet every orbit of
     hypergraphs.
     """
@@ -341,13 +343,16 @@ def bijection_audit(
     per stratum t, the forward total from stratum t against the reverse
     total from stratum t-1, which an exact bijection forces to agree.
     Every quantity is invariant under the partition's automorphisms, so
-    only the m-subsets that hold an edge-orbit root are swept: strata,
-    not_plus and the move sums are weighted by orbit size and divided by
-    m exactly (census._orbit_mean), and the per-hypergraph ranges are
-    taken over the rooted subsets unweighted, since every orbit of
-    hypergraphs has a member there.
+    at m >= 2 only the m-subsets that hold a root pair are swept, one
+    pair per orbit of ordered edge pairs: strata, not_plus and the move
+    sums are weighted by the pair orbit's size and divided by m(m - 1)
+    exactly (census._orbit_mean).  A pair that is not plus adds its
+    binomial(sigma_r - 2, m - 2) subsets to not_plus unswept, since plus
+    is hereditary.  The per-hypergraph ranges are taken over the rooted
+    subsets unweighted: any two edges of a hypergraph can be carried to
+    a root pair, so every orbit of hypergraphs has a member there.
     """
-    _guard(pv, r, m, work_ceiling, cat=True)
+    total = _guard(pv, r, m, work_ceiling, cat=True)
     cap = cluster_threshold(pv, r, m)
     index = EdgeSpaceIndex(pv, r)
     fwd_range: dict[int, tuple[int, int]] = {}
@@ -358,11 +363,15 @@ def bijection_audit(
         lo, hi = ranges.get(t, (value, value))
         ranges[t] = (min(lo, value), max(hi, value))
 
-    def rooted(root: int) -> Counter:
+    def rooted(root: int, rep: int) -> Counter:
         tally: Counter = Counter()
-        others = [i for i in range(index.count) if i != root]
-        for rest in combinations(others, m - 1):
-            combo = tuple(sorted((root, *rest)))
+        if index.classify_combo(tuple(sorted((root, rep))), cap)[1] is not None:
+            # plus is hereditary: no m-subset holding this pair is plus
+            tally["not_plus", None] += math.comb(index.count - 2, m - 2)
+            return tally
+        others = [i for i in range(index.count) if i != root and i != rep]
+        for rest in combinations(others, m - 2):
+            combo = tuple(sorted((root, rep, *rest)))
             t, reason, clusters, free = index.classify_combo(combo, cap)
             if reason is not None:
                 tally["not_plus", None] += 1
@@ -377,8 +386,8 @@ def bijection_audit(
             widen(rev_range, t, rev)
         return tally
 
-    # the one 0-subset is plus with no clusters and no moves
-    totals = _orbit_mean(index, m, rooted) if m else Counter({("plus", 0): 1})
+    # below two edges every subset is plus with no clusters and no moves
+    totals = _orbit_mean(index, m, rooted) if m >= 2 else Counter({("plus", 0): total})
     counts = dict(sorted((t, c) for (kind, t), c in totals.items() if kind == "plus"))
     not_plus = totals["not_plus", None]
     fwd_sum = {t: c for (kind, t), c in totals.items() if kind == "forward"}

@@ -139,9 +139,10 @@ def _check_switchings(suite: _Suite) -> None:
     pinned_384 = None
     for g in enumerable_grid():
         rep = bijection_audit(g.pv, g.r, g.m)
-        # the audit classifies its rooted subsets with classify_combo, which
-        # the census's plus search does not use; both weight them by the
-        # same orbits (census._orbit_mean), held to an unrooted sweep below
+        # the audit classifies its pair-rooted subsets with classify_combo,
+        # which the census's plus search does not use; both weight them by
+        # the same pair orbits (census._orbit_mean), held to an unrooted
+        # sweep below
         census = census_by_cluster(g.pv, g.r, g.m)
         nonzero = {t: c for t, c in census.by_cluster.items() if c}
         if (nonzero, census.not_plus) != ({t: c for t, c in rep.strata.items() if c}, rep.not_plus):

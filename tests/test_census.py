@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +25,15 @@ from linhyp import (
     uniform_partition,
 )
 from linhyp import census, switching
-from linhyp.census import EdgeSpaceIndex, _plus_strata, edge_orbits, orbit_count
+from linhyp.census import (
+    EdgeSpaceIndex,
+    _plus_strata,
+    edge_orbits,
+    orbit_count,
+    pair_orbit_count,
+    stabiliser_orbits,
+)
+from linhyp.hypergraphs import cluster_threshold
 from linhyp.montecarlo import cluster_signature
 
 # (sizes, r, m) -> (total, by_cluster, not_plus); enumerated independently
@@ -361,3 +369,115 @@ def test_wrong_orbit_size_raises_instead_of_miscounting(monkeypatch, shift):
         _plus_strata(EdgeSpaceIndex(pv, 3), 4, 50)
     with pytest.raises(AssertionError):
         bijection_audit(pv, 3, 4)
+
+
+def _automorphisms(pv):
+    """Every automorphism of the partition, as a vertex map: equal-size parts permuted, then vertices inside each."""
+    parts = [list(pv.part_vertices(p)) for p in range(pv.k)]
+    classes = [[p for p in range(pv.k) if pv.sizes[p] == s] for s in sorted(set(pv.sizes))]
+    inner = list(product(*(permutations(range(len(vs))) for vs in parts)))
+    for images in product(*(permutations(c) for c in classes)):
+        target = {}
+        for c, image in zip(classes, images):
+            target.update(zip(c, image))
+        for perm in inner:
+            yield {v: parts[target[p]][perm[p][i]] for p, vs in enumerate(parts) for i, v in enumerate(vs)}
+
+
+def test_stabiliser_orbits_are_the_orbits_of_the_roots_stabiliser():
+    for sizes in ((2, 1, 2, 1), (3, 1, 2, 2), (1,) * 6):
+        pv = partition(sizes)
+        index = EdgeSpaceIndex(pv, 3)
+        group = list(_automorphisms(pv))
+
+        def image(g, i):
+            return index.position[tuple(sorted(g[v] for v in index.edges[i]))]
+
+        for root, _ in edge_orbits(index):
+            stabiliser = [g for g in group if image(g, root) == root]
+            orbits = stabiliser_orbits(index, root)
+            assert sum(size for _, size in orbits) == index.count - 1, (sizes, root)
+            covered = set()
+            for rep, size in orbits:
+                orbit = {image(g, rep) for g in stabiliser}
+                assert (len(orbit), min(orbit)) == (size, rep), (sizes, root, rep)
+                assert covered.isdisjoint(orbit), (sizes, root, rep)
+                covered |= orbit
+            assert covered == set(range(index.count)) - {root}, (sizes, root)
+
+
+def test_pair_orbit_count_matches_the_stabiliser_orbits():
+    shapes = (
+        (2, 2, 2), (3, 1, 2), (4, 2, 3, 1, 2), (1,) * 7, (2, 1, 2, 1), (3, 3, 1), (1, 1, 2, 3),
+        (3, 1, 2, 2), (2, 2, 2, 2), (5, 1, 1, 3, 3),
+    )
+    for sizes in shapes:
+        pv = partition(sizes)
+        for r in range(0, pv.k + 1):
+            index = EdgeSpaceIndex(pv, r)
+            want = sum(len(stabiliser_orbits(index, root)) for root, _ in edge_orbits(index))
+            assert pair_orbit_count(pv, r) == want, (sizes, r)
+    # one orbit of edges; a second edge shares 0, 1 or 2 vertices with the root
+    assert pair_orbit_count(uniform_partition(8), 3) == 3
+
+
+def test_rooted_price_counts_the_pair_orbits_when_it_refuses():
+    # (3,1,2,2) r=3 m=4: 28 edges, one C(26, 2)-subset sweep of 6 pair checks per pair orbit
+    pv = partition((3, 1, 2, 2))
+    price = 28 + pair_orbit_count(pv, 3) * math.comb(26, 2) * 6
+    assert pair_orbit_count(pv, 3) == 30
+    with pytest.raises(WorkCeilingError) as info:
+        count_linear(pv, 3, 4, work_ceiling=price - 1)
+    assert info.value.required == price
+    assert count_linear(pv, 3, 4, work_ceiling=price) == count_linear_naive(pv, 3, 4)
+    with pytest.raises(WorkCeilingError) as info:
+        bijection_audit(pv, 3, 4, work_ceiling=price + 28 ** 2 - 1)
+    assert info.value.required == price + 28 ** 2
+
+
+@pytest.mark.parametrize("shift", [(1, 0), (1, -1)])
+def test_wrong_stabiliser_orbit_size_raises_or_changes_the_answer(monkeypatch, shift):
+    # (1, 0) leaves the sizes short of sigma_r - 1 and must raise; (1, -1)
+    # keeps the sum, so it must raise on a remainder or change an answer
+    pv = partition((2, 1, 2, 1))
+    calls = (
+        lambda: _plus_strata(EdgeSpaceIndex(pv, 3), 4, 50),
+        lambda: bijection_audit(pv, 3, 4).to_json_dict(),
+    )
+    want = [call() for call in calls]
+    true_orbits = census.stabiliser_orbits
+
+    def wrong(index, root):
+        (a, x), (b, y), *rest = true_orbits(index, root)
+        return [(a, x + shift[0]), (b, y + shift[1]), *rest]
+
+    monkeypatch.setattr(census, "stabiliser_orbits", wrong)
+    for call, expected in zip(calls, want):
+        try:
+            got = call()
+        except AssertionError:
+            continue
+        assert shift[1] and got != expected
+
+
+@pytest.mark.parametrize("sizes, r, m", [((1,) * 8, 3, 4), ((2, 2, 2, 2), 3, 5), ((3, 3, 3), 3, 4)])
+def test_audit_move_sums_regroup_over_the_unrooted_remainder(sizes, r, m):
+    # removing the switched pair leaves an (m-2)-set h0 in stratum t-1; the
+    # pairs sharing exactly two vertices and compatible with h0 are the
+    # clusters that restore stratum t, and the ordered compatible pairs
+    # sharing at most one vertex are the replacements, so below the cap
+    # both move sums are sum 2 n_eq2 (C(size, 2) - n_ge2) over those h0
+    pv = partition(sizes)
+    cap = cluster_threshold(pv, r, m)
+    index = EdgeSpaceIndex(pv, r)
+    want = {}
+    for h0 in combinations(range(index.count), m - 2):
+        t, reason = cluster_signature([index.edges[i] for i in h0])
+        if reason is None and t < cap:
+            size, n_ge2, n_eq2 = index.compat_stats(h0)
+            want[t + 1] = want.get(t + 1, 0) + 2 * n_eq2 * (math.comb(size, 2) - n_ge2)
+    audit = bijection_audit(pv, r, m)
+    assert [rec.t for rec in audit.records] == list(range(1, m // 2 + 1))
+    for rec in audit.records:
+        assert rec.t <= cap
+        assert rec.sum_forward == rec.sum_reverse == want.get(rec.t, 0), (sizes, rec.t)
