@@ -372,7 +372,8 @@ def test_wrong_orbit_size_raises_instead_of_miscounting(monkeypatch, shift):
 
 
 def _automorphisms(pv):
-    """Every automorphism of the partition, as a vertex map: equal-size parts permuted, then vertices inside each."""
+    """Every automorphism of the partition as a vertex map: equal-size parts
+    permuted among themselves, then the vertices inside each part."""
     parts = [list(pv.part_vertices(p)) for p in range(pv.k)]
     classes = [[p for p in range(pv.k) if pv.sizes[p] == s] for s in sorted(set(pv.sizes))]
     inner = list(product(*(permutations(range(len(vs))) for vs in parts)))
@@ -422,10 +423,11 @@ def test_pair_orbit_count_matches_the_stabiliser_orbits():
 
 
 def test_rooted_price_counts_the_pair_orbits_when_it_refuses():
-    # (3,1,2,2) r=3 m=4: 28 edges, one C(26, 2)-subset sweep of 6 pair checks per pair orbit
+    # (3,1,2,2) r=3 m=4: 28 edges, 30 pair orbits, and per pair orbit a
+    # sweep of C(26, 2) subsets of 6 pair checks each
     pv = partition((3, 1, 2, 2))
-    price = 28 + pair_orbit_count(pv, 3) * math.comb(26, 2) * 6
     assert pair_orbit_count(pv, 3) == 30
+    price = 28 + 30 * math.comb(26, 2) * 6
     with pytest.raises(WorkCeilingError) as info:
         count_linear(pv, 3, 4, work_ceiling=price - 1)
     assert info.value.required == price
