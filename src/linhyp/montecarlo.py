@@ -7,10 +7,15 @@ time, each block on its own counter RNG keyed (seed, block):
    uniform sorted m-subset of edge ids, with no rejection;
 2. unrank: EdgeSampler.unrank_many maps the ids to vertex tuples through
    the part-suffix counts, so part subsets come out with probability
-   proportional to the product of their part sizes;
+   proportional to the product of their part sizes: one searchsorted per
+   vertex but the last, which is n + 1 minus the remaining weight;
 3. classify: classify_rows sorts each row's vertex-subset codes and reads
    the plus classification and the overlap count off the runs of equal
-   codes.
+   codes.  Shared triples are found first, and the pair codes are
+   analysed only on the rows they leave undecided (on every row when
+   overlaps are tracked); the argsort test of whether the linked pairs
+   form a matching runs only on rows with two or more linked pairs and
+   no run of three equal pair codes.
 
 Nothing indexes the edge space or its edge pairs, so a block needs
 O(BLOCK_TRIALS * m * r) memory however large sigma_r is.  One seed pins
@@ -29,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterator
 
@@ -134,33 +139,41 @@ class EdgeSampler:
         return tuple(verts)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The suffix table and the first vertex of each part, as int64 arrays."""
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The suffix table by column, each column reversed, and the first vertex of each part.
+
+        columns[j][i] = suffix[i][j], and rising[j] = columns[j][:0:-1]
+        is sorted for searchsorted; all are contiguous int64 rows.
+        """
+        columns = np.array(self.suffix, dtype=np.int64).T.copy()
         first = np.cumsum((1,) + self.pv.sizes[:-1], dtype=np.int64)
-        return np.array(self.suffix, dtype=np.int64), first
+        return columns, columns[:, :0:-1].copy(), first
 
     def unrank_many(self, ids: np.ndarray) -> np.ndarray:
         """Vertex tuples of an int64 array of edge ids, shape ids.shape + (r,).
 
-        Each of the r levels is one searchsorted on a suffix column.
-        With key the weight from the id to the end of the order, the
-        next vertex lies in the first part i with suffix[i+1][j] < key;
-        that column falls with i, so its reverse is sorted.  Needs every
-        suffix count below 2**63.
+        key is the weight from the id to the end of the order.  At each
+        level j >= 2 the next vertex lies in the first part i with
+        suffix[i+1][j] < key, found by one searchsorted on the rising
+        suffix column.  At j = 1 every vertex weighs one, so key counts
+        vertices from the end and the last vertex is n + 1 - key: r - 1
+        searches in all, and none at r = 1.  Needs every suffix count
+        below 2**63.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.total):
             raise DomainError(f"edge ids outside [0, {self.total})")
         k = self.pv.k
-        suffix, first = self._arrays
+        columns, rising, first = self._arrays
         key = self.total - ids
         out = np.empty(ids.shape + (self.r,), dtype=np.int64)
-        for level, j in enumerate(range(self.r, 0, -1)):
-            part = k - np.searchsorted(suffix[:0:-1, j], key)
-            step = suffix[part + 1, j - 1]
-            local, rest = np.divmod(suffix[part, j] - key, step)
-            out[..., level] = first[part] + local
+        for level, j in enumerate(range(self.r, 1, -1)):
+            part = k - np.searchsorted(rising[j], key)
+            step = columns[j - 1].take(part + 1)
+            local, rest = np.divmod(columns[j].take(part) - key, step)
+            out[..., level] = first.take(part) + local
             key = step - rest
+        out[..., -1] = self.pv.n + 1 - key
         return out
 
 
@@ -217,13 +230,55 @@ def _classifier_guard(n: int, r: int, m: int, trials: int, track_overlaps: bool)
 
 def _subset_codes(verts: np.ndarray, alpha: int, base: int) -> np.ndarray:
     """(rows, m * C(r, alpha)) codes of every alpha-subset of every edge, edge-major."""
-    cols = []
-    for pos in combinations(range(verts.shape[2]), alpha):
-        code = verts[:, :, pos[0]]
+    rows, m, r = verts.shape
+    subsets = list(combinations(range(r), alpha))
+    codes = np.empty((rows, m, len(subsets)), dtype=np.int64)
+    for c, pos in enumerate(subsets):
+        code = codes[:, :, c]
+        code[...] = verts[:, :, pos[0]]
         for p in pos[1:]:
-            code = code * base + verts[:, :, p]
-        cols.append(code)
-    return np.stack(cols, axis=2).reshape(len(verts), -1)
+            code *= base
+            code += verts[:, :, p]
+    return codes.reshape(rows, m * len(subsets))
+
+
+def _equal_neighbours(codes: np.ndarray) -> np.ndarray:
+    """(rows, width - 1) flags: which neighbours in each sorted row are equal."""
+    ordered = np.sort(codes, axis=1)
+    return ordered[:, 1:] == ordered[:, :-1]
+
+
+def _shared_counts(same: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(T, deep) per row, from the equal-neighbour flags of the sorted codes.
+
+    deep marks the rows with a run of three or more equal codes.  T is
+    the sum of C(occ, 2) over the runs of occ equal codes; on a row
+    that is not deep every run is a pair, so T is its number of equal
+    neighbours.  The deep rows keep that number unless exact, when they
+    sum the rank of each code within its run (a run of occ ranks sums
+    to C(occ, 2)) in a fixed number of passes, however deep the runs.
+    """
+    shared = np.count_nonzero(same, axis=1)
+    deep = (same[:, 1:] & same[:, :-1]).any(axis=1)
+    if exact and deep.any():
+        runs = same[deep]
+        pos = np.arange(runs.shape[1] + 1)
+        start = np.zeros((len(runs), len(pos)), dtype=np.int64)
+        start[:, 1:] = np.where(runs, 0, pos[1:])
+        shared[deep] = (pos - np.maximum.accumulate(start, axis=1)).sum(axis=1)
+    return shared, deep
+
+
+def _edges_touched(codes: np.ndarray, same: np.ndarray, m: int) -> np.ndarray:
+    """Per row, the distinct edges holding a code that some other edge shares."""
+    in_run = np.zeros(codes.shape, dtype=bool)
+    in_run[:, 1:] = same
+    in_run[:, :-1] |= same
+    touched = np.zeros_like(in_run)
+    np.put_along_axis(touched, np.argsort(codes, axis=1), in_run, axis=1)
+    # an OR over each edge's subsets, one strided pass per subset
+    by_subset = touched.reshape(len(codes), m, -1).transpose(2, 0, 1)
+    return np.count_nonzero(reduce(np.logical_or, by_subset), axis=1)
 
 
 def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = False):
@@ -232,52 +287,54 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     The alpha-subsets of each edge (alpha = 2, 3, and up to r-1 with
     track_overlaps) become int64 codes.  Sorting a row puts equal codes
     in runs; a run of occ codes adds C(occ, 2) to T_alpha, the number of
-    edge pairs sharing an alpha-subset.  In plus_violation's order: a
-    shared 3-subset is OVERLAP_GE3; linked pairs that touch fewer than
-    2 T_2 distinct edges (some edge lies in two of them) are
-    CLUSTER_GT2_EDGES; otherwise there are t = T_2 linked pairs, and
-    TOO_MANY_CLUSTERS when t > cap.
+    edge pairs sharing an alpha-subset.  In plus_violation's order:
+
+    - alpha >= 3 goes first.  A row with two equal neighbouring 3-codes
+      shares a triple and is OVERLAP_GE3; without track_overlaps that
+      is all these sizes are sorted for.
+    - alpha = 2: t is the number of equal neighbouring pair codes.  A
+      row with a run of three equal pair codes has three edges on one
+      pair and is CLUSTER_GT2_EDGES.  On the other rows every run is
+      one linked pair, so t = T_2, and the linked pairs form a matching
+      exactly when they touch 2t distinct edges; only rows with t >= 2,
+      no run of three and no shared triple run that argsort test, as
+      one linked pair always touches two edges.  A row that fails it
+      is CLUSTER_GT2_EDGES, and otherwise TOO_MANY_CLUSTERS when t > cap.
 
     Returns (t, reason, overlaps): reason indexes REASONS, and t is the
-    cluster count where reason is 0.  overlaps counts the edge pairs
-    sharing two or more vertices, by shared_pair_counts, with
-    track_overlaps; else it is None.
+    cluster count where reason is 0 (elsewhere it is T_2 with
+    track_overlaps and unspecified without).  overlaps counts the edge
+    pairs sharing two or more vertices, by shared_pair_counts on the
+    exact T_alpha, with track_overlaps; else it is None.
     """
     rows, m, r = verts.shape
+    alphas = _subset_sizes(r, track_overlaps)
     t_by_alpha = {}
+    triple = np.zeros(rows, dtype=bool)
+    for alpha in alphas[1:]:
+        same = _equal_neighbours(_subset_codes(verts, alpha, n + 1))
+        if track_overlaps:
+            t_by_alpha[alpha] = _shared_counts(same, exact=True)[0]
+        if alpha == 3:
+            triple = same.any(axis=1)
+    t = np.zeros(rows, dtype=np.int64)
     in_two_pairs = np.zeros(rows, dtype=bool)
-    for alpha in _subset_sizes(r, track_overlaps):
-        codes = _subset_codes(verts, alpha, n + 1)
-        width = codes.shape[1]
-        ordered = np.sort(codes, axis=1)
-        same = ordered[:, 1:] == ordered[:, :-1]
-        hit = np.flatnonzero(same.any(axis=1))
-        shared = np.zeros(rows, dtype=np.int64)
-        if hit.size:
-            same = same[hit]
-            # rank of a code within its run of equal codes: a run of occ
-            # ranks sums to C(occ, 2)
-            pos = np.arange(width)
-            start = np.zeros((hit.size, width), dtype=np.int64)
-            start[:, 1:] = np.where(same, 0, pos[1:])
-            rank = pos - np.maximum.accumulate(start, axis=1)
-            shared[hit] = rank.sum(axis=1)
-            if alpha == 2:
-                # the T_2 linked pairs form a matching exactly when they
-                # touch 2 T_2 distinct edges
-                in_run = np.zeros((hit.size, width), dtype=bool)
-                in_run[:, 1:] = same
-                in_run[:, :-1] |= same
-                touched = np.zeros_like(in_run)
-                np.put_along_axis(touched, np.argsort(codes[hit], axis=1), in_run, axis=1)
-                touched = touched.reshape(hit.size, m, -1).any(axis=2)
-                in_two_pairs[hit] = touched.sum(axis=1) < 2 * shared[hit]
-        t_by_alpha[alpha] = shared
-    t = t_by_alpha.get(2, np.zeros(rows, dtype=np.int64))
+    if alphas:
+        # a shared triple decides a row, unless its T_2 counts towards overlaps
+        live = slice(None) if track_overlaps or not triple.any() else ~triple
+        codes = _subset_codes(verts[live], 2, n + 1)
+        same = _equal_neighbours(codes)
+        # an edge in a run of three lies in two linked pairs
+        shared, in_two = _shared_counts(same, exact=track_overlaps)
+        check = np.flatnonzero((shared >= 2) & ~in_two & ~triple[live])
+        if check.size:
+            in_two[check] = _edges_touched(codes[check], same[check], m) < 2 * shared[check]
+        t[live] = shared
+        in_two_pairs[live] = in_two
+        t_by_alpha[2] = t
     reason = np.where(t > cap, 3, 0).astype(np.int8)
     reason[in_two_pairs] = 2
-    if 3 in t_by_alpha:
-        reason[t_by_alpha[3] > 0] = 1
+    reason[triple] = 1
     overlaps = None
     if track_overlaps:
         overlaps = np.zeros(rows, dtype=np.int64) + shared_pair_counts(t_by_alpha, r)[0]

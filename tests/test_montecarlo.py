@@ -244,6 +244,48 @@ def test_sample_report_json_shape():
     assert isinstance(payload["p_hat"], float)
 
 
+def test_seeded_reports_are_pinned():
+    # whole seeded reports, so a changed t or reason on a few rows cannot
+    # hide inside the statistical bands; the last cell puts every edge on
+    # the pair {1, 2}, one run of m equal pair codes per row
+    cells = [
+        (partition((3,) * 6), 4, 12, 20000, 141, False),
+        (uniform_partition(40), 3, 20, 20000, 142, False),
+        (uniform_partition(20), 3, 10, 20000, 143, True),
+        (partition((1, 1, 1000)), 3, 300, 1024, 144, False),
+    ]
+    want = [
+        {
+            "parts": [3, 3, 3, 3, 3, 3], "r": 4, "m": 12, "trials": "20000", "seed": 141,
+            "hits": "0", "p_hat": 0.0, "stderr": 0.0, "cluster_histogram": {"4": "1"},
+            "violation_counts": {"cluster_gt2_edges": "3210", "overlap_ge3": "16789"},
+        },
+        {
+            "parts": [1] * 40, "r": 3, "m": 20, "trials": "20000", "seed": 142,
+            "hits": "2221", "p_hat": 0.11105, "stderr": 0.002221687393626745,
+            "cluster_histogram": {
+                "0": "2221", "1": "5155", "2": "4833", "3": "2317", "4": "627", "5": "103", "6": "5",
+            },
+            "violation_counts": {"cluster_gt2_edges": "4739"},
+        },
+        {
+            "parts": [1] * 20, "r": 3, "m": 10, "trials": "20000", "seed": 143,
+            "hits": "2326", "p_hat": 0.1163, "stderr": 0.0022668735077193878,
+            "cluster_histogram": {"0": "2326", "1": "5649", "2": "4211", "3": "1096", "4": "85", "5": "2"},
+            "violation_counts": {"cluster_gt2_edges": "6631"},
+            "overlap_total": "40177", "overlap_mean": 2.00885,
+        },
+        {
+            "parts": [1, 1, 1000], "r": 3, "m": 300, "trials": "1024", "seed": 144,
+            "hits": "0", "p_hat": 0.0, "stderr": 0.0, "cluster_histogram": {},
+            "violation_counts": {"cluster_gt2_edges": "1024"},
+        },
+    ]
+    for (pv, r, m, trials, seed, track), payload in zip(cells, want):
+        rep = estimate_linear_probability(pv, r, m, trials, seed=seed, track_overlaps=track)
+        assert rep.to_json_dict() == payload, (pv.sizes[:6], r, m)
+
+
 def test_unrank_many_is_the_scalar_bijection():
     # irregular parts at every r from 3 to k, and k = r
     cases = [((4, 2, 3, 1, 2), r) for r in (3, 4, 5)] + [((2, 3, 1), 3), ((3, 1, 2, 2), 4)]
@@ -257,6 +299,24 @@ def test_unrank_many_is_the_scalar_bijection():
     assert sampler.unrank_many(np.zeros((2, 0), dtype=np.int64)).shape == (2, 0, 3)
     with pytest.raises(DomainError):
         sampler.unrank_many(np.array([0, 8]))
+
+
+def test_unrank_many_matches_unrank_at_large_ids():
+    # parts of a million vertices and edge ids above 2**31; r = 1 is the
+    # closed-form last level alone
+    cases = [((10 ** 6, 10 ** 6, 3), r) for r in (1, 2, 3)]
+    cases += [((2 ** 20,) * 4, r) for r in (1, 2, 3)]
+    for sizes, r in cases:
+        pv = partition(sizes)
+        sampler = EdgeSampler(pv, r)
+        drawn = _draw_block(make_rng(r), sampler.total, 1, 5)[0]
+        ids = np.array([0, sampler.total - 1, *drawn.tolist()], dtype=np.int64)
+        got = [tuple(v) for v in sampler.unrank_many(ids).tolist()]
+        assert got == [sampler.unrank(int(i)) for i in ids], (sizes, r)
+        assert got[-1][-1] <= pv.n and (r == 1 or sampler.total > 2 ** 31)
+    # at r = k = 4 the 2**20 parts hold 2**80 edges: refused before unranking
+    with pytest.raises(DomainError):
+        draw_subset_ids(partition((2 ** 20,) * 4), 4, 2, 10)
 
 
 class _Drawn:
@@ -276,11 +336,15 @@ class _Drawn:
 @given(data=st.data())
 # the whole edge space of parts 3,3,3: every pair code runs three deep
 @example(data=_Drawn(sizes=[3, 3, 3], r=3, m=27, cap=50, seed=0))
+# rows with a shared triple (t = 10 and 3), a run of three pair codes
+# (t = 3), two matchings (t = 1 and t = 2 > cap) and a failed matching
+@example(data=_Drawn(sizes=[3, 3, 3, 3], r=4, m=4, cap=1, seed=47))
 def test_batch_classifier_agrees_with_classify_combo(data):
     # every drawn row: classify_rows's (t, reason) against classify_combo,
-    # and its overlap count against the cat matrix
+    # and its overlap count against the cat matrix; r = 5 codes 2-, 3-
+    # and 4-subsets for the overlap count
     sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=5), label="sizes"))
-    r = data.draw(st.sampled_from([r for r in (3, 4) if r <= len(sizes)]), label="r")
+    r = data.draw(st.sampled_from([r for r in (3, 4, 5) if r <= len(sizes)]), label="r")
     pv = partition(sizes)
     index = EdgeSpaceIndex(pv, r)
     sampler = EdgeSampler(pv, r)
