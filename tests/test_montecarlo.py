@@ -313,7 +313,7 @@ def test_unrank_many_matches_unrank_at_large_ids():
         ids = np.array([0, sampler.total - 1, *drawn.tolist()], dtype=np.int64)
         got = [tuple(v) for v in sampler.unrank_many(ids).tolist()]
         assert got == [sampler.unrank(int(i)) for i in ids], (sizes, r)
-        assert got[-1][-1] <= pv.n and (r == 1 or sampler.total > 2 ** 31)
+        assert r == 1 or sampler.total > 2 ** 31
     # at r = k = 4 the 2**20 parts hold 2**80 edges: refused before unranking
     with pytest.raises(DomainError):
         draw_subset_ids(partition((2 ** 20,) * 4), 4, 2, 10)
