@@ -3,7 +3,10 @@
 Vertices 1..n are laid out in consecutive blocks: part 0 holds 1..n_0,
 part 1 holds the next n_1 integers, and so on.  The elementary symmetric
 functions are taken over the part-size histogram, so equal parts cost one
-closed-form factor, not one step each.  Everything here is exact integer
+closed-form factor, not one step each.  The sizes are walked once, by
+C-level builtins, when the vector is built: that pass validates them and
+counts them, and n, the smallest size and the sum of 1/n_i are then read
+from the histogram, not from the parts.  Everything here is exact integer
 or rational arithmetic up to the final math.log in log_sigma, which takes
 the exact sigma however large it is.
 """
@@ -14,7 +17,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -37,40 +40,45 @@ def falling_factorial(x: int, t: int) -> int:
 class PartitionVector:
     """Immutable vector of part sizes, all at least 1.
 
-    n, the part bounds and the size histogram are built on first use and
-    kept; equality and hashing read sizes alone.
+    n and the size histogram are built at construction, from one counting
+    pass over the sizes; the part bounds are built on first use and kept.
+    Equality and hashing read sizes alone.
     """
 
     sizes: tuple[int, ...]
+    # (size, number of parts of that size), sizes in first-seen order
+    size_counts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            sizes = tuple(map(operator.index, self.sizes))
+            sizes = tuple(self.sizes)
+            # a tuple of exact ints is kept as given; numpy integers and
+            # bools become ints, and anything without __index__ is refused.
+            # The per-part type test matters: a Counter would merge 3.0 or
+            # True into the int key 3 or 1.  A first part that is not an
+            # int (a numpy array's) already decides it without the pass.
+            if not (sizes and type(sizes[0]) is int and set(map(type, sizes)) == {int}):
+                sizes = tuple(map(operator.index, sizes))
         except TypeError:
             raise DomainError(f"part sizes must be integers, got {self.sizes}") from None
         if not sizes:
             raise DomainError("a partition vector needs at least one part")
-        if min(sizes) < 1:
+        size_counts = tuple(Counter(sizes).items())
+        if min(size for size, _ in size_counts) < 1:
             raise DomainError(f"part sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "size_counts", size_counts)
+        object.__setattr__(self, "n", sum(size * count for size, count in size_counts))
 
     @property
     def k(self) -> int:
         return len(self.sizes)
 
     @cached_property
-    def n(self) -> int:
-        return sum(self.sizes)
-
-    @cached_property
     def _bounds(self) -> tuple[int, ...]:
         """bounds[i] = last vertex id of part i."""
         return tuple(accumulate(self.sizes))
-
-    @cached_property
-    def size_counts(self) -> tuple[tuple[int, int], ...]:
-        """(size, number of parts of that size), sizes in first-seen order."""
-        return tuple(Counter(self.sizes).items())
 
     def part_of(self, v: int) -> int:
         """0-based index of the part containing vertex v (1-based)."""
@@ -84,7 +92,8 @@ class PartitionVector:
         return range(lo, self._bounds[i] + 1)
 
     def reciprocal_sum(self) -> Fraction:
-        return sum((Fraction(1, s) for s in self.sizes), Fraction(0))
+        """sum_i 1/n_i, exact: count/size summed over the size histogram."""
+        return sum((Fraction(count, size) for size, count in self.size_counts), Fraction(0))
 
 
 def partition(sizes: Iterable[int]) -> PartitionVector:
@@ -115,6 +124,11 @@ def sigmas(pv: PartitionVector, s: int) -> tuple[int, ...]:
     _check_order(pv, s)
     coeff = [1] + [0] * s
     for size, count in pv.size_counts:
+        if count == 1:
+            # 1 + size x, in place from the top: no snapshot needed
+            for j in range(s, 0, -1):
+                coeff[j] += coeff[j - 1] * size
+            continue
         prev = coeff[:]
         term = 1
         for i in range(1, min(count, s) + 1):

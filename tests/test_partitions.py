@@ -1,9 +1,12 @@
 """Tests for part vectors, symmetric sums, and the classical inequalities."""
 
+import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +47,14 @@ def test_partition_vector_basic():
     assert pv.reciprocal_sum() == Fraction(3, 2)
     # numpy integers are integral sizes too
     assert partition(make_rng(0).integers(1, 4, size=5)).k == 5
+    # the histogram readers against per-part oracles, on a numpy array
+    raw = make_rng(1515).integers(1, 40, size=1000)
+    pv = partition(raw)
+    parts = [int(x) for x in raw]
+    assert pv.sizes == tuple(parts)
+    assert pv.n == sum(parts)
+    assert pv.size_counts == tuple(Counter(parts).items())
+    assert pv.reciprocal_sum() == sum((Fraction(1, x) for x in parts), Fraction(0))
 
 
 def test_part_bounds_built_on_first_use_cover_the_vertices():
@@ -85,7 +96,32 @@ def test_partition_vector_rejects_bad_sizes():
     with pytest.raises(DomainError):
         partition((2, -1))
     with pytest.raises(DomainError):
+        partition((0, 2, 2))
+    with pytest.raises(DomainError):
         partition((2.5, 1))
+    # equal to an int, but not an integer type: a Counter would merge these
+    with pytest.raises(DomainError):
+        partition((3, 3.0))
+    with pytest.raises(DomainError):
+        partition((2, "2"))
+    with pytest.raises(DomainError):
+        PartitionVector(5)
+
+
+def test_constructor_keeps_exact_ints_and_canonicalises_the_rest():
+    given = (4, 1, 3)
+    assert partition(given).sizes is given
+    from_list = PartitionVector([2, 2, 2])
+    assert type(from_list.sizes) is tuple
+    assert from_list == partition((2, 2, 2)) and hash(from_list) == hash(partition((2, 2, 2)))
+    mixed = partition((3, np.int64(3), True))
+    assert mixed.sizes == (3, 3, 1)
+    assert all(type(x) is int for x in mixed.sizes)
+    assert json.dumps(list(mixed.sizes)) == "[3, 3, 1]"
+    assert mixed.size_counts == ((3, 2), (1, 1))
+    huge = partition((2 ** 70, 3, 5))
+    assert huge.n == 2 ** 70 + 8
+    assert sigma(huge, 3) == 2 ** 70 * 15
 
 
 def test_uniform_partition_is_all_singletons():
@@ -185,6 +221,8 @@ def test_estimate_partite_matches_newton_identities_at_scale():
     e3, rem3 = divmod(e2 * p1 - e1 * p2 + p3, 3)
     assert rem2 == rem3 == 0
     est = estimate_partite(pv, 3, m)
+    # the estimate reads the histogram only: no per-part bounds are built
+    assert "_bounds" not in vars(pv)
     assert est.correction_exact == -Fraction(e2 * e1 ** 2 * m * (m - 1), 2 * e3 * e3)
     assert est.leading_log == pytest.approx(m * math.log(e3) - math.lgamma(m + 1), rel=1e-12)
 
