@@ -8,8 +8,9 @@ orbit of ordered pairs of distinct edges under the partition's
 automorphisms, one root per edge orbit (edge_orbits) and one second edge
 per orbit of the root's stabiliser (stabiliser_orbits), on the m-subsets
 that hold both edges; _orbit_mean turns the rooted tallies into totals
-over every m-subset.  count_linear_naive filters every subset and
-exists to cross-check them.  All counts are exact integers.
+over every m-subset.  count_linear_naive filters every subset by vertex
+bitmasks, with no EdgeSpaceIndex, and exists to cross-check them.  All
+counts are exact integers.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ class EdgeSpaceIndex:
     carries one table, pairs: per edge, the frozenset of ids of its
     vertex pairs (at r = 2 the edge's one pair, which no other edge
     holds; empty rows when r <= 1).  Two distinct edges are linked
-    exactly when their pair rows meet.  Built on first use, and only
-    when two edges are compared: cat, the pairwise overlap matrix, from
-    the occupants of each vertex pair.
+    exactly when their pair rows meet.  Built on first use: position,
+    the id of each vertex tuple, for the switching move counters; and
+    cat, the pairwise overlap matrix, from the occupants of each vertex
+    pair, read only by classify_combo, which only the switching audit
+    calls.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -52,7 +55,6 @@ class EdgeSpaceIndex:
         self.r = r
         self.edges: list[tuple[int, ...]] = [e.vertices for e in edge_space(pv, r)]
         self.count = len(self.edges)
-        self.position = {vs: i for i, vs in enumerate(self.edges)}
 
         # intern vertex pairs as small integers
         table: dict[tuple[int, int], int] = {}
@@ -62,6 +64,11 @@ class EdgeSpaceIndex:
         ]
 
         self._cat: list[bytearray] | None = None
+
+    @cached_property
+    def position(self) -> dict[tuple[int, ...], int]:
+        """Edge id of each sorted vertex tuple."""
+        return {vs: i for i, vs in enumerate(self.edges)}
 
     @cached_property
     def vertex_part(self) -> list[int]:
@@ -192,32 +199,28 @@ def pair_orbit_count(pv: PartitionVector, r: int) -> int:
     return coeff[-1] - orbit_count(pv, r)
 
 
-def _guard(
-    pv: PartitionVector, r: int, m: int, work_ceiling: int, rooted: bool = True,
-    cat: bool = False,
-) -> int:
+def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = False) -> int:
     """count_all, after refusing a work estimate above the ceiling.
 
-    The estimate prices what the caller builds and runs: sigma_r for the
-    edge index, sigma_r^2 for cat when the caller reads it (cat=True and
-    m >= 2), and C(m, 2) pair checks per visited m-subset.  Rooted
-    callers at m >= 2 visit the m-subsets that hold a root pair,
-    pair_orbit_count * binomial(sigma_r - 2, m - 2) of them, and at m = 1
-    one subset per edge orbit; the others visit all binomial(sigma_r, m).
-    Each edge orbit has at most sigma_r - 1 stabiliser orbits, so the
-    pair orbits are counted only when that bound would refuse.  Nothing
-    is allocated before the refusal.
+    The estimate prices what a pair-rooted caller builds and runs:
+    sigma_r for the edge index, sigma_r^2 for cat when the caller reads
+    it (the audit, cat=True, at m >= 2), and C(m, 2) pair checks per
+    visited m-subset.  At m >= 2 the visited m-subsets are those that
+    hold a root pair, pair_orbit_count * binomial(sigma_r - 2, m - 2) of
+    them; at m = 1 one subset per edge orbit, and at m = 0 the empty
+    subset.  Each edge orbit has at most sigma_r - 1 stabiliser orbits,
+    so the pair orbits are counted only when that bound would refuse.
+    Nothing is allocated before the refusal.
     """
     total = count_all(pv, r, m)
     edge_count = sigma(pv, r)
-    checks = max(1, m * (m - 1) // 2)
     work = edge_count + (edge_count ** 2 if cat and m >= 2 else 0)
-    if not rooted or m == 0:
-        work += total * checks
+    if m == 0:
+        work += 1
     elif m == 1:
         work += orbit_count(pv, r)
     else:
-        per_pair = math.comb(edge_count - 2, m - 2) * checks
+        per_pair = math.comb(edge_count - 2, m - 2) * (m * (m - 1) // 2)
         pair_orbits = orbit_count(pv, r) * (edge_count - 1)
         if work + pair_orbits * per_pair > work_ceiling:
             pair_orbits = pair_orbit_count(pv, r)
@@ -385,30 +388,25 @@ def count_linear_naive(
 ) -> int:
     """Filter every m-subset for pairwise overlaps <= 1.
 
-    Deliberately independent of count_linear: no pruning, no shared
-    search logic, and no orbit rooting, so it stays independent of
-    edge_orbits too; its guard prices the full sweep.  Kept as a
-    cross-check oracle for the fast path.
+    Deliberately independent of count_linear: it reads the vertex sets
+    of edge_space as bitmasks and builds no edge index, no pair rows and
+    no overlap matrix, and it does no pruning and no orbit rooting.  Two
+    edges overlap in two or more vertices exactly when their common mask
+    has more than one bit set.  The price is its own full sweep, sigma_r
+    + binomial(sigma_r, m) * C(m, 2) pair checks.  Kept as a cross-check
+    oracle for the fast path.
     """
-    _guard(pv, r, m, work_ceiling, rooted=False, cat=True)
-    if m == 0:
-        return 1
-    index = EdgeSpaceIndex(pv, r)
-    if m == 1:
-        return index.count
-    cat = index.cat
+    work = sigma(pv, r) + count_all(pv, r, m) * (m * (m - 1) // 2)
+    if work > work_ceiling:
+        raise WorkCeilingError(work, work_ceiling, "census")
+    masks = [sum(1 << v for v in e.vertices) for e in edge_space(pv, r)]
     count = 0
-    for combo in combinations(range(index.count), m):
-        ok = True
-        for x in range(m - 1):
-            row = cat[combo[x]]
-            for y in range(x + 1, m):
-                if row[combo[y]]:
-                    ok = False
-                    break
-            if not ok:
+    for combo in combinations(masks, m):
+        for a, b in combinations(combo, 2):
+            both = a & b
+            if both & (both - 1):
                 break
-        if ok:
+        else:
             count += 1
     return count
 

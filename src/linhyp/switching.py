@@ -264,7 +264,11 @@ def count_brackets(pv: PartitionVector, r: int, m: int, t: int) -> CountBrackets
 
 @dataclass(frozen=True)
 class AuditStratum:
-    """One row of the switching audit, pairing stratum t with t-1."""
+    """One row of the switching audit, pairing stratum t with t-1.
+
+    ratio_formula is the ratio of the upper brackets,
+    brackets.reverse_high / brackets.forward_high.
+    """
 
     t: int
     count_t: int
@@ -393,18 +397,13 @@ def bijection_audit(
     fwd_sum = {t: c for (kind, t), c in totals.items() if kind == "forward"}
     rev_sum = {t: c for (kind, t), c in totals.items() if kind == "reverse"}
 
-    sig = sigmas(pv, r)
-    s_2, s_rm2, s_r = sig[2], sig[r - 2], sig[r]
     records = []
     for t in range(1, m // 2 + 1):
         count_t = counts.get(t, 0)
         count_prev = counts.get(t - 1, 0)
         sum_fwd = fwd_sum.get(t, 0)
         sum_rev = rev_sum.get(t - 1, 0)
-        formula = Fraction(
-            math.comb(m - 2 * (t - 1), 2) * s_2 * s_rm2 * s_rm2,
-            t * s_r * s_r,
-        )
+        brackets = count_brackets(pv, r, m, t)
         records.append(
             AuditStratum(
                 t=t,
@@ -414,10 +413,10 @@ def bijection_audit(
                 sum_reverse=sum_rev,
                 matched=sum_fwd == sum_rev,
                 ratio_exact=Fraction(count_t, count_prev) if count_prev else None,
-                ratio_formula=formula,
+                ratio_formula=brackets.reverse_high / brackets.forward_high,
                 forward_measured=fwd_range.get(t),
                 reverse_measured=rev_range.get(t - 1),
-                brackets=count_brackets(pv, r, m, t),
+                brackets=brackets,
             )
         )
     return AuditReport(

@@ -144,6 +144,38 @@ def test_rooted_price_admits_what_the_rooted_search_runs():
         count_linear_naive(pv, 3, 4)
 
 
+def test_naive_filter_builds_no_index_and_prices_its_sweep(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the naive filter must not build the edge index")
+
+    monkeypatch.setattr(census, "EdgeSpaceIndex", refuse)
+    for (sizes, r, m), (_, strata, _) in PINNED.items():
+        assert count_linear_naive(partition(sizes), r, m) == strata.get(0, 0), (sizes, r, m)
+    pv = partition((2, 2, 2))
+    assert [count_linear_naive(pv, 3, m) for m in (0, 1)] == [1, 8]
+    # sigma_r + C(8, 3) subsets of C(3, 2) pair checks each
+    price = 8 + math.comb(8, 3) * 3
+    with pytest.raises(WorkCeilingError) as info:
+        count_linear_naive(pv, 3, 3, work_ceiling=price - 1)
+    assert info.value.required == price
+    assert count_linear_naive(pv, 3, 3, work_ceiling=price) == 8
+
+
+def test_naive_filter_catches_a_wrong_pair_table(monkeypatch):
+    # merged pair ids link edges that share no vertex pair; the plus
+    # search reads the merged rows, the bitmask filter never sees them
+    init = EdgeSpaceIndex.__init__
+
+    def merged(self, pv, r):
+        init(self, pv, r)
+        self.pairs = [frozenset(pid // 2 for pid in row) for row in self.pairs]
+
+    monkeypatch.setattr(EdgeSpaceIndex, "__init__", merged)
+    pv = partition((2, 2, 2))
+    assert count_linear(pv, 3, 3) == 0
+    assert count_linear_naive(pv, 3, 3) == 8
+
+
 def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):
     # at m = 1 the rooted search visits one subset per orbit, but the index
     # would hold all C(2000, 3) (1.3e9) edges; at m = 2 the audit visits

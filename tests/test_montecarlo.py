@@ -28,13 +28,28 @@ from linhyp import (
     uniform_partition,
 )
 from linhyp.census import EdgeSpaceIndex
+from linhyp.hypergraphs import TOO_MANY_CLUSTERS, edge_space
 from linhyp.montecarlo import (
     BLOCK_TRIALS,
     REASONS,
     _draw_block,
     classify_rows,
+    cluster_signature,
     draw_subset_ids,
 )
+
+
+def _capped_signature(vertex_sets, cap):
+    """(t, None) for a plus subset, else (None, reason): cluster_signature, then the cap."""
+    t, reason = cluster_signature(vertex_sets)
+    if reason is not None:
+        return None, reason
+    return (t, None) if t <= cap else (None, TOO_MANY_CLUSTERS)
+
+
+def _overlap_pairs(vertex_sets):
+    """Pairs of the vertex sets that share two or more vertices."""
+    return sum(len(set(a) & set(b)) >= 2 for a, b in combinations(vertex_sets, 2))
 
 
 def test_unrank_matches_canonical_order():
@@ -79,19 +94,20 @@ def test_samplers_share_one_draw_stream():
     pv = partition((2, 2, 2))
     r, m, trials, seed = 3, 3, 5000, 23
     assert BLOCK_TRIALS < trials <= 2 * BLOCK_TRIALS
-    index = EdgeSpaceIndex(pv, r)
+    edges = [e.vertices for e in edge_space(pv, r)]
     cap = cluster_threshold(pv, r, m)
     draws = draw_subset_ids(pv, r, m, trials, seed=seed)
     hist: Counter = Counter()
     viol: Counter = Counter()
     overlap = 0
-    for combo in map(tuple, draws.tolist()):
-        t, reason, _, _ = index.classify_combo(combo, cap)
+    for combo in draws.tolist():
+        vertex_sets = [edges[i] for i in combo]
+        t, reason = _capped_signature(vertex_sets, cap)
         if reason is None:
             hist[t] += 1
         else:
             viol[reason] += 1
-        overlap += sum(1 for i, j in combinations(combo, 2) if index.cat[i][j])
+        overlap += _overlap_pairs(vertex_sets)
     rep = estimate_linear_probability(pv, r, m, trials=trials, seed=seed, track_overlaps=True)
     assert rep.cluster_histogram == dict(hist)
     assert rep.violation_counts == dict(viol)
@@ -339,16 +355,16 @@ class _Drawn:
 # rows with a shared triple (t = 10 and 3), a run of three pair codes
 # (t = 3), two matchings (t = 1 and t = 2 > cap) and a failed matching
 @example(data=_Drawn(sizes=[3, 3, 3, 3], r=4, m=4, cap=1, seed=47))
-def test_batch_classifier_agrees_with_classify_combo(data):
-    # every drawn row: classify_rows's (t, reason) against classify_combo,
-    # and its overlap count against the cat matrix; r = 5 codes 2-, 3-
-    # and 4-subsets for the overlap count
+def test_batch_classifier_agrees_with_cluster_signature(data):
+    # every drawn row: classify_rows's (t, reason) against cluster_signature
+    # with the cap applied after it, and its overlap count against the
+    # vertex sets; r = 5 codes 2-, 3- and 4-subsets for the overlap count
     sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=5), label="sizes"))
     r = data.draw(st.sampled_from([r for r in (3, 4, 5) if r <= len(sizes)]), label="r")
     pv = partition(sizes)
-    index = EdgeSpaceIndex(pv, r)
+    edges = [e.vertices for e in edge_space(pv, r)]
     sampler = EdgeSampler(pv, r)
-    total = index.count
+    total = len(edges)
     m = data.draw(st.one_of(st.sampled_from((0, total)), st.integers(0, total)), label="m")
     cap = data.draw(st.sampled_from((0, 1, 2, 50)), label="cap")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
@@ -360,9 +376,9 @@ def test_batch_classifier_agrees_with_classify_combo(data):
     assert reason_plain.tolist() == reason.tolist()
     for row, combo in enumerate(ids.tolist()):
         assert combo == sorted(set(combo)) and len(combo) == m
-        want_t, want_reason, _, _ = index.classify_combo(tuple(combo), cap)
+        vertex_sets = [edges[i] for i in combo]
         got_reason = REASONS[reason[row]]
-        assert (int(t[row]) if got_reason is None else None, got_reason) == (want_t, want_reason)
+        got = (int(t[row]) if got_reason is None else None, got_reason)
+        assert got == _capped_signature(vertex_sets, cap)
         assert got_reason is not None or t_plain[row] == t[row]
-        cat = sum(1 for i, j in combinations(combo, 2) if index.cat[i][j])
-        assert overlaps[row] == cat
+        assert overlaps[row] == _overlap_pairs(vertex_sets)
