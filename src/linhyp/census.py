@@ -3,14 +3,16 @@
 One search, _plus_strata, extends only plus prefixes in canonical edge
 order and counts the plus m-subsets by cluster count.  census_by_cluster
 is that search at the census's cluster cap; count_linear is the same
-search at cap 0.  The search is rooted at an edge pair: it runs once per
-orbit of ordered pairs of distinct edges under the partition's
-automorphisms, one root per edge orbit (edge_orbits) and one second edge
-per orbit of the root's stabiliser (stabiliser_orbits), on the m-subsets
-that hold both edges; _orbit_mean turns the rooted tallies into totals
-over every m-subset.  count_linear_naive filters every subset by vertex
-bitmasks, with no EdgeSpaceIndex, and exists to cross-check them.  All
-counts are exact integers.
+search at cap 0, and switching.bijection_audit is that search with a
+visitor that counts the moves of each plus m-subset it reaches.  The
+search is rooted at an edge pair: it runs once per orbit of ordered
+pairs of distinct edges under the partition's automorphisms, one root
+per edge orbit (edge_orbits) and one second edge per orbit of the
+root's stabiliser (stabiliser_orbits), on the m-subsets that hold both
+edges; _orbit_mean turns the rooted tallies into totals over every
+m-subset.  count_linear_naive filters every subset by vertex bitmasks,
+with no EdgeSpaceIndex, and exists to cross-check them.  All counts are
+exact integers.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class EdgeSpaceIndex:
     exactly when their pair rows meet.  Built on first use: position,
     the id of each vertex tuple, for the switching move counters; and
     cat, the pairwise overlap matrix, from the occupants of each vertex
-    pair, read only by classify_combo, which only the switching audit
-    calls.
+    pair, read only by classify_combo.  Only the switching audit calls
+    classify_combo: it re-checks each subset the plus search visits
+    against the search's own classification, from the pair rows.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -310,7 +313,7 @@ def _orbit_mean(index: EdgeSpaceIndex, m: int, rooted: Callable[[int, int], Coun
     return totals
 
 
-def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
+def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None = None) -> dict:
     """Plus m-subsets by cluster count: stratum 0, then populated strata.
 
     Plus is hereditary under a fixed cap, so extending only plus
@@ -320,13 +323,20 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
     nothing.  The state extends in canonical order over the other edges,
     and _orbit_mean weights the rooted strata.  State: used and
     clustered, the pairs all chosen and all clustered edges occupy;
-    free, the pair rows of the chosen edges in no cluster; and t.  A
-    candidate meeting no used pair joins as a free edge; while t < cap,
-    one meeting exactly one used pair, held by a free edge, opens a
-    cluster with it; anything else is refused.  The walk needs no skip
-    for the two fixed edges: each meets the used pairs in all of its
-    C(r, 2) >= 3 pairs.  Below two edges or below r = 3 no two edges are
-    linked, and every m-subset is linear.
+    free, the pair rows of the chosen edges in no cluster; t; and ids,
+    the chosen edge ids.  A candidate meeting no used pair joins as a
+    free edge; while t < cap, one meeting exactly one used pair, held by
+    a free edge, opens a cluster with it; anything else is refused.  The
+    walk needs no skip for the two fixed edges: each meets the used
+    pairs in all of its C(r, 2) >= 3 pairs.  Below two edges or below
+    r = 3 no two edges are linked, and every m-subset is linear.
+
+    visit, when given, is called on every plus m-subset that holds a
+    root pair, with its sorted edge ids and t, and returns a dict of
+    further additive statistics, keyed apart from the integer strata;
+    they are weighted like the strata and returned beside them.  The
+    last edge is then placed one at a time instead of counted in bulk.
+    Below two edges nothing is visited.
     """
     if m < 2 or index.r < 3:
         return {0: math.comb(index.count, m)}
@@ -336,34 +346,37 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int) -> dict[int, int]:
     def rooted(root: int, rep: int) -> Counter:
         strata: Counter = Counter()
 
-        def extend(start: int, used: frozenset, clustered: frozenset, free: tuple, t: int, left: int):
+        def extend(start: int, used: frozenset, clustered: frozenset, free: tuple, t: int, ids: tuple, left: int):
             if left == 0:
                 strata[t] += 1
+                if visit is not None:
+                    strata.update(visit(tuple(sorted(ids)), t))
                 return
-            if left == 1 and t >= cap:
+            if left == 1 and t >= cap and visit is None:
                 strata[t] += sum(map(used.isdisjoint, pairs[start:]))
                 return
             for i in range(start, count - left + 1):
                 ps = pairs[i]
                 if used.isdisjoint(ps):
-                    extend(i + 1, used | ps, clustered, free + (ps,), t, left - 1)
+                    extend(i + 1, used | ps, clustered, free + (ps,), t, ids + (i,), left - 1)
                 elif t < cap:
                     shared = used & ps
                     if len(shared) == 1 and clustered.isdisjoint(shared):
                         f = next(g for g in free if not shared.isdisjoint(g))
                         rest = tuple(g for g in free if g is not f)
-                        extend(i + 1, used | ps, clustered | f | ps, rest, t + 1, left - 1)
+                        extend(i + 1, used | ps, clustered | f | ps, rest, t + 1, ids + (i,), left - 1)
 
         a, b = pairs[root], pairs[rep]
         shared = a & b
         if not shared:
-            extend(0, a | b, frozenset(), (a, b), 0, m - 2)
+            extend(0, a | b, frozenset(), (a, b), 0, (root, rep), m - 2)
         elif len(shared) == 1 and cap >= 1:
-            extend(0, a | b, a | b, (), 1, m - 2)
+            extend(0, a | b, a | b, (), 1, (root, rep), m - 2)
         return strata
 
-    strata = _orbit_mean(index, m, rooted)
-    return {t: c for t, c in sorted({0: 0, **strata}.items()) if c or t == 0}
+    totals = _orbit_mean(index, m, rooted)
+    strata = {t: totals.pop(t, 0) for t in range(m // 2 + 1)}
+    return {**{t: c for t, c in strata.items() if c or t == 0}, **totals}
 
 
 def count_linear(

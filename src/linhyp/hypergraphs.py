@@ -11,8 +11,9 @@ number of linked pairs; plus_violation is this rule, shared by classify
 and EdgeSpaceIndex.classify_combo.  The census's plus search
 (census._plus_strata) applies the same rule incrementally, one edge at a
 time, and is held to the oracle montecarlo.cluster_signature by a
-property test.  classify is the one place that finds
-a hypergraph's clusters: it returns them as edge pairs, and the
+property test; the switching audit walks that search and re-checks each
+subset it visits with classify_combo.  classify is the one place that
+finds a hypergraph's clusters: it returns them as edge pairs, and the
 switching moves read them from it.  The sampler's
 montecarlo.classify_rows applies the same rule, in the same order of
 reasons, to arrays.

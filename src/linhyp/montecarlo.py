@@ -472,16 +472,22 @@ def estimate_linear_probability(
     )
 
 
+def _subset_id_blocks(pv: PartitionVector, r: int, m: int, trials: int, seed: int = 0) -> Iterator[np.ndarray]:
+    """draw_subset_ids one block at a time: (rows, m) arrays of at most BLOCK_TRIALS rows.
+
+    The guards run when it is called; each block is drawn when it is reached.
+    """
+    sampler = _batch_sampler(pv, r, m, trials)
+    return (_draw_block(rng, sampler.total, rows, m) for rng, rows in _blocks(trials, seed))
+
+
 def draw_subset_ids(pv: PartitionVector, r: int, m: int, trials: int, seed: int = 0) -> np.ndarray:
     """Raw uniform m-subsets: a (trials, m) int64 array of sorted edge ids.
 
     Same blocks and draws as estimate_linear_probability, so a seed pins
     the exact draws here too.
     """
-    sampler = _batch_sampler(pv, r, m, trials)
-    return np.concatenate(
-        [_draw_block(rng, sampler.total, rows, m) for rng, rows in _blocks(trials, seed)]
-    )
+    return np.concatenate(list(_subset_id_blocks(pv, r, m, trials, seed)))
 
 
 def edge_subset_probability(pv: PartitionVector, r: int, m: int, t: int) -> Fraction:

@@ -7,8 +7,9 @@ exactly two vertices.  The two move sets biject, which bijection_audit
 verifies by aggregate counting with both sides computed independently.
 
 Clusters come from hypergraphs.classify (Classification.pairs) for one
-hypergraph, and from EdgeSpaceIndex.classify_combo in the audit's sweep
-of the m-subsets that hold a root pair: a root per edge orbit
+hypergraph, and from EdgeSpaceIndex.classify_combo in the audit, on each
+m-subset the census's plus search (census._plus_strata) visits: the plus
+m-subsets that hold a root pair, a root per edge orbit
 (census.edge_orbits) and a second edge per orbit of the root's
 stabiliser (census.stabiliser_orbits).  The move counts are written
 once, in _forward_total and _reverse_total.
@@ -22,7 +23,6 @@ stay independent of EdgeSpaceIndex, so that they cross-check the counts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -30,7 +30,7 @@ from itertools import combinations, permutations
 from typing import Iterable, NamedTuple
 
 from .asymptotics import cluster_mean
-from .census import DEFAULT_WORK_CEILING, EdgeSpaceIndex, _guard, _orbit_mean, census_by_cluster
+from .census import DEFAULT_WORK_CEILING, EdgeSpaceIndex, _guard, _plus_strata, census_by_cluster
 from .errors import DomainError
 from .hypergraphs import (
     Classification,
@@ -304,8 +304,8 @@ class AuditReport:
     """Aggregate switching audit over every m-subset of one instance.
 
     Strata, not_plus and the move sums are totals over every m-subset,
-    computed from the subsets that hold a root pair; the measured
-    ranges are taken over those subsets, which meet every orbit of
+    computed from the plus subsets that hold a root pair; the measured
+    ranges are taken over those subsets, which meet every orbit of plus
     hypergraphs.
     """
 
@@ -346,15 +346,18 @@ def bijection_audit(
     and the reverse moves per link-free pair; the audit then reports,
     per stratum t, the forward total from stratum t against the reverse
     total from stratum t-1, which an exact bijection forces to agree.
-    Every quantity is invariant under the partition's automorphisms, so
-    at m >= 2 only the m-subsets that hold a root pair are swept, one
-    pair per orbit of ordered edge pairs: strata, not_plus and the move
-    sums are weighted by the pair orbit's size and divided by m(m - 1)
-    exactly (census._orbit_mean).  A pair that is not plus adds its
-    binomial(sigma_r - 2, m - 2) subsets to not_plus unswept, since plus
-    is hereditary.  The per-hypergraph ranges are taken over the rooted
-    subsets unweighted: any two edges of a hypergraph can be carried to
-    a root pair, so every orbit of hypergraphs has a member there.
+    The subsets are those census._plus_strata visits: every quantity is
+    invariant under the partition's automorphisms, so at m >= 2 the
+    search walks only the plus m-subsets that hold a root pair, one pair
+    per orbit of ordered edge pairs, and weights strata and move sums by
+    the pair orbit's size over m(m - 1) exactly (census._orbit_mean).
+    not_plus is the rest of the subset total.  Each visited subset is
+    classified again by EdgeSpaceIndex.classify_combo, which reads the
+    overlap matrix, not the search's pair rows; a reason or a cluster
+    count that differs from the search's raises AssertionError.  The
+    per-hypergraph ranges are taken over the visited subsets unweighted:
+    any two edges of a hypergraph can be carried to a root pair, so
+    every orbit of hypergraphs has a member there.
     """
     total = _guard(pv, r, m, work_ceiling, cat=True)
     cap = cluster_threshold(pv, r, m)
@@ -367,42 +370,27 @@ def bijection_audit(
         lo, hi = ranges.get(t, (value, value))
         ranges[t] = (min(lo, value), max(hi, value))
 
-    def rooted(root: int, rep: int) -> Counter:
-        tally: Counter = Counter()
-        if index.classify_combo(tuple(sorted((root, rep))), cap)[1] is not None:
-            # plus is hereditary: no m-subset holding this pair is plus
-            tally["not_plus", None] += math.comb(index.count - 2, m - 2)
-            return tally
-        others = [i for i in range(index.count) if i != root and i != rep]
-        for rest in combinations(others, m - 2):
-            combo = tuple(sorted((root, rep, *rest)))
-            t, reason, clusters, free = index.classify_combo(combo, cap)
-            if reason is not None:
-                tally["not_plus", None] += 1
-                continue
-            tally["plus", t] += 1
-            if t >= 1:
-                fwd = _forward_total(stats, combo, clusters)
-                tally["forward", t] += fwd
-                widen(fwd_range, t, fwd)
-            rev = _reverse_total(stats, combo, free)
-            tally["reverse", t] += rev
-            widen(rev_range, t, rev)
+    def visit(combo: tuple[int, ...], t: int) -> dict:
+        got, reason, clusters, free = index.classify_combo(combo, cap)
+        if reason is not None or got != t:
+            raise AssertionError(f"{combo}: the plus search gives t={t}, classify_combo {got} ({reason})")
+        tally = {}
+        if t >= 1:
+            tally["forward", t] = fwd = _forward_total(stats, combo, clusters)
+            widen(fwd_range, t, fwd)
+        tally["reverse", t] = rev = _reverse_total(stats, combo, free)
+        widen(rev_range, t, rev)
         return tally
 
-    # below two edges every subset is plus with no clusters and no moves
-    totals = _orbit_mean(index, m, rooted) if m >= 2 else Counter({("plus", 0): total})
-    counts = dict(sorted((t, c) for (kind, t), c in totals.items() if kind == "plus"))
-    not_plus = totals["not_plus", None]
-    fwd_sum = {t: c for (kind, t), c in totals.items() if kind == "forward"}
-    rev_sum = {t: c for (kind, t), c in totals.items() if kind == "reverse"}
+    totals = _plus_strata(index, m, cap, visit)
+    counts = {t: c for t, c in totals.items() if isinstance(t, int) and c}
 
     records = []
     for t in range(1, m // 2 + 1):
         count_t = counts.get(t, 0)
         count_prev = counts.get(t - 1, 0)
-        sum_fwd = fwd_sum.get(t, 0)
-        sum_rev = rev_sum.get(t - 1, 0)
+        sum_fwd = totals.get(("forward", t), 0)
+        sum_rev = totals.get(("reverse", t - 1), 0)
         brackets = count_brackets(pv, r, m, t)
         records.append(
             AuditStratum(
@@ -425,7 +413,7 @@ def bijection_audit(
         m=m,
         cluster_cap=cap,
         strata=counts,
-        not_plus=not_plus,
+        not_plus=total - sum(counts.values()),
         records=tuple(records),
     )
 

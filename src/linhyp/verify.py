@@ -19,11 +19,11 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from .asymptotics import estimate_partite
-from .census import census_by_cluster, count_linear, count_linear_naive
+from .census import EdgeSpaceIndex, census_by_cluster, count_linear, count_linear_naive
 from .hypergraphs import cluster_threshold, edge_space
 from .montecarlo import (
+    _subset_id_blocks,
     cluster_signature,
-    draw_subset_ids,
     edge_subset_probability,
     estimate_linear_probability,
     expected_overlap_pairs,
@@ -131,28 +131,43 @@ def _check_census(suite: _Suite, workers: int) -> None:
     )
 
 
+def _regrouped_move_sums(g: GridInstance, cap: int) -> dict[int, int]:
+    """Both move sums of each stratum t, regrouped over what a move leaves.
+
+    Removing the switched pair leaves an (m-2)-set h0 in stratum t-1,
+    below the cap.  The compatible pairs sharing exactly two vertices are
+    the clusters that restore stratum t, and the ordered compatible pairs
+    sharing at most one vertex are the replacements, so both sums are
+    sum 2 n_eq2 (C(size, 2) - n_ge2) over those h0.  The h0 are swept
+    unrooted and classified by cluster_signature, not by the plus search.
+    """
+    index = EdgeSpaceIndex(g.pv, g.r)
+    sums: Counter = Counter()
+    for h0 in combinations(range(index.count), g.m - 2):
+        t, reason = cluster_signature([index.edges[i] for i in h0])
+        if reason is None and t < cap:
+            size, n_ge2, n_eq2 = index.compat_stats(h0)
+            sums[t + 1] += 2 * n_eq2 * (math.comb(size, 2) - n_ge2)
+    return sums
+
+
 def _check_switchings(suite: _Suite) -> None:
     bad_sums = []
     bad_brackets = []
+    bad_regrouped = []
     soft_nonempty = []
-    census_mismatch = []
     pinned_384 = None
     for g in enumerable_grid():
         rep = bijection_audit(g.pv, g.r, g.m)
-        # the audit classifies its pair-rooted subsets with classify_combo,
-        # which the census's plus search does not use; both weight them by
-        # the same pair orbits (census._orbit_mean), held to an unrooted
-        # sweep below
-        census = census_by_cluster(g.pv, g.r, g.m)
-        nonzero = {t: c for t, c in census.by_cluster.items() if c}
-        if (nonzero, census.not_plus) != ({t: c for t, c in rep.strata.items() if c}, rep.not_plus):
-            census_mismatch.append(f"{g.label}: {nonzero} vs {rep.strata}")
         for t, c in rep.strata.items():
             if t >= 1 and c > 0 and g.m < 2 * t:
                 soft_nonempty.append(f"{g.label} t={t}")
+        regrouped = _regrouped_move_sums(g, rep.cluster_cap) if g.m >= 2 else {}
         for rec in rep.records:
             if not rec.matched:
                 bad_sums.append(f"{g.label} t={rec.t}: {rec.sum_forward} != {rec.sum_reverse}")
+            if rec.t > rep.cluster_cap or rec.sum_forward != regrouped.get(rec.t, 0):
+                bad_regrouped.append(f"{g.label} t={rec.t}: {rec.sum_forward} vs {regrouped.get(rec.t, 0)}")
             br = rec.brackets
             if rec.forward_measured is not None:
                 lo, hi = rec.forward_measured
@@ -170,6 +185,11 @@ def _check_switchings(suite: _Suite) -> None:
         "; ".join(bad_sums[:3]),
     )
     suite.check(
+        "switching totals equal their regrouping over the (m-2)-sets a move leaves",
+        not bad_regrouped,
+        "; ".join(bad_regrouped[:3]),
+    )
+    suite.check(
         "every measured move count lies inside its bracket",
         not bad_brackets,
         "; ".join(bad_brackets[:3]),
@@ -180,18 +200,15 @@ def _check_switchings(suite: _Suite) -> None:
         str(pinned_384),
     )
     suite.check(
-        "census strata and not_plus equal the audit's subset sweep on the whole grid",
-        not census_mismatch,
-        "; ".join(census_mismatch[:3]),
-    )
-    suite.check(
         "occupied strata satisfy m >= 2t",
         not soft_nonempty,
         "; ".join(soft_nonempty[:3]),
     )
 
-    orbit_mismatch = []
-    for sizes, r, m in ORBIT_CELLS:
+    # the audit's strata are the census's (both read census._plus_strata);
+    # hold the census to an unrooted sweep, with several edge orbits too
+    strata_mismatch = []
+    for sizes, r, m in [(g.sizes, g.r, g.m) for g in enumerable_grid()] + list(ORBIT_CELLS):
         pv = partition(sizes)
         cap = cluster_threshold(pv, r, m)
         strata: Counter = Counter()
@@ -199,20 +216,14 @@ def _check_switchings(suite: _Suite) -> None:
             t, reason = cluster_signature(list(combo))
             strata[t if reason is None and t <= cap else None] += 1
         not_plus = strata.pop(None, 0)
-        want = (dict(strata), not_plus)
         census = census_by_cluster(pv, r, m)
-        rep = bijection_audit(pv, r, m)
-        for name, by_cluster, others in (
-            ("census", census.by_cluster, census.not_plus),
-            ("audit", rep.strata, rep.not_plus),
-        ):
-            got = ({t: c for t, c in by_cluster.items() if c}, others)
-            if got != want:
-                orbit_mismatch.append(f"{name} parts={sizes} r={r} m={m}: {got} vs {want}")
+        got = ({t: c for t, c in census.by_cluster.items() if c}, census.not_plus)
+        if got != (dict(strata), not_plus):
+            strata_mismatch.append(f"parts={sizes} r={r} m={m}: {got} vs {(dict(strata), not_plus)}")
     suite.check(
-        "census and audit strata equal an unrooted sweep on cells with several edge orbits",
-        not orbit_mismatch,
-        "; ".join(orbit_mismatch[:3]),
+        "census strata and not_plus equal an unrooted sweep on the grid and on several edge orbits",
+        not strata_mismatch,
+        "; ".join(strata_mismatch[:3]),
     )
 
 
@@ -356,15 +367,18 @@ def _check_subset_inclusion(suite: _Suite, trials: int) -> None:
         if g.m < 1:
             continue
         total = sigma(g.pv, g.r)
-        samples = draw_subset_ids(g.pv, g.r, g.m, trials, seed=11)
-        for _ in range(10):
-            t = int(rng.integers(1, g.m + 1))
-            fixed = rng.choice(total, size=t, replace=False)
-            hits = int(np.logical_and.reduce([(samples == x).any(axis=1) for x in fixed]).sum())
+        fixed_sets = [rng.choice(total, size=int(rng.integers(1, g.m + 1)), replace=False) for _ in range(10)]
+        # hits are counted block by block, so only one block of draws is held
+        hits = [0] * len(fixed_sets)
+        for block in _subset_id_blocks(g.pv, g.r, g.m, trials, seed=11):
+            for k, fixed in enumerate(fixed_sets):
+                hits[k] += int(np.logical_and.reduce([(block == x).any(axis=1) for x in fixed]).sum())
+        for fixed, hit in zip(fixed_sets, hits):
+            t = len(fixed)
             p = edge_subset_probability(g.pv, g.r, g.m, t)
             checked += 1
-            if trials * _bernoulli_kl(hits, trials, p) > INCLUSION_KL_BOUND:
-                bad.append(f"{g.label} t={t}: {hits / trials:.6f} vs {float(p):.6f}")
+            if trials * _bernoulli_kl(hit, trials, p) > INCLUSION_KL_BOUND:
+                bad.append(f"{g.label} t={t}: {hit / trials:.6f} vs {float(p):.6f}")
     suite.check(
         f"inclusion frequencies match exact probabilities ({checked} triples)",
         not bad,

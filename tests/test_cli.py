@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linhyp import montecarlo, verify
@@ -267,3 +268,34 @@ def test_verify_inclusion_band_holds_at_any_trial_count():
         suite = verify._Suite(lines.append)
         verify._check_subset_inclusion(suite, trials)
         assert suite.failures == 0, lines
+
+
+@pytest.mark.parametrize("trials", [1000, 20000])
+def test_verify_inclusion_counts_hits_block_by_block(monkeypatch, trials):
+    # oracle: the whole (trials, m) draw array of each cell, and the same
+    # ten fixed sets per cell from the same stream
+    rng = verify.make_rng(20240503)
+    bad, checked = [], 0
+    for g in verify.census_grid():
+        if g.m < 1:
+            continue
+        samples = montecarlo.draw_subset_ids(g.pv, g.r, g.m, trials, seed=11)
+        for _ in range(10):
+            t = int(rng.integers(1, g.m + 1))
+            fixed = rng.choice(verify.sigma(g.pv, g.r), size=t, replace=False)
+            hits = int(np.logical_and.reduce([(samples == x).any(axis=1) for x in fixed]).sum())
+            p = montecarlo.edge_subset_probability(g.pv, g.r, g.m, t)
+            checked += 1
+            if trials * verify._bernoulli_kl(hits, trials, p) > verify.INCLUSION_KL_BOUND:
+                bad.append(f"{g.label} t={t}: {hits / trials:.6f} vs {float(p):.6f}")
+    mark, detail = ("FAIL", f" ({'; '.join(bad[:3])})") if bad else ("pass", "")
+    want = [f"{mark}: inclusion frequencies match exact probabilities ({checked} triples){detail}"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole draw array must not be built")
+
+    monkeypatch.setattr(montecarlo, "draw_subset_ids", refuse)
+    monkeypatch.setattr(verify, "draw_subset_ids", refuse, raising=False)
+    lines = []
+    verify._check_subset_inclusion(verify._Suite(lines.append), trials)
+    assert lines == want

@@ -31,8 +31,8 @@ from linhyp import (
     uniform_partition,
 )
 from linhyp.asymptotics import cluster_mean
-from linhyp.census import EdgeSpaceIndex
-from linhyp.hypergraphs import cluster_threshold
+from linhyp.census import EdgeSpaceIndex, edge_orbits, stabiliser_orbits
+from linhyp.hypergraphs import OVERLAP_GE3, cluster_threshold
 from linhyp.switching import ForwardMove, ReverseMove, _forward_total, _reverse_total
 
 
@@ -277,6 +277,75 @@ def test_rooted_audit_matches_an_unrooted_sweep(sizes, r, m):
     want = replace(rep, strata=counts, not_plus=not_plus, records=tuple(records))
     assert len(records) == m // 2
     assert rep.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("wrong", ["t", "reason"])
+def test_audit_raises_when_classify_combo_disagrees_with_the_search(monkeypatch, wrong):
+    true_classify = EdgeSpaceIndex.classify_combo
+    calls = []
+
+    def disagree_once(self, combo, cap):
+        t, reason, clusters, free = true_classify(self, combo, cap)
+        calls.append(combo)
+        if len(calls) == 3:
+            return (t + 1, None, clusters, free) if wrong == "t" else (None, OVERLAP_GE3, None, None)
+        return t, reason, clusters, free
+
+    monkeypatch.setattr(EdgeSpaceIndex, "classify_combo", disagree_once)
+    with pytest.raises(AssertionError, match="the plus search gives"):
+        bijection_audit(partition((2, 2, 2)), 3, 3)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("sizes, r, m", [((1,) * 8, 3, 4), ((3, 1, 2, 2), 3, 4)])
+def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m):
+    # the rooted subsets, swept here without the plus search: each m-subset
+    # that holds a root pair, one pair per orbit of ordered edge pairs
+    pv = partition(sizes)
+    index = EdgeSpaceIndex(pv, r)
+    cap = cluster_threshold(pv, r, m)
+    want = []
+    for root, _ in edge_orbits(index):
+        for rep, _ in stabiliser_orbits(index, root):
+            others = [i for i in range(index.count) if i not in (root, rep)]
+            for rest in combinations(others, m - 2):
+                combo = tuple(sorted((root, rep, *rest)))
+                if index.classify_combo(combo, cap)[1] is None:
+                    want.append(combo)
+    true_classify = EdgeSpaceIndex.classify_combo
+    seen = []
+
+    def record(self, combo, cap):
+        out = true_classify(self, combo, cap)
+        seen.append((combo, out[1]))
+        return out
+
+    monkeypatch.setattr(EdgeSpaceIndex, "classify_combo", record)
+    bijection_audit(pv, r, m)
+    assert all(reason is None for _, reason in seen)
+    assert sorted(combo for combo, _ in seen) == sorted(want)
+
+
+def test_audit_on_the_bench_probe_cell_builds_the_overlap_matrix(monkeypatch):
+    # the bench times classify_combo and the cat build inside the audit on
+    # parts 2,2,2 r=3 m=2; both must still run there
+    used = {"cat": 0, "classify_combo": 0}
+    true_cat = EdgeSpaceIndex.cat.fget
+    true_classify = EdgeSpaceIndex.classify_combo
+
+    def cat(self):
+        used["cat"] += 1
+        return true_cat(self)
+
+    def classify_combo(self, combo, cap):
+        used["classify_combo"] += 1
+        return true_classify(self, combo, cap)
+
+    monkeypatch.setattr(EdgeSpaceIndex, "cat", property(cat))
+    monkeypatch.setattr(EdgeSpaceIndex, "classify_combo", classify_combo)
+    rep = bijection_audit(partition((2, 2, 2)), 3, 2)
+    assert rep.strata == {0: 16, 1: 12}
+    assert used["cat"] > 0 and used["classify_combo"] > 0
 
 
 def test_count_brackets_pinned_and_contain_measurements():
