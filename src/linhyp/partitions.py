@@ -97,15 +97,6 @@ class PartitionVector:
 
 
 def partition(sizes: Iterable[int]) -> PartitionVector:
-    """PartitionVector of any iterable of sizes.
-
-    A 1-D integer numpy array is read through tolist(), which gives
-    Python ints in one C pass instead of a numpy scalar per part; other
-    arrays take the per-part path, which refuses bool, float and
-    nested sizes.
-    """
-    if type(sizes) is not tuple and getattr(sizes, "ndim", None) == 1 and sizes.dtype.kind in "iu":
-        sizes = sizes.tolist()
     return PartitionVector(tuple(sizes))
 
 

@@ -166,7 +166,7 @@ def _check_switchings(suite: _Suite) -> None:
         for rec in rep.records:
             if not rec.matched:
                 bad_sums.append(f"{g.label} t={rec.t}: {rec.sum_forward} != {rec.sum_reverse}")
-            if rec.t > rep.cluster_cap or rec.sum_forward != regrouped.get(rec.t, 0):
+            if rec.sum_forward != regrouped.get(rec.t, 0):
                 bad_regrouped.append(f"{g.label} t={rec.t}: {rec.sum_forward} vs {regrouped.get(rec.t, 0)}")
             br = rec.brackets
             if rec.forward_measured is not None:

@@ -24,7 +24,7 @@ from linhyp import (
     sigma,
     uniform_partition,
 )
-from linhyp import census, switching
+from linhyp import census, switching, verify
 from linhyp.census import (
     EdgeSpaceIndex,
     _plus_strata,
@@ -501,15 +501,10 @@ def test_audit_move_sums_regroup_over_the_unrooted_remainder(sizes, r, m):
     # clusters that restore stratum t, and the ordered compatible pairs
     # sharing at most one vertex are the replacements, so below the cap
     # both move sums are sum 2 n_eq2 (C(size, 2) - n_ge2) over those h0
+    # (verify runs the same regrouping on the grid; these cells are not on it)
     pv = partition(sizes)
     cap = cluster_threshold(pv, r, m)
-    index = EdgeSpaceIndex(pv, r)
-    want = {}
-    for h0 in combinations(range(index.count), m - 2):
-        t, reason = cluster_signature([index.edges[i] for i in h0])
-        if reason is None and t < cap:
-            size, n_ge2, n_eq2 = index.compat_stats(h0)
-            want[t + 1] = want.get(t + 1, 0) + 2 * n_eq2 * (math.comb(size, 2) - n_ge2)
+    want = verify._regrouped_move_sums(verify.GridInstance(sizes, r, m), cap)
     audit = bijection_audit(pv, r, m)
     assert [rec.t for rec in audit.records] == list(range(1, m // 2 + 1))
     for rec in audit.records:

@@ -124,28 +124,6 @@ def test_constructor_keeps_exact_ints_and_canonicalises_the_rest():
     assert sigma(huge, 3) == 2 ** 70 * 15
 
 
-def test_integer_arrays_become_python_ints():
-    for dtype in (np.int64, np.int32, np.uint8):
-        arr = np.array([4, 2, 3, 1, 2], dtype=dtype)
-        pv = partition(arr)
-        assert pv == partition((4, 2, 3, 1, 2)), dtype
-        assert all(type(x) is int for x in pv.sizes), dtype
-        assert pv.size_counts == ((4, 1), (2, 2), (3, 1), (1, 1))
-    with pytest.raises(DomainError):
-        partition(np.array([3, 0, 2]))
-
-
-@pytest.mark.parametrize(
-    "arr",
-    [np.array([True, True]), np.array([2.0, 3.0]), np.array([[1, 2], [3, 4]])],
-    ids=["bool", "float", "2-D"],
-)
-def test_non_integer_arrays_are_refused(arr):
-    # a bool array's tolist() would give True, which the tuple path takes as 1
-    with pytest.raises(DomainError, match="part sizes must be integers"):
-        partition(arr)
-
-
 def test_uniform_partition_is_all_singletons():
     pv = uniform_partition(5)
     assert pv.sizes == (1, 1, 1, 1, 1)
