@@ -10,7 +10,9 @@ pairs of distinct edges under the partition's automorphisms, one root
 per edge orbit (edge_orbits) and one second edge per orbit of the
 root's stabiliser (stabiliser_orbits), on the m-subsets that hold both
 edges; _orbit_mean turns the rooted tallies into totals over every
-m-subset.  count_linear_naive filters every subset by vertex bitmasks,
+m-subset.  Its state is a few bitmasks over edge ids, ORed together
+from the link rows of the edges it places, and its last level is two
+popcounts.  count_linear_naive filters every subset by vertex bitmasks,
 with no EdgeSpaceIndex, and exists to cross-check them.  All counts are
 exact integers.
 """
@@ -30,6 +32,7 @@ from .hypergraphs import (
     OVERLAP_GE3,
     cluster_threshold,
     edge_space,
+    edge_tuples,
     plus_violation,
     shared_pair_counts,
 )
@@ -45,18 +48,21 @@ class EdgeSpaceIndex:
     carries one table, pairs: per edge, the frozenset of ids of its
     vertex pairs (at r = 2 the edge's one pair, which no other edge
     holds; empty rows when r <= 1).  Two distinct edges are linked
-    exactly when their pair rows meet.  Built on first use: position,
-    the id of each vertex tuple, for the switching move counters; and
-    cat, the pairwise overlap matrix, from the occupants of each vertex
-    pair, read only by classify_combo.  Only the switching audit calls
-    classify_combo: it re-checks each subset the plus search visits
-    against the search's own classification, from the pair rows.
+    exactly when their pair rows meet.  Everything else is read off
+    pairs and built on first use: occupants, the edges holding each
+    pair; link_rows(e), the bitmasks over edge ids of the edges meeting
+    one or at least two of e's pairs, built per edge the first time the
+    plus search roots or places it, and kept; position, the id of each
+    vertex tuple, for the switching move counters; and cat, the pairwise
+    overlap matrix, read only by classify_combo.  Only the switching
+    audit calls classify_combo: it re-checks each subset the plus search
+    visits against the search's own classification, from the link rows.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
         self.pv = pv
         self.r = r
-        self.edges: list[tuple[int, ...]] = [e.vertices for e in edge_space(pv, r)]
+        self.edges: list[tuple[int, ...]] = edge_tuples(pv, r)
         self.count = len(self.edges)
 
         # intern vertex pairs as small integers
@@ -66,6 +72,7 @@ class EdgeSpaceIndex:
             for vs in self.edges
         ]
 
+        self._links: dict[int, tuple[int, int]] = {}
         self._cat: list[bytearray] | None = None
 
     @cached_property
@@ -78,17 +85,41 @@ class EdgeSpaceIndex:
         """0-based part of each vertex, by vertex id; entry 0 pads the 1-based ids."""
         return [0] + [p for p, size in enumerate(self.pv.sizes) for _ in range(size)]
 
+    @cached_property
+    def occupants(self) -> dict[int, list[int]]:
+        """Ids of the edges holding each vertex pair, in edge order."""
+        occupants: dict[int, list[int]] = {}
+        for i, row in enumerate(self.pairs):
+            for pid in row:
+                occupants.setdefault(pid, []).append(i)
+        return occupants
+
+    def link_rows(self, e: int) -> tuple[int, int]:
+        """Bitmasks over edge ids of the edges meeting >= 1 and >= 2 of e's pairs.
+
+        Both hold e itself once it has a pair.  At r = 3 the second is e
+        alone, since two edges sharing two pairs share all three
+        vertices.  Built from the occupant lists of e's pairs on first
+        use and kept; a row holds sigma_r bits.
+        """
+        rows = self._links.get(e)
+        if rows is None:
+            occupants, bit = self.occupants, (1).__lshift__
+            once = twice = 0
+            for pid in self.pairs[e]:
+                row = sum(map(bit, occupants[pid]))
+                twice |= once & row
+                once |= row
+            rows = self._links[e] = (once, twice)
+        return rows
+
     @property
     def cat(self) -> list[bytearray]:
         """Pairwise overlap category: 0 for <=1 shared, 1 for exactly 2, 2 for >=3."""
         if self._cat is None:
-            occupants: dict[int, list[int]] = {}
-            for i, row in enumerate(self.pairs):
-                for pid in row:
-                    occupants.setdefault(pid, []).append(i)
             cat = [bytearray(self.count) for _ in range(self.count)]
             # c shared vertices meet in binomial(c, 2) pair lists
-            for group in occupants.values():
+            for group in self.occupants.values():
                 for i, j in combinations(group, 2):
                     cat[i][j] = cat[j][i] = min(cat[i][j] + 1, 2)
             self._cat = cat
@@ -104,8 +135,9 @@ class EdgeSpaceIndex:
         m = len(combo)
         linked_pairs = []
         # cat is read only when two edges are compared
+        cat = self.cat if m > 1 else None
         for x in range(m - 1):
-            row = self.cat[combo[x]]
+            row = cat[combo[x]]
             for y in range(x + 1, m):
                 c = row[combo[y]]
                 if c:
@@ -214,6 +246,14 @@ def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = F
     subset.  Each edge orbit has at most sigma_r - 1 stabiliser orbits,
     so the pair orbits are counted only when that bound would refuse.
     Nothing is allocated before the refusal.
+
+    The plus search's link rows, two of sigma_r bits per edge it roots
+    or places, fit under this price with no term of their own.  At
+    m = 2 none is built.  At m = 3 only the roots and second edges get
+    rows, at most edge orbits + P of them for P pair orbits, against a
+    price of P * (sigma_r - 2) * 3.  At m >= 4 at most sigma_r edges get
+    rows, sigma_r^2 / 4 bytes, against a price of at least
+    3 P * sigma_r^2.
     """
     total = count_all(pv, r, m)
     edge_count = sigma(pv, r)
@@ -321,57 +361,88 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     state {root, rep}, two free edges or, when they share exactly two
     vertices and cap >= 1, one cluster; a pair that is not plus starts
     nothing.  The state extends in canonical order over the other edges,
-    and _orbit_mean weights the rooted strata.  State: used and
-    clustered, the pairs all chosen and all clustered edges occupy;
-    free, the pair rows of the chosen edges in no cluster; t; and ids,
-    the chosen edge ids.  A candidate meeting no used pair joins as a
-    free edge; while t < cap, one meeting exactly one used pair, held by
-    a free edge, opens a cluster with it; anything else is refused.  The
-    walk needs no skip for the two fixed edges: each meets the used
-    pairs in all of its C(r, 2) >= 3 pairs.  Below two edges or below
-    r = 3 no two edges are linked, and every m-subset is linear.
+    and _orbit_mean weights the rooted strata.  The state is three
+    bitmasks over edge ids, ORed together from the chosen edges' link
+    rows: blocked, the edges meeting a used pair; twice, those meeting
+    at least two; cblock, those meeting a pair of a clustered edge.
+    Beside them: free, the ids of the chosen edges in no cluster; t; and
+    ids, the chosen edge ids.  A candidate in blocked's complement joins
+    as a free edge; while t < cap, one in blocked but in neither twice
+    nor cblock meets exactly one used pair, held by a free edge, and
+    opens a cluster with it.  Nothing else is a candidate.  The window
+    is the edges after the last one chosen; it needs no skip for the two
+    fixed edges, which meet the used pairs in all of their C(r, 2) >= 3
+    pairs.  (twice may also hold an edge that meets one used pair twice
+    over, a cluster's shared pair, but such an edge is in cblock
+    anyway.)  The last edge is not placed: the free candidates are
+    counted into stratum t and the cluster candidates into t + 1, two
+    popcounts.  Below two edges or below r = 3 no two edges are linked,
+    and every m-subset is linear.
 
     visit, when given, is called on every plus m-subset that holds a
     root pair, with its sorted edge ids and t, and returns a dict of
     further additive statistics, keyed apart from the integer strata;
     they are weighted like the strata and returned beside them.  The
-    last edge is then placed one at a time instead of counted in bulk.
-    Below two edges nothing is visited.
+    last edge is then also placed one at a time, over the set bits of
+    the candidates.  Below two edges nothing is visited.
     """
     if m < 2 or index.r < 3:
         return {0: math.comb(index.count, m)}
     pairs = index.pairs
-    count = index.count
+    link_rows = index.link_rows
 
     def rooted(root: int, rep: int) -> Counter:
         strata: Counter = Counter()
 
-        def extend(start: int, used: frozenset, clustered: frozenset, free: tuple, t: int, ids: tuple, left: int):
-            if left == 0:
-                strata[t] += 1
-                if visit is not None:
-                    strata.update(visit(tuple(sorted(ids)), t))
-                return
-            if left == 1 and t >= cap and visit is None:
-                strata[t] += sum(map(used.isdisjoint, pairs[start:]))
-                return
-            for i in range(start, count - left + 1):
-                ps = pairs[i]
-                if used.isdisjoint(ps):
-                    extend(i + 1, used | ps, clustered, free + (ps,), t, ids + (i,), left - 1)
-                elif t < cap:
-                    shared = used & ps
-                    if len(shared) == 1 and clustered.isdisjoint(shared):
-                        f = next(g for g in free if not shared.isdisjoint(g))
-                        rest = tuple(g for g in free if g is not f)
-                        extend(i + 1, used | ps, clustered | f | ps, rest, t + 1, ids + (i,), left - 1)
+        def visit_each(cands: int, t: int, ids: tuple):
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                strata.update(visit(tuple(sorted(ids + (low.bit_length() - 1,))), t))
 
-        a, b = pairs[root], pairs[rep]
-        shared = a & b
-        if not shared:
-            extend(0, a | b, frozenset(), (a, b), 0, (root, rep), m - 2)
-        elif len(shared) == 1 and cap >= 1:
-            extend(0, a | b, a | b, (), 1, (root, rep), m - 2)
+        def extend(window: int, blocked: int, twice: int, cblock: int,
+                   free: tuple, t: int, ids: tuple, left: int):
+            fresh = window & ~blocked
+            joins = window & blocked & ~(twice | cblock) if t < cap else 0
+            if left == 1:
+                strata[t] += fresh.bit_count()
+                if joins:
+                    strata[t + 1] += joins.bit_count()
+                if visit is not None:
+                    visit_each(fresh, t, ids)
+                    visit_each(joins, t + 1, ids)
+                return
+            # window & -(low << 1) keeps the window's edges after i
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                i = low.bit_length() - 1
+                once, two = link_rows(i)
+                extend(window & -(low << 1), blocked | once, twice | (blocked & once) | two, cblock,
+                       free + (i,), t, ids + (i,), left - 1)
+            while joins:
+                low = joins & -joins
+                joins ^= low
+                i = low.bit_length() - 1
+                once, two = link_rows(i)
+                f = next(g for g in free if link_rows(g)[0] & low)
+                extend(window & -(low << 1), blocked | once, twice | (blocked & once) | two,
+                       cblock | once | link_rows(f)[0], tuple(g for g in free if g != f), t + 1,
+                       ids + (i,), left - 1)
+
+        t = len(pairs[root] & pairs[rep])
+        if t > 1 or (t and cap < 1):
+            return strata
+        if m == 2:
+            strata[t] += 1
+            if visit is not None:
+                strata.update(visit(tuple(sorted((root, rep))), t))
+            return strata
+        once_a, two_a = link_rows(root)
+        once_b, two_b = link_rows(rep)
+        blocked = once_a | once_b
+        extend((1 << index.count) - 1, blocked, (once_a & once_b) | two_a | two_b, blocked if t else 0,
+               () if t else (root, rep), t, (root, rep), m - 2)
         return strata
 
     totals = _orbit_mean(index, m, rooted)
@@ -402,10 +473,10 @@ def count_linear_naive(
     """Filter every m-subset for pairwise overlaps <= 1.
 
     Deliberately independent of count_linear: it reads the vertex sets
-    of edge_space as bitmasks and builds no edge index, no pair rows and
-    no overlap matrix, and it does no pruning and no orbit rooting.  Two
-    edges overlap in two or more vertices exactly when their common mask
-    has more than one bit set.  The price is its own full sweep, sigma_r
+    of edge_space as bitmasks and builds no edge index, no pair or link
+    rows and no overlap matrix, and it does no pruning and no orbit
+    rooting.  Two edges overlap in two or more vertices exactly when
+    their common mask has more than one bit set.  The price is its own full sweep, sigma_r
     + binomial(sigma_r, m) * C(m, 2) pair checks.  Kept as a cross-check
     oracle for the fast path.
     """

@@ -10,11 +10,13 @@ holds exactly when no edge lies in two linked pairs, and then t is the
 number of linked pairs; plus_violation is this rule, shared by classify
 and EdgeSpaceIndex.classify_combo.  The census's plus search
 (census._plus_strata) applies the same rule incrementally, one edge at a
-time, and is held to the oracle montecarlo.cluster_signature by a
-property test; the switching audit walks that search and re-checks each
-subset it visits with classify_combo.  classify is the one place that
-finds a hypergraph's clusters: it returns them as edge pairs, and the
-switching moves read them from it.  The sampler's
+time, on bitmasks of the edges that meet one, two or a clustered vertex
+pair of its selection, and is held to the oracle
+montecarlo.cluster_signature by a property test; the switching audit
+walks that search and re-checks each subset it visits with
+classify_combo.  classify is the one place that finds a hypergraph's
+clusters: it returns them as edge pairs, and the switching moves read
+them from it.  The sampler's
 montecarlo.classify_rows applies the same rule, in the same order of
 reasons, to arrays.
 """
@@ -25,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product, starmap
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError
@@ -87,27 +89,28 @@ def hypergraph(pv: PartitionVector, r: int, vertex_sets: Iterable[Iterable[int]]
     return Hypergraph(pv, r, frozenset(edges))
 
 
-def edge_space(pv: PartitionVector, r: int) -> Iterator[Edge]:
-    """All edges in lexicographic order of their sorted vertex tuples.
+def edge_tuples(pv: PartitionVector, r: int) -> list[tuple[int, ...]]:
+    """Sorted vertex tuples of all edges, in lexicographic order.
 
-    The stream has sigma(pv, r) members and is the canonical enumeration
-    order used everywhere else in the package.
+    Parts are consecutive blocks of vertex ids, so the product of r part
+    ranges, taken in part order, yields sorted tuples; one sort of all of
+    them gives the canonical enumeration order used everywhere else in
+    the package.  Built by C-level iterators, with no object per edge.
     """
     if not 0 <= r <= pv.k:
         raise DomainError(f"edge size {r} outside 0..{pv.k}")
-    sizes = pv.sizes
-    k = pv.k
+    ranges = [pv.part_vertices(p) for p in range(pv.k)]
+    return sorted(chain.from_iterable(starmap(product, combinations(ranges, r))))
 
-    def rec(part: int, chosen_v: tuple[int, ...], chosen_p: tuple[int, ...]) -> Iterator[Edge]:
-        need = r - len(chosen_v)
-        if need == 0:
-            yield Edge(chosen_v, chosen_p)
-            return
-        for p in range(part, k - need + 1):
-            for v in pv.part_vertices(p):
-                yield from rec(p + 1, chosen_v + (v,), chosen_p + (p,))
 
-    return rec(0, (), ())
+def edge_space(pv: PartitionVector, r: int) -> Iterator[Edge]:
+    """All edges in lexicographic order of their sorted vertex tuples.
+
+    The stream has sigma(pv, r) members, in the order of edge_tuples.
+    """
+    tuples = edge_tuples(pv, r)
+    part = [0] + [p for p, size in enumerate(pv.sizes) for _ in range(size)]
+    return (Edge(vs, tuple(map(part.__getitem__, vs))) for vs in tuples)
 
 
 def is_linear(h: Hypergraph) -> bool:

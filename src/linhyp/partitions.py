@@ -97,7 +97,8 @@ class PartitionVector:
 
 
 def partition(sizes: Iterable[int]) -> PartitionVector:
-    return PartitionVector(tuple(sizes))
+    """A PartitionVector from any iterable of sizes, validated as PartitionVector does."""
+    return PartitionVector(sizes)
 
 
 def uniform_partition(n: int) -> PartitionVector:

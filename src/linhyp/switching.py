@@ -353,7 +353,7 @@ def bijection_audit(
     the pair orbit's size over m(m - 1) exactly (census._orbit_mean).
     not_plus is the rest of the subset total.  Each visited subset is
     classified again by EdgeSpaceIndex.classify_combo, which reads the
-    overlap matrix, not the search's pair rows; a reason or a cluster
+    overlap matrix, not the search's link rows; a reason or a cluster
     count that differs from the search's raises AssertionError.  The
     per-hypergraph ranges are taken over the visited subsets unweighted:
     any two edges of a hypergraph can be carried to a root pair, so

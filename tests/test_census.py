@@ -176,6 +176,55 @@ def test_naive_filter_catches_a_wrong_pair_table(monkeypatch):
     assert count_linear_naive(pv, 3, 3) == 8
 
 
+def _built_indexes(monkeypatch):
+    """Every EdgeSpaceIndex built while the patch holds, in order."""
+    built = []
+    init = EdgeSpaceIndex.__init__
+
+    def record(self, pv, r):
+        init(self, pv, r)
+        built.append(self)
+
+    monkeypatch.setattr(EdgeSpaceIndex, "__init__", record)
+    return built
+
+
+def test_link_rows_are_built_only_for_roots_and_second_edges(monkeypatch):
+    # at m = 3 the last edge is counted, not placed, so rows exist only
+    # for the roots and their second edges, not for all 34,220 edges
+    built = _built_indexes(monkeypatch)
+    pv = uniform_partition(60)
+    res = census_by_cluster(pv, 3, 3)
+    assert res.linear == count_linear(pv, 3, 3) == 6578391204000
+    bound = len(edge_orbits(built[0])) + pair_orbit_count(pv, 3)
+    assert bound == 4
+    for index in built:
+        assert 0 < len(index._links) <= bound
+    # at m = 2 the root pair is classified from its pair rows alone
+    built.clear()
+    assert count_linear(pv, 3, 2) == census_by_cluster(pv, 3, 2).linear
+    assert [index._links for index in built] == [{}, {}]
+    assert all("occupants" not in vars(index) for index in built)
+
+
+def test_a_wrong_link_row_makes_the_search_disagree_with_the_naive_filter(monkeypatch):
+    # drop the last edge from every other edge's row: the search then
+    # takes it as free beside edges it shares a vertex pair with (the
+    # last edge is no root and no second edge, so its own row is unread)
+    rows = EdgeSpaceIndex.link_rows
+
+    def dropped(self, e):
+        once, two = rows(self, e)
+        last = self.count - 1
+        return (once & ~(1 << last) if e != last else once), two
+
+    pv = partition((3, 3, 3))
+    want = count_linear_naive(pv, 3, 4)
+    assert count_linear(pv, 3, 4) == want
+    monkeypatch.setattr(EdgeSpaceIndex, "link_rows", dropped)
+    assert count_linear(pv, 3, 4) != want
+
+
 def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):
     # at m = 1 the rooted search visits one subset per orbit, but the index
     # would hold all C(2000, 3) (1.3e9) edges; at m = 2 the audit visits

@@ -65,6 +65,21 @@ def test_edge_space_counts_and_order():
             assert list(e.parts) == sorted(e.parts)
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6), data=st.data())
+def test_edge_space_is_the_lexicographic_filter_of_all_vertex_subsets(sizes, data):
+    # the canonical order, spelled out: every r-subset of 1..n in
+    # lexicographic order, kept when it uses each part at most once
+    pv = partition(sizes)
+    r = data.draw(st.sampled_from(sorted({0, 1, pv.k, min(3, pv.k)})), label="r")
+    want = [vs for vs in combinations(range(1, pv.n + 1), r)
+            if len({pv.part_of(v) for v in vs}) == r]
+    edges = list(edge_space(pv, r))
+    assert [e.vertices for e in edges] == want
+    assert [e.parts for e in edges] == [tuple(pv.part_of(v) for v in vs) for vs in want]
+    assert EdgeSpaceIndex(pv, r).edges == want
+
+
 def test_edge_space_uniform_is_combinations():
     pv = uniform_partition(6)
     got = [e.vertices for e in edge_space(pv, 3)]

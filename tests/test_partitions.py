@@ -108,6 +108,15 @@ def test_partition_vector_rejects_bad_sizes():
         PartitionVector(5)
 
 
+def test_partition_refuses_a_non_iterable_as_partition_vector_does():
+    for bad in (5, np.array(3)):
+        with pytest.raises(DomainError):
+            partition(bad)
+        with pytest.raises(DomainError):
+            PartitionVector(bad)
+    assert partition(iter([2, 1])).sizes == (2, 1)
+
+
 def test_constructor_keeps_exact_ints_and_canonicalises_the_rest():
     given = (4, 1, 3)
     assert partition(given).sizes is given
