@@ -97,9 +97,9 @@ class EdgeSpaceIndex:
     def link_rows(self, e: int) -> tuple[int, int]:
         """Bitmasks over edge ids of the edges meeting >= 1 and >= 2 of e's pairs.
 
-        Both hold e itself once it has a pair.  At r = 3 the second is e
-        alone, since two edges sharing two pairs share all three
-        vertices.  Built from the occupant lists of e's pairs on first
+        The first holds e once e has a pair, the second once it has two.
+        At r = 3 the second is e alone, since two edges sharing two pairs
+        share all three vertices.  Built from the occupant lists of e's pairs on first
         use and kept; a row holds sigma_r bits.
         """
         rows = self._links.get(e)
