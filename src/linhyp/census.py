@@ -5,16 +5,18 @@ order and counts the plus m-subsets by cluster count.  census_by_cluster
 is that search at the census's cluster cap; count_linear is the same
 search at cap 0, and switching.bijection_audit is that search with a
 visitor that counts the moves of each plus m-subset it reaches.  The
-search is rooted at an edge pair: it runs once per orbit of ordered
-pairs of distinct edges under the partition's automorphisms, one root
-per edge orbit (edge_orbits) and one second edge per orbit of the
-root's stabiliser (stabiliser_orbits), on the m-subsets that hold both
-edges; _orbit_mean turns the rooted tallies into totals over every
-m-subset.  Its state is a few bitmasks over edge ids, ORed together
-from the link rows of the edges it places, and its last level is two
-popcounts.  count_linear_naive filters every subset by vertex bitmasks,
-with no EdgeSpaceIndex, and exists to cross-check them.  All counts are
-exact integers.
+search is rooted at a fixed prefix of distinct edges: it runs once per
+orbit of ordered edge pairs under the partition's automorphisms, or of
+ordered edge triples when a visitor is given.  One rule,
+stabiliser_orbits(index, fixed), gives the orbits of the stabiliser of
+a fixed prefix on the other edges (the edge orbits when the prefix is
+empty), and _orbit_mean walks the plus prefixes through it and turns
+the rooted tallies into totals over every m-subset.  The search's state
+is a few bitmasks over edge ids, ORed together from the link rows of
+the edges it places, and its last level is two popcounts.
+count_linear_naive filters every subset by vertex bitmasks, with no
+EdgeSpaceIndex, and exists to cross-check them.  All counts are exact
+integers.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ class EdgeSpaceIndex:
     pairs and built on first use: occupants, the edges holding each
     pair; link_rows(e), the bitmasks over edge ids of the edges meeting
     one or at least two of e's pairs, built per edge the first time the
-    plus search roots or places it, and kept; position, the id of each
+    plus search roots or places it, and kept; subset_occupancy, the
+    occupancy of each vertex subset of sizes 2 to r - 1, for
+    compat_stats; position, the id of each
     vertex tuple, for the switching move counters; and cat, the pairwise
     overlap matrix, read only by classify_combo.  Only the switching
     audit calls classify_combo: it re-checks each subset the plus search
@@ -121,7 +125,7 @@ class EdgeSpaceIndex:
             # c shared vertices meet in binomial(c, 2) pair lists
             for group in self.occupants.values():
                 for i, j in combinations(group, 2):
-                    cat[i][j] = cat[j][i] = min(cat[i][j] + 1, 2)
+                    cat[i][j] = cat[j][i] = 2 if cat[i][j] else 1
             self._cat = cat
         return self._cat
 
@@ -154,6 +158,24 @@ class EdgeSpaceIndex:
         free = tuple(combo[x] for x in range(m) if x not in paired)
         return len(clusters), None, clusters, free
 
+    @cached_property
+    def subset_occupancy(self) -> dict[int, tuple[dict, int]]:
+        """Per alpha in 2..r-1: the occupancy of each alpha-subset, and T_alpha.
+
+        The occupancy of a vertex subset is the number of edges holding
+        it, and T_alpha = sum of binomial(occupancy, 2) over the
+        alpha-subsets, both over the whole edge space.  Pairs are keyed by
+        id, larger subsets by vertex tuple.
+        """
+        out = {}
+        for alpha in range(2, self.r):
+            if alpha == 2:
+                occ = {pid: len(group) for pid, group in self.occupants.items()}
+            else:
+                occ = Counter(chain.from_iterable(combinations(vs, alpha) for vs in self.edges))
+            out[alpha] = occ, sum(c * (c - 1) // 2 for c in occ.values())
+        return out
+
     def compat_stats(self, h0: tuple[int, ...]) -> tuple[int, int, int]:
         """Statistics of the edges compatible with a fixed edge set h0.
 
@@ -161,21 +183,34 @@ class EdgeSpaceIndex:
         h0 and not being one of them: the edge's vertex pairs avoid every
         pair h0 occupies, as in count_linear's search.  Returns the count
         of compatible edges, the number of unordered compatible pairs
-        sharing >= 2 vertices, and the number sharing exactly 2.  Pairs
-        are counted off the pairs rows, larger subsets off the edge tuples.
+        sharing >= 2 vertices, and the number sharing exactly 2.
+
+        The blocked set B is h0 and the occupants of h0's pairs; the
+        compatible edges are the rest.  T_alpha over the compatible edges
+        is counted over whichever side is smaller.  Over the compatible
+        edges it is sum binomial(count, 2) of their alpha-subsets.  Over B:
+        an alpha-subset held by o edges, d of them in B, adds
+        binomial(o - d, 2) = binomial(o, 2) - d (2o - d - 1) / 2, so T_alpha
+        is the whole space's total (subset_occupancy, one pass per index)
+        less that term over the alpha-subsets of B's edges.  At r = 3 on a
+        large edge space B is the smaller side, and a call costs
+        O(|B| C(r, 2)), not a scan of sigma_r edges.
         """
-        pairs = self.pairs
-        used = frozenset().union(*(pairs[g] for g in h0))
-        members = set(h0)
-        pool = [i for i, row in enumerate(pairs) if used.isdisjoint(row) and i not in members]
-        # T[alpha] = sum over alpha-subsets of binomial(occupancy, 2)
+        pairs, occupants = self.pairs, self.occupants
+        blocked = set(h0).union(*(occupants[pid] for g in h0 for pid in pairs[g]))
+        direct = 2 * len(blocked) > self.count
+        side = set(range(self.count)) - blocked if direct else blocked
         t_by_alpha: dict[int, int] = {}
         for alpha in range(2, self.r):
-            subsets = map(pairs.__getitem__, pool) if alpha == 2 else (
-                combinations(self.edges[i], alpha) for i in pool)
-            occ = Counter(chain.from_iterable(subsets))
-            t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in occ.values())
-        return (len(pool), *shared_pair_counts(t_by_alpha, self.r))
+            subsets = map(pairs.__getitem__, side) if alpha == 2 else (
+                combinations(self.edges[i], alpha) for i in side)
+            counts = Counter(chain.from_iterable(subsets))
+            if direct:
+                t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in counts.values())
+            else:
+                occ, total = self.subset_occupancy[alpha]
+                t_by_alpha[alpha] = total - sum(d * (2 * occ[key] - d - 1) // 2 for key, d in counts.items())
+        return (self.count - len(blocked), *shared_pair_counts(t_by_alpha, self.r))
 
 
 def count_all(pv: PartitionVector, r: int, m: int) -> int:
@@ -247,13 +282,22 @@ def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = F
     so the pair orbits are counted only when that bound would refuse.
     Nothing is allocated before the refusal.
 
+    The audit roots at triples from m = 3 on and visits only plus
+    m-subsets.  A root pair in a subset extends to at most m - 2 root
+    triples in it, so it may visit up to m - 2 times the subsets priced
+    here where a pair's stabiliser fixes most edges; on the cells with
+    small stabilisers measured (parts 3,1,2,2, 4,2,3,1,2 and 5,1,1,3,3
+    at m = 4 and 5) it visited 0.36 to 0.68 of them.  The price is kept
+    as it was, so every refusal threshold stays where it was.
+
     The plus search's link rows, two of sigma_r bits per edge it roots
     or places, fit under this price with no term of their own.  At
-    m = 2 none is built.  At m = 3 only the roots and second edges get
-    rows, at most edge orbits + P of them for P pair orbits, against a
-    price of P * (sigma_r - 2) * 3.  At m >= 4 at most sigma_r edges get
-    rows, sigma_r^2 / 4 bytes, against a price of at least
-    3 P * sigma_r^2.
+    m = 2 none is built.  At m = 3 the counts build rows only for the
+    roots and second edges, at most edge orbits + P of them for P pair
+    orbits, against a price of P * (sigma_r - 2) * 3; the audit fixes
+    all three edges there, compares them on their pair rows, and builds
+    none.  At m >= 4 at most sigma_r edges get rows, sigma_r^2 / 4
+    bytes, against a price of at least 3 P * sigma_r^2.
     """
     total = count_all(pv, r, m)
     edge_count = sigma(pv, r)
@@ -273,10 +317,10 @@ def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = F
     return total
 
 
-def _orbits_by_label(index: EdgeSpaceIndex, label: list[int]) -> list[tuple[int, int]]:
+def _orbits_by_label(index: EdgeSpaceIndex, label: list) -> list[tuple[int, int]]:
     """(first edge id, size) per class of edges with one multiset of vertex labels.
 
-    label holds a small integer per vertex id.  A label of rank k weighs
+    label holds a hashable label per vertex id.  A label of rank k weighs
     (r + 1)^k, so an edge's weight sum, at most r of each, encodes the
     multiset.  Classes come in the order of their first edges.
     """
@@ -288,68 +332,76 @@ def _orbits_by_label(index: EdgeSpaceIndex, label: list[int]) -> list[tuple[int,
     return [(first, size) for first, size in classes.values()]
 
 
-def edge_orbits(index: EdgeSpaceIndex) -> list[tuple[int, int]]:
-    """(root edge id, orbit size) per orbit of the partition's automorphisms.
+def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> list[tuple[int, int]]:
+    """(representative id, orbit size) per orbit of fixed's stabiliser on the other edges.
 
     The automorphisms permute the vertices inside each part and swap
-    parts of equal size, so two edges share an orbit exactly when they
-    use the same multiset of part sizes.  The root is the orbit's first
-    edge in canonical order; orbits come in the order of their roots.
+    parts of equal size; the stabiliser of the ordered tuple fixed maps
+    each fixed edge to itself.  A fixed edge holds one vertex of each
+    part it uses, so the stabiliser keeps the mask of fixed edges holding
+    each vertex, moves a part only to one of the same size holding the
+    same set of nonzero masks, and permutes the other vertices of a part
+    freely.  Each vertex is labelled (its part's size, that set of masks,
+    its own mask), and two edges share an orbit exactly when they have
+    the same multiset of labels.  fixed=() gives the orbits of the edges,
+    keyed by the multiset of the sizes of the parts they use.  A fixed
+    edge is alone in its class, which is dropped.  Representatives are
+    the orbits' first edges in canonical order, in that order.
     """
-    sizes = index.pv.sizes
-    return _orbits_by_label(index, [sizes[p] for p in index.vertex_part])
+    part, sizes, d = index.vertex_part, index.pv.sizes, len(fixed)
+    held = [0] * len(part)
+    marks = [0] * index.pv.k
+    for j, e in enumerate(fixed):
+        for u in index.edges[e]:
+            held[u] |= 1 << j
+    for e in fixed:
+        for u in index.edges[e]:
+            marks[part[u]] |= 1 << held[u]
+    # a label's bits: the part's size, its masks as a set of 2^d bits, then the vertex's d bits
+    kind = [(size << (1 << d) | mark) << d for size, mark in zip(sizes, marks)]
+    label = [kind[p] | mask for p, mask in zip(part, held)]
+    return [(rep, size) for rep, size in _orbits_by_label(index, label) if rep not in fixed]
 
 
-def stabiliser_orbits(index: EdgeSpaceIndex, root: int) -> list[tuple[int, int]]:
-    """(representative id, orbit size) per orbit of root's stabiliser on the other edges.
+def _orbit_mean(index: EdgeSpaceIndex, m: int, depth: int, rooted: Callable) -> Counter:
+    """Totals over every m-subset, m >= depth, of additive statistics, from root prefixes.
 
-    An automorphism fixing root maps root's vertex in each part it uses
-    to root's vertex in the image part, so two edges share an orbit
-    exactly when they have the same multiset, over the parts that root
-    or the edge uses, of (part size, root uses the part, the edge uses
-    it, both at the same vertex).  Each vertex is labelled 3 * size +
-    [root uses its part] + [it is root's vertex]; the parts root uses
-    alone follow from the edge's labels.  Root is alone in its class,
-    which is dropped.  Representatives are the orbits' first edges in
-    canonical order, in that order.
+    The walk fixes depth distinct edges, one orbit at a time: the i-th
+    edge runs over the representatives of stabiliser_orbits of the
+    prefix before it.  rooted(state, x) places x after the prefix whose
+    state is state (None for the empty prefix).  It returns None when
+    the longer prefix is not plus, and nothing under it is walked; below
+    depth it returns the longer prefix's state, and at depth the tally,
+    key by key, of the statistics over the m-subsets that hold the
+    prefix.  That tally is the same for every ordered prefix in the
+    prefix's orbit, which holds prod |O_i| of them for its orbit sizes
+    O_i, and each m-subset holds m!/(m - depth)! ordered prefixes, so a
+    total is sum prod |O_i| tally / (m!/(m - depth)!).  Orbits that miss
+    an edge, or a remainder, raise AssertionError.
     """
-    sizes, part = index.pv.sizes, index.vertex_part
-    own = index.edges[root]
-    used = {part[u] for u in own}
-    label = [3 * sizes[p] + (p in used) for p in part]
-    for u in own:
-        label[u] += 1
-    return [(rep, size) for rep, size in _orbits_by_label(index, label) if rep != root]
-
-
-def _orbit_mean(index: EdgeSpaceIndex, m: int, rooted: Callable[[int, int], Counter]) -> Counter:
-    """Totals over every m-subset, m >= 2, of additive statistics, from root pairs.
-
-    rooted(root, rep) tallies the statistics, key by key, over the
-    m-subsets that hold both edges.  The tally is the same for every
-    ordered pair in the orbit of (root, rep), which holds |O1| |O2|
-    pairs when root's edge orbit is O1 and rep's orbit under root's
-    stabiliser is O2, and each m-subset holds m(m - 1) ordered pairs,
-    so a total is sum |O1| |O2| rooted(root, rep) / (m(m - 1)).  Orbits
-    that miss an edge, or a remainder, raise AssertionError.
-    """
-    orbits = edge_orbits(index)
-    if sum(size for _, size in orbits) != index.count:
-        raise AssertionError("edge orbits do not partition the edge space")
     weighted: Counter = Counter()
-    for root, size in orbits:
-        second = stabiliser_orbits(index, root)
-        if sum(rep_size for _, rep_size in second) != index.count - 1:
-            raise AssertionError("stabiliser orbits do not partition the other edges")
-        for rep, rep_size in second:
-            for key, value in rooted(root, rep).items():
-                weighted[key] += size * rep_size * value
-    pairs = m * (m - 1)
+
+    def walk(fixed: tuple[int, ...], state, weight: int) -> None:
+        orbits = stabiliser_orbits(index, fixed)
+        if sum(size for _, size in orbits) != index.count - len(fixed):
+            raise AssertionError(f"stabiliser orbits of {fixed} do not partition the other edges")
+        for rep, size in orbits:
+            child = rooted(state, rep)
+            if child is None:
+                continue
+            if len(fixed) + 1 < depth:
+                walk(fixed + (rep,), child, weight * size)
+            else:
+                for key, value in child.items():
+                    weighted[key] += weight * size * value
+
+    walk((), None, 1)
+    prefixes = math.perm(m, depth)
     totals: Counter = Counter()
     for key, value in weighted.items():
-        totals[key], rest = divmod(value, pairs)
+        totals[key], rest = divmod(value, prefixes)
         if rest:
-            raise AssertionError(f"pair-weighted {key} = {value} is not a multiple of m(m-1)={pairs}")
+            raise AssertionError(f"prefix-weighted {key} = {value} is not a multiple of m!/(m-{depth})! = {prefixes}")
     return totals
 
 
@@ -357,30 +409,36 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     """Plus m-subsets by cluster count: stratum 0, then populated strata.
 
     Plus is hereditary under a fixed cap, so extending only plus
-    prefixes visits exactly the plus subsets.  Each root pair starts the
-    state {root, rep}, two free edges or, when they share exactly two
-    vertices and cap >= 1, one cluster; a pair that is not plus starts
-    nothing.  The state extends in canonical order over the other edges,
-    and _orbit_mean weights the rooted strata.  The state is three
-    bitmasks over edge ids, ORed together from the chosen edges' link
-    rows: blocked, the edges meeting a used pair; twice, those meeting
-    at least two; cblock, those meeting a pair of a clustered edge.
-    Beside them: free, the ids of the chosen edges in no cluster; t; and
-    ids, the chosen edge ids.  A candidate in blocked's complement joins
-    as a free edge; while t < cap, one in blocked but in neither twice
-    nor cblock meets exactly one used pair, held by a free edge, and
-    opens a cluster with it.  Nothing else is a candidate.  The window
-    is the edges after the last one chosen; it needs no skip for the two
-    fixed edges, which meet the used pairs in all of their C(r, 2) >= 3
-    pairs.  (twice may also hold an edge that meets one used pair twice
-    over, a cluster's shared pair, but such an edge is in cblock
-    anyway.)  The last edge is not placed: the free candidates are
-    counted into stratum t and the cluster candidates into t + 1, two
-    popcounts.  Below two edges or below r = 3 no two edges are linked,
-    and every m-subset is linear.
+    prefixes visits exactly the plus subsets.  _orbit_mean fixes a root
+    prefix of depth edges, a pair, or a triple when a visitor is given
+    and m >= 3, and weights the rooted strata.  The prefix is built by
+    placing its edges one at a time: a new edge that meets no vertex pair
+    of the prefix joins as a free edge; while t < cap, one that meets
+    exactly one pair of exactly one prefix edge, a free one, opens a
+    cluster with it; anything else makes the prefix not plus, and
+    nothing is walked under it.  The prefix's edges are compared on
+    their pair rows, so at m = depth no link row is built.  Below m the
+    search extends the prefix in canonical order over the other edges.
+
+    Its state is three bitmasks over edge ids, ORed together from the
+    placed edges' link rows: blocked, the edges meeting a used
+    pair; twice, those meeting at least two; cblock, those meeting a
+    pair of a clustered edge.  Beside them: free, the ids of the placed
+    edges in no cluster; t; and ids, the placed edge ids.  A candidate in
+    blocked's complement joins as a free edge; while t < cap, one in
+    blocked but in neither twice nor cblock meets exactly one used pair,
+    held by a free edge, and opens a cluster with it, the prefix's rule
+    read off the masks.  The window is the edges after the last one
+    chosen; it needs no skip for the fixed edges, which meet the used
+    pairs in all of their C(r, 2) >= 3 pairs.  (twice may also hold an
+    edge that meets one used pair twice over, a cluster's shared pair,
+    but such an edge is in cblock anyway.)  The last edge is not placed:
+    the free candidates are counted into stratum t and the cluster
+    candidates into t + 1, two popcounts.  Below two edges or below
+    r = 3 no two edges are linked, and every m-subset is linear.
 
     visit, when given, is called on every plus m-subset that holds a
-    root pair, with its sorted edge ids and t, and returns a dict of
+    root prefix, with its sorted edge ids and t, and returns a dict of
     further additive statistics, keyed apart from the integer strata;
     they are weighted like the strata and returned beside them.  The
     last edge is then also placed one at a time, over the set bits of
@@ -390,62 +448,75 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
         return {0: math.comb(index.count, m)}
     pairs = index.pairs
     link_rows = index.link_rows
+    depth = 2 if visit is None else min(m, 3)
 
-    def rooted(root: int, rep: int) -> Counter:
-        strata: Counter = Counter()
+    def grow(blocked: int, twice: int, cblock: int, i: int, f: int | None) -> tuple[int, int, int]:
+        # the masks with edge i placed, free or, f given, clustered with the free
+        # edge f; extend writes the same update inline, since a call per search
+        # node slows census_by_cluster by about a sixth
+        once, two = link_rows(i)
+        if f is not None:
+            cblock |= once | link_rows(f)[0]
+        return blocked | once, twice | (blocked & once) | two, cblock
 
-        def visit_each(cands: int, t: int, ids: tuple):
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                strata.update(visit(tuple(sorted(ids + (low.bit_length() - 1,))), t))
-
-        def extend(window: int, blocked: int, twice: int, cblock: int,
-                   free: tuple, t: int, ids: tuple, left: int):
-            fresh = window & ~blocked
-            joins = window & blocked & ~(twice | cblock) if t < cap else 0
-            if left == 1:
-                strata[t] += fresh.bit_count()
-                if joins:
-                    strata[t + 1] += joins.bit_count()
-                if visit is not None:
-                    visit_each(fresh, t, ids)
-                    visit_each(joins, t + 1, ids)
-                return
-            # window & -(low << 1) keeps the window's edges after i
-            while fresh:
-                low = fresh & -fresh
-                fresh ^= low
-                i = low.bit_length() - 1
-                once, two = link_rows(i)
-                extend(window & -(low << 1), blocked | once, twice | (blocked & once) | two, cblock,
-                       free + (i,), t, ids + (i,), left - 1)
-            while joins:
-                low = joins & -joins
-                joins ^= low
-                i = low.bit_length() - 1
-                once, two = link_rows(i)
-                f = next(g for g in free if link_rows(g)[0] & low)
-                extend(window & -(low << 1), blocked | once, twice | (blocked & once) | two,
-                       cblock | once | link_rows(f)[0], tuple(g for g in free if g != f), t + 1,
-                       ids + (i,), left - 1)
-
-        t = len(pairs[root] & pairs[rep])
-        if t > 1 or (t and cap < 1):
-            return strata
-        if m == 2:
-            strata[t] += 1
+    def extend(strata: Counter, window: int, blocked: int, twice: int, cblock: int,
+               free: tuple, t: int, ids: tuple, left: int) -> None:
+        fresh = window & ~blocked
+        joins = window & blocked & ~(twice | cblock) if t < cap else 0
+        if left == 1:
+            strata[t] += fresh.bit_count()
+            if joins:
+                strata[t + 1] += joins.bit_count()
             if visit is not None:
-                strata.update(visit(tuple(sorted((root, rep))), t))
-            return strata
-        once_a, two_a = link_rows(root)
-        once_b, two_b = link_rows(rep)
-        blocked = once_a | once_b
-        extend((1 << index.count) - 1, blocked, (once_a & once_b) | two_a | two_b, blocked if t else 0,
-               () if t else (root, rep), t, (root, rep), m - 2)
+                for cands, s in ((fresh, t), (joins, t + 1)):
+                    while cands:
+                        low = cands & -cands
+                        cands ^= low
+                        for key, value in visit(tuple(sorted(ids + (low.bit_length() - 1,))), s).items():
+                            strata[key] += value
+            return
+        # window & -(low << 1) keeps the window's edges after i
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            i = low.bit_length() - 1
+            once, two = link_rows(i)
+            extend(strata, window & -(low << 1), blocked | once, twice | (blocked & once) | two, cblock,
+                   free + (i,), t, ids + (i,), left - 1)
+        while joins:
+            low = joins & -joins
+            joins ^= low
+            i = low.bit_length() - 1
+            f = next(g for g in free if link_rows(g)[0] & low)
+            once, two = link_rows(i)
+            extend(strata, window & -(low << 1), blocked | once, twice | (blocked & once) | two,
+                   cblock | once | link_rows(f)[0], tuple(g for g in free if g != f), t + 1,
+                   ids + (i,), left - 1)
+
+    def rooted(prefix, x: int):
+        ids, free, t, masks = prefix or ((), (), 0, (0, 0, 0))
+        own = pairs[x]
+        met = [g for g in ids if not own.isdisjoint(pairs[g])]
+        f = met[0] if met else None
+        if met and (len(met) > 1 or t >= cap or f not in free or len(own & pairs[f]) > 1):
+            return None
+        if f is not None:
+            free, t = tuple(g for g in free if g != f), t + 1
+        else:
+            free += (x,)
+        ids += (x,)
+        if m > depth:
+            masks = grow(*masks, x, f)
+        if len(ids) < depth:
+            return ids, free, t, masks
+        if m == depth:
+            # the visitor's keys are apart from the integer strata
+            return {t: 1} if visit is None else {t: 1, **visit(tuple(sorted(ids)), t)}
+        strata: Counter = Counter()
+        extend(strata, (1 << index.count) - 1, *masks, free, t, ids, m - depth)
         return strata
 
-    totals = _orbit_mean(index, m, rooted)
+    totals = _orbit_mean(index, m, depth, rooted)
     strata = {t: totals.pop(t, 0) for t in range(m // 2 + 1)}
     return {**{t: c for t, c in strata.items() if c or t == 0}, **totals}
 

@@ -9,10 +9,10 @@ verifies by aggregate counting with both sides computed independently.
 Clusters come from hypergraphs.classify (Classification.pairs) for one
 hypergraph, and from EdgeSpaceIndex.classify_combo in the audit, on each
 m-subset the census's plus search (census._plus_strata) visits: the plus
-m-subsets that hold a root pair, a root per edge orbit
-(census.edge_orbits) and a second edge per orbit of the root's
-stabiliser (census.stabiliser_orbits).  The move counts are written
-once, in _forward_total and _reverse_total.
+m-subsets that hold a root triple (a root pair at m = 2), one ordered
+triple per orbit, each edge a representative of the orbits of the
+stabiliser of the edges before it (census.stabiliser_orbits).  The move
+counts are written once, in _forward_total and _reverse_total.
 classify also decides whether a given move is valid: apply_forward
 accepts it exactly when the result has one cluster fewer, apply_reverse
 exactly when the inserted pair is one of the result's clusters.  The
@@ -304,7 +304,8 @@ class AuditReport:
     """Aggregate switching audit over every m-subset of one instance.
 
     Strata, not_plus and the move sums are totals over every m-subset,
-    computed from the plus subsets that hold a root pair; the measured
+    computed from the plus subsets that hold a root triple (a root pair
+    at m = 2); the measured
     ranges are taken over those subsets, which meet every orbit of plus
     hypergraphs.
     """
@@ -347,17 +348,19 @@ def bijection_audit(
     per stratum t, the forward total from stratum t against the reverse
     total from stratum t-1, which an exact bijection forces to agree.
     The subsets are those census._plus_strata visits: every quantity is
-    invariant under the partition's automorphisms, so at m >= 2 the
-    search walks only the plus m-subsets that hold a root pair, one pair
-    per orbit of ordered edge pairs, and weights strata and move sums by
-    the pair orbit's size over m(m - 1) exactly (census._orbit_mean).
-    not_plus is the rest of the subset total.  Each visited subset is
-    classified again by EdgeSpaceIndex.classify_combo, which reads the
-    overlap matrix, not the search's link rows; a reason or a cluster
-    count that differs from the search's raises AssertionError.  The
-    per-hypergraph ranges are taken over the visited subsets unweighted:
-    any two edges of a hypergraph can be carried to a root pair, so
-    every orbit of hypergraphs has a member there.
+    invariant under the partition's automorphisms, so at m >= 3 the
+    search walks only the plus m-subsets that hold a root triple, one
+    per orbit of ordered edge triples, and weights strata and move sums
+    by the triple orbit's size over m(m - 1)(m - 2) exactly
+    (census._orbit_mean); at m = 2 it walks one root pair per orbit of
+    ordered pairs.  not_plus is the rest of the subset total.  Each
+    visited subset is classified again by EdgeSpaceIndex.classify_combo,
+    which reads the overlap matrix, not the search's pair and link rows;
+    a reason or a cluster count that differs from the search's raises
+    AssertionError.  The per-hypergraph ranges are taken over the
+    visited subsets unweighted: any three edges of a hypergraph (two at
+    m = 2) can be carried to a root triple, so every orbit of
+    hypergraphs has a member there.
     """
     total = _guard(pv, r, m, work_ceiling, cat=True)
     cap = cluster_threshold(pv, r, m)
@@ -367,8 +370,13 @@ def bijection_audit(
     stats = cache(index.compat_stats)
 
     def widen(ranges: dict[int, tuple[int, int]], t: int, value: int) -> None:
-        lo, hi = ranges.get(t, (value, value))
-        ranges[t] = (min(lo, value), max(hi, value))
+        span = ranges.get(t)
+        if span is None:
+            ranges[t] = (value, value)
+        elif value < span[0]:
+            ranges[t] = (value, span[1])
+        elif value > span[1]:
+            ranges[t] = (span[0], value)
 
     def visit(combo: tuple[int, ...], t: int) -> dict:
         got, reason, clusters, free = index.classify_combo(combo, cap)

@@ -28,7 +28,6 @@ from linhyp import census, switching, verify
 from linhyp.census import (
     EdgeSpaceIndex,
     _plus_strata,
-    edge_orbits,
     orbit_count,
     pair_orbit_count,
     stabiliser_orbits,
@@ -196,7 +195,7 @@ def test_link_rows_are_built_only_for_roots_and_second_edges(monkeypatch):
     pv = uniform_partition(60)
     res = census_by_cluster(pv, 3, 3)
     assert res.linear == count_linear(pv, 3, 3) == 6578391204000
-    bound = len(edge_orbits(built[0])) + pair_orbit_count(pv, 3)
+    bound = len(stabiliser_orbits(built[0])) + pair_orbit_count(pv, 3)
     assert bound == 4
     for index in built:
         assert 0 < len(index._links) <= bound
@@ -255,10 +254,13 @@ def test_census_result_consistency_enforced():
 
 def test_compat_stats_against_brute_force():
     rng = make_rng(313)
+    # (sizes, r, largest h0); at r = 4 the triples of the blocked edges
+    # are counted off vertex tuples
     inputs = [
-        ((2, 2, 2), 3), ((2, 2, 2, 2), 4), ((1,) * 7, 3), ((1,) * 8, 5), ((1,) * 7, 6), ((3, 1, 2), 3)
+        ((2, 2, 2), 3, 3), ((2, 2, 2, 2), 4, 3), ((1,) * 7, 3, 3), ((1,) * 8, 5, 3), ((1,) * 7, 6, 3),
+        ((3, 1, 2), 3, 3), ((1,) * 9, 4, 4),
     ]
-    for sizes, r in inputs:
+    for sizes, r, top in inputs:
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, r)
         vsets = [set(vs) for vs in index.edges]
@@ -269,7 +271,7 @@ def test_compat_stats_against_brute_force():
         ]
         assert [list(row) for row in index.cat] == want, (sizes, r)
         for _ in range(25):
-            hsize = int(rng.integers(0, 4))
+            hsize = int(rng.integers(0, top + 1))
             h0 = tuple(sorted(int(x) for x in rng.choice(index.count, size=hsize, replace=False)))
             pool = [
                 i
@@ -415,7 +417,7 @@ def test_edge_orbits_cover_the_edge_space_and_match_the_histogram_count():
     for sizes in ((2, 2, 2), (3, 1, 2), (4, 2, 3, 1, 2), (1,) * 7, (2, 1, 2, 1), (3, 3, 1), (1, 1, 2, 3)):
         pv = partition(sizes)
         for r in range(0, pv.k + 1):
-            orbits = edge_orbits(EdgeSpaceIndex(pv, r))
+            orbits = stabiliser_orbits(EdgeSpaceIndex(pv, r))
             assert sum(size for _, size in orbits) == sigma(pv, r), (sizes, r)
             assert len(orbits) == orbit_count(pv, r), (sizes, r)
     assert orbit_count(partition((4, 2, 3, 1, 2)), 3) == 7
@@ -426,7 +428,7 @@ def test_edge_orbits_are_the_automorphism_orbits():
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, 3)
         covered = set()
-        for root, size in edge_orbits(index):
+        for root, size in stabiliser_orbits(index):
             orbit = {index.position[e] for e in _brute_orbit(pv, index.edges[root])}
             assert (len(orbit), min(orbit)) == (size, root), sizes
             assert covered.isdisjoint(orbit), sizes
@@ -434,22 +436,42 @@ def test_edge_orbits_are_the_automorphism_orbits():
         assert covered == set(range(index.count)), sizes
 
 
-@pytest.mark.parametrize("shift", [(1, 0), (1, -1)])
-def test_wrong_orbit_size_raises_instead_of_miscounting(monkeypatch, shift):
-    # (1, 0) leaves an edge uncovered; (1, -1) still sums to sigma_r but
-    # leaves a remainder when the weighted tallies are divided by m
-    true_orbits = census.edge_orbits
+def _shift_orbit_sizes(monkeypatch, level, shift):
+    """Make stabiliser_orbits misstate two orbit sizes under every prefix of `level` edges."""
+    true_orbits = census.stabiliser_orbits
 
-    def wrong(index):
-        (a, x), (b, y), *rest = true_orbits(index)
+    def wrong(index, fixed=()):
+        orbits = true_orbits(index, fixed)
+        if len(fixed) != level:
+            return orbits
+        (a, x), (b, y), *rest = orbits
         return [(a, x + shift[0]), (b, y + shift[1]), *rest]
 
-    monkeypatch.setattr(census, "edge_orbits", wrong)
+    monkeypatch.setattr(census, "stabiliser_orbits", wrong)
+
+
+@pytest.mark.parametrize("shift", [(1, 0), (1, -1)])
+def test_wrong_orbit_size_raises_instead_of_miscounting(monkeypatch, shift):
+    # (1, 0) leaves an edge uncovered; (1, -1) still sums to the edges
+    # left but leaves a remainder when the weighted tallies are divided
+    # by m!/(m - depth)!.  The count walks edge pairs (depth 2), the
+    # audit edge triples (depth 3); a wrong size at the i-th fixed edge
+    # must make every walk that reaches it raise, and leave the others be
     pv = partition((2, 1, 2, 1))
-    with pytest.raises(AssertionError):
-        _plus_strata(EdgeSpaceIndex(pv, 3), 4, 50)
-    with pytest.raises(AssertionError):
-        bijection_audit(pv, 3, 4)
+    calls = (
+        (2, lambda: _plus_strata(EdgeSpaceIndex(pv, 3), 4, 50)),
+        (3, lambda: bijection_audit(pv, 3, 4).to_json_dict()),
+    )
+    want = [call() for _, call in calls]
+    for depth in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            _shift_orbit_sizes(patch, depth - 1, shift)
+            for (reach, call), expected in zip(calls, want):
+                if depth <= reach:
+                    with pytest.raises(AssertionError):
+                        call()
+                else:
+                    assert call() == expected, depth
 
 
 def _automorphisms(pv):
@@ -466,26 +488,36 @@ def _automorphisms(pv):
             yield {v: parts[target[p]][perm[p][i]] for p, vs in enumerate(parts) for i, v in enumerate(vs)}
 
 
+def _check_stabiliser_orbits(index, group, fixed, label):
+    """stabiliser_orbits(index, fixed) against the orbits, on the other edges,
+    of the members of group that map each edge of fixed to itself."""
+
+    def image(g, i):
+        return index.position[tuple(sorted(g[v] for v in index.edges[i]))]
+
+    stabiliser = [g for g in group if all(image(g, e) == e for e in fixed)]
+    orbits = stabiliser_orbits(index, fixed)
+    assert sum(size for _, size in orbits) == index.count - len(fixed), (label, fixed)
+    covered = set()
+    for rep, size in orbits:
+        orbit = {image(g, rep) for g in stabiliser}
+        assert (len(orbit), min(orbit)) == (size, rep), (label, fixed, rep)
+        assert covered.isdisjoint(orbit), (label, fixed, rep)
+        covered |= orbit
+    assert covered == set(range(index.count)) - set(fixed), (label, fixed)
+    return orbits
+
+
 def test_stabiliser_orbits_are_the_orbits_of_the_roots_stabiliser():
+    # the second edges under each root, and the audit's third edges under
+    # each ordered root pair, against all automorphisms
     for sizes in ((2, 1, 2, 1), (3, 1, 2, 2), (1,) * 6):
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, 3)
         group = list(_automorphisms(pv))
-
-        def image(g, i):
-            return index.position[tuple(sorted(g[v] for v in index.edges[i]))]
-
-        for root, _ in edge_orbits(index):
-            stabiliser = [g for g in group if image(g, root) == root]
-            orbits = stabiliser_orbits(index, root)
-            assert sum(size for _, size in orbits) == index.count - 1, (sizes, root)
-            covered = set()
-            for rep, size in orbits:
-                orbit = {image(g, rep) for g in stabiliser}
-                assert (len(orbit), min(orbit)) == (size, rep), (sizes, root, rep)
-                assert covered.isdisjoint(orbit), (sizes, root, rep)
-                covered |= orbit
-            assert covered == set(range(index.count)) - {root}, (sizes, root)
+        for root, _ in stabiliser_orbits(index):
+            for rep, _ in _check_stabiliser_orbits(index, group, (root,), sizes):
+                _check_stabiliser_orbits(index, group, (root, rep), sizes)
 
 
 def test_pair_orbit_count_matches_the_stabiliser_orbits():
@@ -497,7 +529,7 @@ def test_pair_orbit_count_matches_the_stabiliser_orbits():
         pv = partition(sizes)
         for r in range(0, pv.k + 1):
             index = EdgeSpaceIndex(pv, r)
-            want = sum(len(stabiliser_orbits(index, root)) for root, _ in edge_orbits(index))
+            want = sum(len(stabiliser_orbits(index, (root,))) for root, _ in stabiliser_orbits(index))
             assert pair_orbit_count(pv, r) == want, (sizes, r)
     # one orbit of edges; a second edge shares 0, 1 or 2 vertices with the root
     assert pair_orbit_count(uniform_partition(8), 3) == 3
@@ -520,27 +552,27 @@ def test_rooted_price_counts_the_pair_orbits_when_it_refuses():
 
 @pytest.mark.parametrize("shift", [(1, 0), (1, -1)])
 def test_wrong_stabiliser_orbit_size_raises_or_changes_the_answer(monkeypatch, shift):
-    # (1, 0) leaves the sizes short of sigma_r - 1 and must raise; (1, -1)
-    # keeps the sum, so it must raise on a remainder or change an answer
+    # (1, 0) leaves the sizes short of the edges left and must raise;
+    # (1, -1) keeps the sum, so it must raise on a remainder or change an
+    # answer, at every depth a walk reaches (the m = 3 audit's leaves are
+    # the root triples themselves)
     pv = partition((2, 1, 2, 1))
     calls = (
-        lambda: _plus_strata(EdgeSpaceIndex(pv, 3), 4, 50),
-        lambda: bijection_audit(pv, 3, 4).to_json_dict(),
+        (2, lambda: _plus_strata(EdgeSpaceIndex(pv, 3), 4, 50)),
+        (3, lambda: bijection_audit(pv, 3, 4).to_json_dict()),
+        (3, lambda: bijection_audit(pv, 3, 3).to_json_dict()),
     )
-    want = [call() for call in calls]
-    true_orbits = census.stabiliser_orbits
-
-    def wrong(index, root):
-        (a, x), (b, y), *rest = true_orbits(index, root)
-        return [(a, x + shift[0]), (b, y + shift[1]), *rest]
-
-    monkeypatch.setattr(census, "stabiliser_orbits", wrong)
-    for call, expected in zip(calls, want):
-        try:
-            got = call()
-        except AssertionError:
-            continue
-        assert shift[1] and got != expected
+    want = [call() for _, call in calls]
+    for depth in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            _shift_orbit_sizes(patch, depth - 1, shift)
+            for (reach, call), expected in zip(calls, want):
+                try:
+                    got = call()
+                except AssertionError:
+                    assert depth <= reach, depth
+                    continue
+                assert (shift[1] and got != expected) if depth <= reach else got == expected, depth
 
 
 @pytest.mark.parametrize("sizes, r, m", [((1,) * 8, 3, 4), ((2, 2, 2, 2), 3, 5), ((3, 3, 3), 3, 4)])

@@ -31,7 +31,7 @@ from linhyp import (
     uniform_partition,
 )
 from linhyp.asymptotics import cluster_mean
-from linhyp.census import EdgeSpaceIndex, edge_orbits, stabiliser_orbits
+from linhyp.census import EdgeSpaceIndex, stabiliser_orbits
 from linhyp.hypergraphs import OVERLAP_GE3, cluster_threshold
 from linhyp.switching import ForwardMove, ReverseMove, _forward_total, _reverse_total
 
@@ -300,18 +300,20 @@ def test_audit_raises_when_classify_combo_disagrees_with_the_search(monkeypatch,
 @pytest.mark.parametrize("sizes, r, m", [((1,) * 8, 3, 4), ((3, 1, 2, 2), 3, 4)])
 def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m):
     # the rooted subsets, swept here without the plus search: each m-subset
-    # that holds a root pair, one pair per orbit of ordered edge pairs
+    # that holds a root triple, one triple per orbit of ordered edge
+    # triples, taken under every root pair, plus or not
     pv = partition(sizes)
     index = EdgeSpaceIndex(pv, r)
     cap = cluster_threshold(pv, r, m)
     want = []
-    for root, _ in edge_orbits(index):
-        for rep, _ in stabiliser_orbits(index, root):
-            others = [i for i in range(index.count) if i not in (root, rep)]
-            for rest in combinations(others, m - 2):
-                combo = tuple(sorted((root, rep, *rest)))
-                if index.classify_combo(combo, cap)[1] is None:
-                    want.append(combo)
+    for root, _ in stabiliser_orbits(index):
+        for rep, _ in stabiliser_orbits(index, (root,)):
+            for third, _ in stabiliser_orbits(index, (root, rep)):
+                others = [i for i in range(index.count) if i not in (root, rep, third)]
+                for rest in combinations(others, m - 3):
+                    combo = tuple(sorted((root, rep, third, *rest)))
+                    if index.classify_combo(combo, cap)[1] is None:
+                        want.append(combo)
     true_classify = EdgeSpaceIndex.classify_combo
     seen = []
 
