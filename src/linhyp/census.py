@@ -54,9 +54,7 @@ class EdgeSpaceIndex:
     pairs and built on first use: occupants, the edges holding each
     pair; link_rows(e), the bitmasks over edge ids of the edges meeting
     one or at least two of e's pairs, built per edge the first time the
-    plus search roots or places it, and kept; subset_occupancy, the
-    occupancy of each vertex subset of sizes 2 to r - 1, for
-    compat_stats; position, the id of each
+    plus search roots or places it, and kept; position, the id of each
     vertex tuple, for the switching move counters; and cat, the pairwise
     overlap matrix, read only by classify_combo.  Only the switching
     audit calls classify_combo: it re-checks each subset the plus search
@@ -158,24 +156,6 @@ class EdgeSpaceIndex:
         free = tuple(combo[x] for x in range(m) if x not in paired)
         return len(clusters), None, clusters, free
 
-    @cached_property
-    def subset_occupancy(self) -> dict[int, tuple[dict, int]]:
-        """Per alpha in 2..r-1: the occupancy of each alpha-subset, and T_alpha.
-
-        The occupancy of a vertex subset is the number of edges holding
-        it, and T_alpha = sum of binomial(occupancy, 2) over the
-        alpha-subsets, both over the whole edge space.  Pairs are keyed by
-        id, larger subsets by vertex tuple.
-        """
-        out = {}
-        for alpha in range(2, self.r):
-            if alpha == 2:
-                occ = {pid: len(group) for pid, group in self.occupants.items()}
-            else:
-                occ = Counter(chain.from_iterable(combinations(vs, alpha) for vs in self.edges))
-            out[alpha] = occ, sum(c * (c - 1) // 2 for c in occ.values())
-        return out
-
     def compat_stats(self, h0: tuple[int, ...]) -> tuple[int, int, int]:
         """Statistics of the edges compatible with a fixed edge set h0.
 
@@ -183,34 +163,21 @@ class EdgeSpaceIndex:
         h0 and not being one of them: the edge's vertex pairs avoid every
         pair h0 occupies, as in count_linear's search.  Returns the count
         of compatible edges, the number of unordered compatible pairs
-        sharing >= 2 vertices, and the number sharing exactly 2.
-
-        The blocked set B is h0 and the occupants of h0's pairs; the
-        compatible edges are the rest.  T_alpha over the compatible edges
-        is counted over whichever side is smaller.  Over the compatible
-        edges it is sum binomial(count, 2) of their alpha-subsets.  Over B:
-        an alpha-subset held by o edges, d of them in B, adds
-        binomial(o - d, 2) = binomial(o, 2) - d (2o - d - 1) / 2, so T_alpha
-        is the whole space's total (subset_occupancy, one pass per index)
-        less that term over the alpha-subsets of B's edges.  At r = 3 on a
-        large edge space B is the smaller side, and a call costs
-        O(|B| C(r, 2)), not a scan of sigma_r edges.
+        sharing >= 2 vertices, and the number sharing exactly 2.  Pairs
+        are counted off the pairs rows, larger subsets off the edge tuples.
         """
-        pairs, occupants = self.pairs, self.occupants
-        blocked = set(h0).union(*(occupants[pid] for g in h0 for pid in pairs[g]))
-        direct = 2 * len(blocked) > self.count
-        side = set(range(self.count)) - blocked if direct else blocked
+        pairs = self.pairs
+        used = frozenset().union(*(pairs[g] for g in h0))
+        members = set(h0)
+        pool = [i for i, row in enumerate(pairs) if used.isdisjoint(row) and i not in members]
+        # T[alpha] = sum over alpha-subsets of binomial(occupancy, 2)
         t_by_alpha: dict[int, int] = {}
         for alpha in range(2, self.r):
-            subsets = map(pairs.__getitem__, side) if alpha == 2 else (
-                combinations(self.edges[i], alpha) for i in side)
-            counts = Counter(chain.from_iterable(subsets))
-            if direct:
-                t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in counts.values())
-            else:
-                occ, total = self.subset_occupancy[alpha]
-                t_by_alpha[alpha] = total - sum(d * (2 * occ[key] - d - 1) // 2 for key, d in counts.items())
-        return (self.count - len(blocked), *shared_pair_counts(t_by_alpha, self.r))
+            subsets = map(pairs.__getitem__, pool) if alpha == 2 else (
+                combinations(self.edges[i], alpha) for i in pool)
+            occ = Counter(chain.from_iterable(subsets))
+            t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in occ.values())
+        return (len(pool), *shared_pair_counts(t_by_alpha, self.r))
 
 
 def count_all(pv: PartitionVector, r: int, m: int) -> int:
@@ -285,10 +252,12 @@ def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = F
     The audit roots at triples from m = 3 on and visits only plus
     m-subsets.  A root pair in a subset extends to at most m - 2 root
     triples in it, so it may visit up to m - 2 times the subsets priced
-    here where a pair's stabiliser fixes most edges; on the cells with
-    small stabilisers measured (parts 3,1,2,2, 4,2,3,1,2 and 5,1,1,3,3
-    at m = 4 and 5) it visited 0.36 to 0.68 of them.  The price is kept
-    as it was, so every refusal threshold stays where it was.
+    here where a pair's stabiliser fixes most edges.  On cells with
+    small stabilisers (parts 3,1,2,2 and 2,2,2,3 at m = 4 and 5,
+    5,1,1,3,3 and 4,2,3,1,2 at m = 4) it visits 0.36 to 0.63 of them,
+    and test_audit_visits_no_more_subsets_than_the_price_counts
+    (tests/test_switching.py) holds it under the price there.  The price
+    is kept as it was, so every refusal threshold stays where it was.
 
     The plus search's link rows, two of sigma_r bits per edge it roots
     or places, fit under this price with no term of their own.  At
@@ -411,31 +380,35 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     Plus is hereditary under a fixed cap, so extending only plus
     prefixes visits exactly the plus subsets.  _orbit_mean fixes a root
     prefix of depth edges, a pair, or a triple when a visitor is given
-    and m >= 3, and weights the rooted strata.  The prefix is built by
-    placing its edges one at a time: a new edge that meets no vertex pair
-    of the prefix joins as a free edge; while t < cap, one that meets
-    exactly one pair of exactly one prefix edge, a free one, opens a
-    cluster with it; anything else makes the prefix not plus, and
-    nothing is walked under it.  The prefix's edges are compared on
-    their pair rows, so at m = depth no link row is built.  Below m the
-    search extends the prefix in canonical order over the other edges.
+    and m >= 3, and weights the rooted strata.  Below m the search
+    extends the prefix in canonical order over the other edges.
 
     Its state is three bitmasks over edge ids, ORed together from the
     placed edges' link rows: blocked, the edges meeting a used
     pair; twice, those meeting at least two; cblock, those meeting a
     pair of a clustered edge.  Beside them: free, the ids of the placed
     edges in no cluster; t; and ids, the placed edge ids.  A candidate in
-    blocked's complement joins as a free edge; while t < cap, one in
-    blocked but in neither twice nor cblock meets exactly one used pair,
-    held by a free edge, and opens a cluster with it, the prefix's rule
-    read off the masks.  The window is the edges after the last one
-    chosen; it needs no skip for the fixed edges, which meet the used
-    pairs in all of their C(r, 2) >= 3 pairs.  (twice may also hold an
-    edge that meets one used pair twice over, a cluster's shared pair,
-    but such an edge is in cblock anyway.)  The last edge is not placed:
-    the free candidates are counted into stratum t and the cluster
-    candidates into t + 1, two popcounts.  Below two edges or below
-    r = 3 no two edges are linked, and every m-subset is linear.
+    blocked's complement meets no used pair and joins as a free edge;
+    while t < cap, one in blocked but in neither twice nor cblock meets
+    exactly one used pair, held by a free edge, and opens a cluster with
+    it; anything else would make the set not plus.  The window is the
+    edges after the last one chosen; it needs no skip for the fixed
+    edges, which meet the used pairs in all of their C(r, 2) >= 3 pairs.
+    (twice may also hold an edge that meets one used pair twice over, a
+    cluster's shared pair, but such an edge is in cblock anyway.)  The
+    last edge is not placed: the free candidates are counted into
+    stratum t and the cluster candidates into t + 1, two popcounts.
+    Below two edges or below r = 3 no two edges are linked, and every
+    m-subset is linear.
+
+    The prefix is placed one edge at a time by the same rule, and a
+    prefix that is not plus has nothing walked under it.  At m = depth
+    the prefix is the whole subset and no mask is needed, so the rule is
+    read off the prefix edges' pair rows instead (the met list), and no
+    link row is built; the two readings must agree.  The union-find
+    oracle tests (tests/test_census.py) hold both at depth 2 to every
+    m-subset's signature, and test_rooted_audit_matches_an_unrooted_sweep
+    (tests/test_switching.py) both at depth 3, at m = 3 and m = 4.
 
     visit, when given, is called on every plus m-subset that holds a
     root prefix, with its sorted edge ids and t, and returns a dict of
@@ -495,18 +468,28 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
 
     def rooted(prefix, x: int):
         ids, free, t, masks = prefix or ((), (), 0, (0, 0, 0))
-        own = pairs[x]
-        met = [g for g in ids if not own.isdisjoint(pairs[g])]
-        f = met[0] if met else None
-        if met and (len(met) > 1 or t >= cap or f not in free or len(own & pairs[f]) > 1):
-            return None
+        if m > depth:
+            # extend's candidate rule, on the masks of the prefix
+            blocked, twice, cblock = masks
+            bit = 1 << x
+            f = None
+            if blocked & bit:
+                if t >= cap or (twice | cblock) & bit:
+                    return None
+                f = next(g for g in free if link_rows(g)[0] & bit)
+            masks = grow(blocked, twice, cblock, x, f)
+        else:
+            # the same rule on the pair rows, so that no link row is built
+            own = pairs[x]
+            met = [g for g in ids if not own.isdisjoint(pairs[g])]
+            f = met[0] if met else None
+            if met and (len(met) > 1 or t >= cap or f not in free or len(own & pairs[f]) > 1):
+                return None
         if f is not None:
             free, t = tuple(g for g in free if g != f), t + 1
         else:
             free += (x,)
         ids += (x,)
-        if m > depth:
-            masks = grow(*masks, x, f)
         if len(ids) < depth:
             return ids, free, t, masks
         if m == depth:

@@ -31,8 +31,9 @@ from linhyp import (
     uniform_partition,
 )
 from linhyp.asymptotics import cluster_mean
-from linhyp.census import EdgeSpaceIndex, stabiliser_orbits
+from linhyp.census import EdgeSpaceIndex, pair_orbit_count, stabiliser_orbits
 from linhyp.hypergraphs import OVERLAP_GE3, cluster_threshold
+from linhyp.partitions import sigma
 from linhyp.switching import ForwardMove, ReverseMove, _forward_total, _reverse_total
 
 
@@ -326,6 +327,30 @@ def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m)
     bijection_audit(pv, r, m)
     assert all(reason is None for _, reason in seen)
     assert sorted(combo for combo, _ in seen) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "sizes, m",
+    [((3, 1, 2, 2), 4), ((3, 1, 2, 2), 5), ((2, 2, 2, 3), 4), ((2, 2, 2, 3), 5), ((5, 1, 1, 3, 3), 4)],
+)
+def test_audit_visits_no_more_subsets_than_the_price_counts(monkeypatch, sizes, m):
+    # _guard prices pair_orbit_count * C(sigma_r - 2, m - 2) visited
+    # subsets; a triple root may stand for up to m - 2 of a pair root's
+    # subsets, so hold the audit's classify_combo calls to that price on
+    # cells whose root pairs have small stabiliser orbits (0.36 to 0.63
+    # of the price here; m = 5 on 5,1,1,3,3 is refused by the ceiling)
+    pv = partition(sizes)
+    calls = []
+    true_classify = EdgeSpaceIndex.classify_combo
+
+    def record(self, combo, cap):
+        calls.append(combo)
+        return true_classify(self, combo, cap)
+
+    monkeypatch.setattr(EdgeSpaceIndex, "classify_combo", record)
+    bijection_audit(pv, 3, m)
+    priced = pair_orbit_count(pv, 3) * math.comb(sigma(pv, 3) - 2, m - 2)
+    assert 0 < len(calls) <= priced
 
 
 def test_audit_on_the_bench_probe_cell_builds_the_overlap_matrix(monkeypatch):
