@@ -8,7 +8,11 @@ time, each block on its own counter RNG keyed (seed, block):
 2. unrank: EdgeSampler.unrank_many maps the ids to vertex tuples through
    the part-suffix counts, so part subsets come out with probability
    proportional to the product of their part sizes: one searchsorted per
-   vertex but the last, which is n + 1 minus the remaining weight;
+   vertex but the last, which is n + 1 minus the remaining weight.
+   estimate_linear_probability unranks the whole edge space once instead
+   when sigma_r <= min(trials, BLOCK_TRIALS) * m, so that no more ids
+   than one block draws, and then gathers each block's tuples from that
+   (r, sigma_r) table;
 3. classify: classify_rows sorts each row's vertex-subset codes and reads
    the plus classification and the overlap count off the runs of equal
    codes.  Shared triples are found first, and the pair codes are
@@ -17,8 +21,10 @@ time, each block on its own counter RNG keyed (seed, block):
    form a matching runs only on rows with two or more linked pairs and
    no run of three equal pair codes.
 
-Nothing indexes the edge space or its edge pairs, so a block needs
-O(BLOCK_TRIALS * m * r) memory however large sigma_r is.  One seed pins
+Nothing indexes the edge pairs, and the edge table is built only when
+it holds no more than one block's vertex tuples, so a run needs
+O(BLOCK_TRIALS * m * r) memory however large sigma_r is; above the rule
+every block unranks its own ids.  One seed pins
 the same draws in estimate_linear_probability, draw_subset_ids and
 sample_hypergraph, and every report is reproducible; the stream is not
 the one of the earlier per-trial loop, so seeded outputs differ from it.
@@ -34,7 +40,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -152,8 +158,10 @@ class EdgeSampler:
     def unrank_many(self, ids: np.ndarray) -> np.ndarray:
         """Vertex tuples of an int64 array of edge ids, shape ids.shape + (r,).
 
-        key is the weight from the id to the end of the order.  At each
-        level j >= 2 the next vertex lies in the first part i with
+        The tuples are a view of an (r,) + ids.shape array, so each
+        vertex column is contiguous, as classify_rows reads them.  key is
+        the weight from the id to the end of the order.  At each level
+        j >= 2 the next vertex lies in the first part i with
         suffix[i+1][j] < key, found by one searchsorted on the rising
         suffix column.  At j = 1 every vertex weighs one, so key counts
         vertices from the end and the last vertex is n + 1 - key: r - 1
@@ -166,15 +174,15 @@ class EdgeSampler:
         k = self.pv.k
         columns, rising, first = self._arrays
         key = self.total - ids
-        out = np.empty(ids.shape + (self.r,), dtype=np.int64)
+        out = np.empty((self.r,) + ids.shape, dtype=np.int64)
         for level, j in enumerate(range(self.r, 1, -1)):
             part = k - np.searchsorted(rising[j], key)
             step = columns[j - 1].take(part + 1)
             local, rest = np.divmod(columns[j].take(part) - key, step)
-            out[..., level] = first.take(part) + local
+            out[level] = first.take(part) + local
             key = step - rest
-        out[..., -1] = self.pv.n + 1 - key
-        return out
+        out[-1] = self.pv.n + 1 - key
+        return np.moveaxis(out, 0, -1)
 
 
 def _batch_sampler(pv: PartitionVector, r: int, m: int, trials: int) -> EdgeSampler:
@@ -228,18 +236,23 @@ def _classifier_guard(n: int, r: int, m: int, trials: int, track_overlaps: bool)
         )
 
 
-def _subset_codes(verts: np.ndarray, alpha: int, base: int) -> np.ndarray:
-    """(rows, m * C(r, alpha)) codes of every alpha-subset of every edge, edge-major."""
-    rows, m, r = verts.shape
+def _subset_codes(cols: np.ndarray, alpha: int, base: int) -> np.ndarray:
+    """(rows, C(r, alpha) * m) codes of every alpha-subset of every edge, subset-major.
+
+    cols is the (r, rows, m) array of contiguous vertex columns, so each
+    subset's codes are built by whole contiguous (rows, m) passes; one
+    transposing copy then puts each row's codes together.
+    """
+    r, rows, m = cols.shape
     subsets = list(combinations(range(r), alpha))
-    codes = np.empty((rows, m, len(subsets)), dtype=np.int64)
-    for c, pos in enumerate(subsets):
-        code = codes[:, :, c]
-        code[...] = verts[:, :, pos[0]]
-        for p in pos[1:]:
+    codes = np.empty((len(subsets), rows, m), dtype=np.int64)
+    for code, pos in zip(codes, subsets):
+        np.multiply(cols[pos[0]], base, out=code)
+        for p in pos[1:-1]:
+            code += cols[p]
             code *= base
-            code += verts[:, :, p]
-    return codes.reshape(rows, m * len(subsets))
+        code += cols[pos[-1]]
+    return codes.transpose(1, 0, 2).reshape(rows, len(subsets) * m)
 
 
 def _equal_neighbours(codes: np.ndarray) -> np.ndarray:
@@ -276,9 +289,8 @@ def _edges_touched(codes: np.ndarray, same: np.ndarray, m: int) -> np.ndarray:
     in_run[:, :-1] |= same
     touched = np.zeros_like(in_run)
     np.put_along_axis(touched, np.argsort(codes, axis=1), in_run, axis=1)
-    # an OR over each edge's subsets, one strided pass per subset
-    by_subset = touched.reshape(len(codes), m, -1).transpose(2, 0, 1)
-    return np.count_nonzero(reduce(np.logical_or, by_subset), axis=1)
+    # the codes are subset-major: an OR over each edge's subsets
+    return np.count_nonzero(touched.reshape(len(codes), -1, m).any(axis=1), axis=1)
 
 
 def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = False):
@@ -309,10 +321,12 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     """
     rows, m, r = verts.shape
     alphas = _subset_sizes(r, track_overlaps)
+    # a view of the sampler's own tuples, which unrank_many lays out so
+    cols = np.ascontiguousarray(verts.transpose(2, 0, 1))
     t_by_alpha = {}
     triple = np.zeros(rows, dtype=bool)
     for alpha in alphas[1:]:
-        same = _equal_neighbours(_subset_codes(verts, alpha, n + 1))
+        same = _equal_neighbours(_subset_codes(cols, alpha, n + 1))
         if track_overlaps:
             t_by_alpha[alpha] = _shared_counts(same, exact=True)[0]
         if alpha == 3:
@@ -322,7 +336,7 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     if alphas:
         # a shared triple decides a row, unless its T_2 counts towards overlaps
         live = slice(None) if track_overlaps or not triple.any() else ~triple
-        codes = _subset_codes(verts[live], 2, n + 1)
+        codes = _subset_codes(cols[:, live], 2, n + 1)
         same = _equal_neighbours(codes)
         # an edge in a run of three lies in two linked pairs
         shared, in_two = _shared_counts(same, exact=track_overlaps)
@@ -452,8 +466,17 @@ def estimate_linear_probability(
     hist: Counter[int] = Counter()
     viol: Counter[str] = Counter()
     overlap = 0
+    columns = None
+    if sampler.total <= min(trials, BLOCK_TRIALS) * m:
+        # the edge space has no more ids than one block draws: unrank it
+        # once, as (r, sigma_r) vertex columns no larger than a block's tuples
+        columns = sampler.unrank_many(np.arange(sampler.total)).T
     for rng, rows in _blocks(trials, seed):
-        verts = sampler.unrank_many(_draw_block(rng, sampler.total, rows, m))
+        ids = _draw_block(rng, sampler.total, rows, m)
+        if columns is None:
+            verts = sampler.unrank_many(ids)
+        else:
+            verts = np.moveaxis(columns.take(ids, axis=1), 0, -1)
         t, reason, overlaps = classify_rows(verts, pv.n, cap, track_overlaps)
         hist.update(t[reason == 0].tolist())
         viol.update(map(REASONS.__getitem__, reason[reason > 0].tolist()))

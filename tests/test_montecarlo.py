@@ -33,6 +33,7 @@ from linhyp.montecarlo import (
     BLOCK_TRIALS,
     REASONS,
     _draw_block,
+    _subset_id_blocks,
     classify_rows,
     cluster_signature,
     draw_subset_ids,
@@ -269,6 +270,8 @@ def test_seeded_reports_are_pinned():
         (uniform_partition(40), 3, 20, 20000, 142, False),
         (uniform_partition(20), 3, 10, 20000, 143, True),
         (partition((1, 1, 1000)), 3, 300, 1024, 144, False),
+        # sigma_r = C(1000, 3) is far above trials * m: unranked block by block
+        (uniform_partition(1000), 3, 50, 2000, 145, True),
     ]
     want = [
         {
@@ -296,10 +299,60 @@ def test_seeded_reports_are_pinned():
             "hits": "0", "p_hat": 0.0, "stderr": 0.0, "cluster_histogram": {},
             "violation_counts": {"cluster_gt2_edges": "1024"},
         },
+        {
+            "parts": [1] * 1000, "r": 3, "m": 50, "trials": "2000", "seed": 145,
+            "hits": "1954", "p_hat": 0.977, "stderr": 0.0033519397369284566,
+            "cluster_histogram": {"0": "1954", "1": "46"}, "violation_counts": {},
+            "overlap_total": "46", "overlap_mean": 0.023,
+        },
     ]
     for (pv, r, m, trials, seed, track), payload in zip(cells, want):
         rep = estimate_linear_probability(pv, r, m, trials, seed=seed, track_overlaps=track)
         assert rep.to_json_dict() == payload, (pv.sizes[:6], r, m)
+
+
+@pytest.mark.parametrize(
+    "sizes, r, m, trials, table",
+    [
+        # sigma_r = 8 against min(trials, BLOCK_TRIALS) * m: the boundary
+        ((2, 2, 2), 3, 2, 4, True),
+        ((2, 2, 2), 3, 2, 3, False),
+        # more than one block on each side
+        ((3,) * 6, 4, 5, BLOCK_TRIALS + 700, True),
+        ((1,) * 60, 3, 8, BLOCK_TRIALS + 700, False),
+    ],
+)
+@pytest.mark.parametrize("track", [False, True])
+def test_edge_table_rule_matches_block_unranking(monkeypatch, sizes, r, m, trials, table, track):
+    # a report on either side of the table rule against one tallied from
+    # the drawn ids, unranked block by block and classified directly
+    pv = partition(sizes)
+    sampler = EdgeSampler(pv, r)
+    assert (sampler.total <= min(trials, BLOCK_TRIALS) * m) == table
+    cap = cluster_threshold(pv, r, m)
+    hist: Counter = Counter()
+    viol: Counter = Counter()
+    overlap = 0
+    for ids in _subset_id_blocks(pv, r, m, trials, seed=37):
+        t, reason, overlaps = classify_rows(sampler.unrank_many(ids), pv.n, cap, track)
+        hist.update(t[reason == 0].tolist())
+        viol.update(REASONS[i] for i in reason[reason > 0].tolist())
+        overlap += int(overlaps.sum()) if track else 0
+
+    unranked = []
+    unrank_many = EdgeSampler.unrank_many
+
+    def recording(self, ids):
+        unranked.append(np.shape(ids))
+        return unrank_many(self, ids)
+
+    monkeypatch.setattr(EdgeSampler, "unrank_many", recording)
+    rep = estimate_linear_probability(pv, r, m, trials, seed=37, track_overlaps=track)
+    blocks = [(min(BLOCK_TRIALS, trials - start), m) for start in range(0, trials, BLOCK_TRIALS)]
+    assert unranked == ([(sampler.total,)] if table else blocks)
+    assert rep.cluster_histogram == dict(hist)
+    assert rep.violation_counts == dict(viol)
+    assert rep.overlap_total == (overlap if track else None)
 
 
 def test_unrank_many_is_the_scalar_bijection():
