@@ -9,10 +9,10 @@ time, each block on its own counter RNG keyed (seed, block):
    the part-suffix counts, so part subsets come out with probability
    proportional to the product of their part sizes: one searchsorted per
    vertex but the last, which is n + 1 minus the remaining weight.
-   estimate_linear_probability unranks the whole edge space once instead
-   when sigma_r <= min(trials, BLOCK_TRIALS) * m, so that no more ids
-   than one block draws, and then gathers each block's tuples from that
-   (r, sigma_r) table;
+   estimate_linear_probability instead unranks the whole edge space once
+   when sigma_r <= min(trials, BLOCK_TRIALS) * m, no more ids than one
+   block draws, and gathers each block's tuples from that (r, sigma_r)
+   table;
 3. classify: classify_rows sorts each row's vertex-subset codes and reads
    the plus classification and the overlap count off the runs of equal
    codes.  Shared triples are found first, and the pair codes are
@@ -24,9 +24,9 @@ time, each block on its own counter RNG keyed (seed, block):
 Nothing indexes the edge pairs, and the edge table is built only when
 it holds no more than one block's vertex tuples, so a run needs
 O(BLOCK_TRIALS * m * r) memory however large sigma_r is; above the rule
-every block unranks its own ids.  One seed pins
-the same draws in estimate_linear_probability, draw_subset_ids and
-sample_hypergraph, and every report is reproducible; the stream is not
+every block unranks its own ids.  One seed pins the same draws in
+estimate_linear_probability, draw_subset_ids and sample_hypergraph,
+and every report is reproducible; the stream is not
 the one of the earlier per-trial loop, so seeded outputs differ from it.
 Before anything is allocated the sampler refuses edge spaces whose
 counts do not fit in int64 (DomainError), trials * m^2 above

@@ -424,7 +424,8 @@ def test_batch_classifier_agrees_with_cluster_signature(data):
     ids = _draw_block(make_rng(seed), total, 6, m)
     verts = sampler.unrank_many(ids)
     t, reason, overlaps = classify_rows(verts, pv.n, cap, track_overlaps=True)
-    t_plain, reason_plain, none = classify_rows(verts, pv.n, cap)
+    # the same tuples in row-major order, as a caller outside the sampler holds them
+    t_plain, reason_plain, none = classify_rows(np.ascontiguousarray(verts), pv.n, cap)
     assert none is None
     assert reason_plain.tolist() == reason.tolist()
     for row, combo in enumerate(ids.tolist()):
