@@ -13,13 +13,16 @@ time, each block on its own counter RNG keyed (seed, block):
    when sigma_r <= min(trials, BLOCK_TRIALS) * m, no more ids than one
    block draws, and gathers each block's tuples from that (r, sigma_r)
    table;
-3. classify: classify_rows sorts each row's vertex-subset codes and reads
+3. classify: classify_rows codes each row's vertex subsets in the
+   narrowest unsigned dtype that holds them, sorts them once and reads
    the plus classification and the overlap count off the runs of equal
    codes.  Shared triples are found first, and the pair codes are
    analysed only on the rows they leave undecided (on every row when
-   overlaps are tracked); the argsort test of whether the linked pairs
-   form a matching runs only on rows with two or more linked pairs and
-   no run of three equal pair codes.
+   overlaps are tracked).  Each pair code carries its edge's index in
+   its low bits, so the same sort gives the edges of every run; the
+   test of whether the linked pairs form a matching scatters them, and
+   runs only on rows with two or more linked pairs and no run of three
+   equal pair codes.
 
 Nothing indexes the edge pairs, and the edge table is built only when
 it holds no more than one block's vertex tuples, so a run needs
@@ -29,7 +32,8 @@ estimate_linear_probability, draw_subset_ids and sample_hypergraph,
 and every report is reproducible; the stream is not
 the one of the earlier per-trial loop, so seeded outputs differ from it.
 Before anything is allocated the sampler refuses edge spaces whose
-counts do not fit in int64 (DomainError), trials * m^2 above
+counts do not fit in int64 and tagged pair codes that do not fit in 64
+bits (DomainError), trials * m^2 above
 SAMPLER_WORK_CEILING, and blocks of more than SAMPLER_BLOCK_CELLS
 vertex-subset codes (WorkCeilingError).
 """
@@ -64,9 +68,10 @@ BLOCK_TRIALS = 4096
 # pair codes per row: refuse runs whose trials * m^2 exceed this
 SAMPLER_WORK_CEILING = 2 * 10 ** 10
 # vertex-subset codes classified at once in one block; each code costs
-# about 8 bytes in each of a handful of (rows, codes) int64 arrays
+# one key of 1 to 8 bytes (the key dtype's width) in each of a handful
+# of (rows, codes) arrays
 SAMPLER_BLOCK_CELLS = 2 ** 23
-# edge ids, suffix counts and subset codes are int64
+# edge ids and suffix counts are int64, and untagged subset codes stay below it
 INT64_LIMIT = 2 ** 63
 # classify_rows reason codes: 0 is plus
 REASONS = (None, OVERLAP_GE3, CLUSTER_GT2_EDGES, TOO_MANY_CLUSTERS)
@@ -159,7 +164,9 @@ class EdgeSampler:
         """Vertex tuples of an int64 array of edge ids, shape ids.shape + (r,).
 
         The tuples are a view of an (r,) + ids.shape array, so each
-        vertex column is contiguous, as classify_rows reads them.  key is
+        vertex column is contiguous, as classify_rows reads them; it
+        casts them to its key dtype in one copy, and the edge table of
+        estimate_linear_probability is stored in that dtype.  key is
         the weight from the id to the end of the order.  At each level
         j >= 2 the next vertex lies in the first part i with
         suffix[i+1][j] < key, found by one searchsorted on the rising
@@ -223,12 +230,14 @@ def _subset_sizes(r: int, track_overlaps: bool) -> range:
 
 
 def _classifier_guard(n: int, r: int, m: int, trials: int, track_overlaps: bool) -> None:
-    """Refuse subset codes that overflow int64 and blocks above SAMPLER_BLOCK_CELLS."""
+    """Refuse codes beyond int64, tagged pair keys beyond 64 bits and oversized blocks."""
     alphas = _subset_sizes(r, track_overlaps)
     if alphas and (n + 1) ** alphas[-1] >= INT64_LIMIT:
         raise DomainError(
             f"codes of {alphas[-1]}-subsets of {n} vertices need (n+1)^{alphas[-1]} below 2**63"
         )
+    # raises when the tagged pair keys need more than 64 bits
+    _key_dtype(n, r, m, track_overlaps)
     cells = min(trials, BLOCK_TRIALS) * m * sum(math.comb(r, a) for a in alphas)
     if cells > SAMPLER_BLOCK_CELLS:
         raise WorkCeilingError(
@@ -236,29 +245,61 @@ def _classifier_guard(n: int, r: int, m: int, trials: int, track_overlaps: bool)
         )
 
 
-def _subset_codes(cols: np.ndarray, alpha: int, base: int) -> np.ndarray:
-    """(rows, C(r, alpha) * m) codes of every alpha-subset of every edge, subset-major.
+def _tag_bits(m: int) -> int:
+    """Low bits of a pair key that carry its edge's index, 0 to m - 1."""
+    return (m - 1).bit_length()
 
-    cols is the (r, rows, m) array of contiguous vertex columns, so each
-    subset's codes are built by whole contiguous (rows, m) passes; one
-    transposing copy then puts each row's codes together.
+
+def _key_dtype(n: int, r: int, m: int, track_overlaps: bool) -> np.dtype:
+    """The narrowest unsigned dtype holding every vertex label and every classify_rows key.
+
+    A pair code is below (n+1)^2 and is shifted left by the bits of
+    m - 1 to carry its edge's index; an alpha-subset code, alpha >= 3,
+    is below (n+1)^alpha.  Raises DomainError when the pair keys need
+    more than 64 bits.
+    """
+    bits = _tag_bits(m)
+    sizes = _subset_sizes(r, track_overlaps)
+    top = max([n] + [(n + 1) ** a << (bits if a == 2 else 0) for a in sizes])
+    if top >= 2 ** 64:
+        raise DomainError(
+            f"pair codes of {n} vertices tagged with {m} edge indices need "
+            f"(n+1)^2 << {bits} below 2**64"
+        )
+    return np.min_scalar_type(top)
+
+
+def _sorted_codes(
+    cols: np.ndarray, alpha: int, base: int, bits: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's alpha-subset keys, sorted, and which sorted neighbours share a code.
+
+    cols is the (r, rows, m) array of contiguous vertex columns in the
+    key dtype, and every operand is of that dtype, so each subset's
+    codes are built by whole contiguous (rows, m) passes in it; one
+    transposing copy then puts each row's codes together, and one
+    in-place sort orders them.  With bits, each code is shifted left by
+    bits and its edge's index fills the low bits: key >> bits is the
+    code and key & (2**bits - 1) the edge.
     """
     r, rows, m = cols.shape
+    dtype = cols.dtype
+    base, shift = dtype.type(base), dtype.type(bits)
     subsets = list(combinations(range(r), alpha))
-    codes = np.empty((len(subsets), rows, m), dtype=np.int64)
+    codes = np.empty((len(subsets), rows, m), dtype=dtype)
     for code, pos in zip(codes, subsets):
         np.multiply(cols[pos[0]], base, out=code)
         for p in pos[1:-1]:
             code += cols[p]
             code *= base
         code += cols[pos[-1]]
-    return codes.transpose(1, 0, 2).reshape(rows, len(subsets) * m)
-
-
-def _equal_neighbours(codes: np.ndarray) -> np.ndarray:
-    """(rows, width - 1) flags: which neighbours in each sorted row are equal."""
-    ordered = np.sort(codes, axis=1)
-    return ordered[:, 1:] == ordered[:, :-1]
+    if bits:
+        codes <<= shift
+        codes |= np.arange(m, dtype=dtype)
+    keys = codes.transpose(1, 0, 2).reshape(rows, len(subsets) * m)
+    keys.sort(axis=1)
+    runs = keys >> shift if bits else keys
+    return keys, runs[:, 1:] == runs[:, :-1]
 
 
 def _shared_counts(same: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -282,36 +323,30 @@ def _shared_counts(same: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarra
     return shared, deep
 
 
-def _edges_touched(codes: np.ndarray, same: np.ndarray, m: int) -> np.ndarray:
-    """Per row, the distinct edges holding a code that some other edge shares."""
-    in_run = np.zeros(codes.shape, dtype=bool)
-    in_run[:, 1:] = same
-    in_run[:, :-1] |= same
-    touched = np.zeros_like(in_run)
-    np.put_along_axis(touched, np.argsort(codes, axis=1), in_run, axis=1)
-    # the codes are subset-major: an OR over each edge's subsets
-    return np.count_nonzero(touched.reshape(len(codes), -1, m).any(axis=1), axis=1)
-
-
 def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = False):
     """Plus-classify every row of a (rows, m, r) array of sorted edge vertex tuples.
 
-    The alpha-subsets of each edge (alpha = 2, 3, and up to r-1 with
-    track_overlaps) become int64 codes.  Sorting a row puts equal codes
-    in runs; a run of occ codes adds C(occ, 2) to T_alpha, the number of
-    edge pairs sharing an alpha-subset.  In plus_violation's order:
+    The vertices are first cast to the narrowest unsigned dtype that
+    holds every key (_key_dtype, from n, r, m and track_overlaps), and
+    the alpha-subsets of each edge (alpha = 2, 3, and up to r-1 with
+    track_overlaps) become codes in that dtype.  Sorting a row puts
+    equal codes in runs; a run of occ codes adds C(occ, 2) to T_alpha,
+    the number of edge pairs sharing an alpha-subset.  Each coded size
+    is sorted once per row.  In plus_violation's order:
 
     - alpha >= 3 goes first.  A row with two equal neighbouring 3-codes
       shares a triple and is OVERLAP_GE3; without track_overlaps that
       is all these sizes are sorted for.
-    - alpha = 2: t is the number of equal neighbouring pair codes.  A
-      row with a run of three equal pair codes has three edges on one
-      pair and is CLUSTER_GT2_EDGES.  On the other rows every run is
-      one linked pair, so t = T_2, and the linked pairs form a matching
-      exactly when they touch 2t distinct edges; only rows with t >= 2,
-      no run of three and no shared triple run that argsort test, as
-      one linked pair always touches two edges.  A row that fails it
-      is CLUSTER_GT2_EDGES, and otherwise TOO_MANY_CLUSTERS when t > cap.
+    - alpha = 2: each pair code carries its edge's index in its low
+      bits.  t is the number of equal neighbouring pair codes.  A row
+      with a run of three equal pair codes has three edges on one pair
+      and is CLUSTER_GT2_EDGES.  On the other rows every run is one
+      linked pair, so t = T_2, and the linked pairs form a matching
+      exactly when the runs hold 2t distinct edges, read off the low
+      bits; only rows with t >= 2, no run of three and no shared triple
+      are tested, as one linked pair always holds two edges.  A row
+      that fails it is CLUSTER_GT2_EDGES, and otherwise
+      TOO_MANY_CLUSTERS when t > cap.
 
     Returns (t, reason, overlaps): reason indexes REASONS, and t is the
     cluster count where reason is 0 (elsewhere it is T_2 with
@@ -321,12 +356,14 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     """
     rows, m, r = verts.shape
     alphas = _subset_sizes(r, track_overlaps)
-    # a view of the sampler's own tuples, which unrank_many lays out so
-    cols = np.ascontiguousarray(verts.transpose(2, 0, 1))
+    dtype = _key_dtype(n, r, m, track_overlaps)
+    # no copy for the sampler's own tuples, which are contiguous columns
+    # in the key dtype; any other array is cast before any arithmetic
+    cols = np.ascontiguousarray(verts.transpose(2, 0, 1), dtype=dtype)
     t_by_alpha = {}
     triple = np.zeros(rows, dtype=bool)
     for alpha in alphas[1:]:
-        same = _equal_neighbours(_subset_codes(cols, alpha, n + 1))
+        same = _sorted_codes(cols, alpha, n + 1)[1]
         if track_overlaps:
             t_by_alpha[alpha] = _shared_counts(same, exact=True)[0]
         if alpha == 3:
@@ -336,13 +373,23 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     if alphas:
         # a shared triple decides a row, unless its T_2 counts towards overlaps
         live = slice(None) if track_overlaps or not triple.any() else ~triple
-        codes = _subset_codes(cols[:, live], 2, n + 1)
-        same = _equal_neighbours(codes)
+        bits = _tag_bits(m)
+        keys, same = _sorted_codes(cols[:, live], 2, n + 1, bits)
         # an edge in a run of three lies in two linked pairs
         shared, in_two = _shared_counts(same, exact=track_overlaps)
         check = np.flatnonzero((shared >= 2) & ~in_two & ~triple[live])
         if check.size:
-            in_two[check] = _edges_touched(codes[check], same[check], m) < 2 * shared[check]
+            # scatter the edge of every slot in a run into its row's m
+            # flags, then count the distinct edges touched
+            runs = same[check]
+            in_run = np.zeros((check.size, keys.shape[1]), dtype=bool)
+            in_run[:, 1:] = runs
+            in_run[:, :-1] |= runs
+            slot = (keys[check] & dtype.type((1 << bits) - 1)).astype(np.intp)
+            slot += np.arange(0, check.size * m, m)[:, None]
+            touched = np.zeros((check.size, m), dtype=bool)
+            touched.ravel()[slot[in_run]] = True
+            in_two[check] = np.count_nonzero(touched, axis=1) < 2 * shared[check]
         t[live] = shared
         in_two_pairs[live] = in_two
         t_by_alpha[2] = t
@@ -469,8 +516,10 @@ def estimate_linear_probability(
     columns = None
     if sampler.total <= min(trials, BLOCK_TRIALS) * m:
         # the edge space has no more ids than one block draws: unrank it
-        # once, as (r, sigma_r) vertex columns no larger than a block's tuples
-        columns = sampler.unrank_many(np.arange(sampler.total)).T
+        # once, as (r, sigma_r) vertex columns no larger than a block's
+        # tuples, stored in classify_rows' key dtype
+        dtype = _key_dtype(pv.n, r, m, track_overlaps)
+        columns = sampler.unrank_many(np.arange(sampler.total)).T.astype(dtype)
     for rng, rows in _blocks(trials, seed):
         ids = _draw_block(rng, sampler.total, rows, m)
         if columns is None:

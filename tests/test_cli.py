@@ -119,6 +119,22 @@ def test_sample_refuses_counts_beyond_int64(capsys, monkeypatch):
     assert "2-subsets" in err and "2**63" in err
 
 
+def test_sample_refuses_pair_keys_beyond_64_bits(capsys, monkeypatch):
+    # r = 3, m = 20: a pair code below (n+1)^2, tagged with 5 bits of edge
+    # index, must stay below 2**64; n + 1 = 759250124 is the last that fits
+    argv = ("--r", "3", "--m", "20", "--trials", "10")
+    with monkeypatch.context() as patch:
+        _refuse_drawing(patch)
+        rc, out, err = run_cli(capsys, "sample", "--parts", "1,1,759250122", *argv)
+    assert rc == 2 and out == ""
+    assert "of 759250124 vertices" in err and "(n+1)^2 << 5 below 2**64" in err
+    rc, out, err = run_cli(capsys, "sample", "--parts", "1,1,759250121", *argv)
+    assert rc == 0 and err == ""
+    # every edge holds vertices 1 and 2
+    payload = json.loads(out)
+    assert payload["hits"] == "0" and payload["violation_counts"] == {"cluster_gt2_edges": "10"}
+
+
 def test_estimate_uniform_decimal(capsys):
     rc, out, err = run_cli(
         capsys, "estimate", "--uniform-n", "20", "--r", "3", "--m", "1", "--variant", "uniform"

@@ -33,6 +33,7 @@ from linhyp.montecarlo import (
     BLOCK_TRIALS,
     REASONS,
     _draw_block,
+    _key_dtype,
     _subset_id_blocks,
     classify_rows,
     cluster_signature,
@@ -436,3 +437,53 @@ def test_batch_classifier_agrees_with_cluster_signature(data):
         assert got == _capped_signature(vertex_sets, cap)
         assert got_reason is not None or t_plain[row] == t[row]
         assert overlaps[row] == _overlap_pairs(vertex_sets)
+
+
+def _assert_rows_match_signature(verts, t, reason, overlaps, cap):
+    """Every row's classification against cluster_signature, the cap, and the overlap count."""
+    for row, tuples in enumerate(verts.tolist()):
+        got_reason = REASONS[reason[row]]
+        got = (int(t[row]) if got_reason is None else None, got_reason)
+        assert got == _capped_signature(tuples, cap)
+        assert overlaps is None or overlaps[row] == _overlap_pairs(tuples)
+
+
+@pytest.mark.parametrize(
+    "sizes, r, m", [((3, 3, 3, 2), 3, 6), ((3,) * 5, 4, 4), ((3,) * 6, 5, 4)]
+)
+@pytest.mark.parametrize("track", [False, True])
+def test_classify_rows_does_not_depend_on_the_key_dtype(sizes, r, m, track):
+    # the same rows with every label shifted up, so that n needs a uint32
+    # and then a uint64 key: the classification is the same
+    pv = partition(sizes)
+    sampler = EdgeSampler(pv, r)
+    verts = sampler.unrank_many(_draw_block(make_rng(r), sampler.total, 64, m))
+    cap = 1
+    want = classify_rows(verts, pv.n, cap, track)
+    _assert_rows_match_signature(verts, *want, cap)
+    # plus rows and at least two reasons for a violation
+    assert len(set(want[1].tolist())) >= 3
+    for dtype in (np.uint32, np.uint64):
+        offsets = (10 ** k for k in range(1, 8))
+        offset = next(o for o in offsets if _key_dtype(pv.n + o, r, m, track) == dtype)
+        got = classify_rows(verts + offset, pv.n + offset, cap, track)
+        for a, b in zip(got, want):
+            assert a is b is None or a.tolist() == b.tolist(), (dtype, offset)
+
+
+@pytest.mark.parametrize("track", [False, True])
+def test_classify_rows_at_the_uint16_boundary(track):
+    # r = 3, m = 20: the top pair key (n+1)^2 << 5 is 64,800 at n = 44 and
+    # 67,712 at n = 45, so n = 45 rows overflow a uint16 key
+    m, cap = 20, 3
+    for n, dtype in ((44, np.uint16), (45, np.uint32)):
+        assert _key_dtype(n, 3, m, track) == dtype
+        pv = uniform_partition(n)
+        sampler = EdgeSampler(pv, 3)
+        verts = sampler.unrank_many(_draw_block(make_rng(n), sampler.total, 200, m))
+        assert verts.max() == n
+        got = classify_rows(verts, n, cap, track)
+        _assert_rows_match_signature(verts, *got, cap)
+        wide = classify_rows(verts, 10 ** 4, cap, track)
+        for a, b in zip(wide, got):
+            assert a is b is None or a.tolist() == b.tolist(), n
