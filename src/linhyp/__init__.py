@@ -45,11 +45,9 @@ from .montecarlo import (
 from .partitions import (
     PartitionVector,
     SigmaRatioCheck,
-    balance_constant,
     falling_factorial,
     log_sigma,
     newton_gap,
-    normalized_sigma,
     partition,
     sigma,
     sigma_ratio_check,

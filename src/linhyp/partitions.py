@@ -3,10 +3,11 @@
 Vertices 1..n are laid out in consecutive blocks: part 0 holds 1..n_0,
 part 1 holds the next n_1 integers, and so on.  The elementary symmetric
 functions are taken over the part-size histogram, so equal parts cost one
-closed-form factor, not one step each.  The sizes are walked once, by
-C-level builtins, when the vector is built: that pass validates them and
-counts them, and n, the smallest size and the sum of 1/n_i are then read
-from the histogram, not from the parts.  Everything here is exact integer
+closed-form factor, not one step each.  The histogram is built once, by
+C-level passes, when the vector is built: the sizes are canonicalised to
+ints, packed one byte each when every size lies in 0..255, and counted by
+numpy; n, the smallest size and the sum of 1/n_i are then read from the
+histogram, not from the parts.  Everything here is exact integer
 or rational arithmetic up to the final math.log in log_sigma, which takes
 the exact sigma however large it is.
 """
@@ -22,6 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -40,9 +43,10 @@ def falling_factorial(x: int, t: int) -> int:
 class PartitionVector:
     """Immutable vector of part sizes, all at least 1.
 
-    n and the size histogram are built at construction, from one counting
-    pass over the sizes; the part bounds are built on first use and kept.
-    Equality and hashing read sizes alone.
+    n and the size histogram are built at construction: sizes that all fit
+    in a byte are packed by bytes() and counted by np.bincount, and only a
+    vector holding a size past 255 is counted by a Counter.  The part bounds
+    are built on first use and kept.  Equality and hashing read sizes alone.
     """
 
     sizes: tuple[int, ...]
@@ -55,16 +59,26 @@ class PartitionVector:
             sizes = tuple(self.sizes)
             # a tuple of exact ints is kept as given; numpy integers and
             # bools become ints, and anything without __index__ is refused.
-            # The per-part type test matters: a Counter would merge 3.0 or
-            # True into the int key 3 or 1.  A first part that is not an
-            # int (a numpy array's) already decides it without the pass.
+            # The per-part type test matters: bytes() would pack True as 1,
+            # and a Counter would merge 3.0 into the int key 3.  A first
+            # part that is not an int (a numpy array's) already decides it
+            # without the pass.
             if not (sizes and type(sizes[0]) is int and set(map(type, sizes)) == {int}):
                 sizes = tuple(map(operator.index, sizes))
         except TypeError:
             raise DomainError(f"part sizes must be integers, got {self.sizes}") from None
         if not sizes:
             raise DomainError("a partition vector needs at least one part")
-        size_counts = tuple(Counter(sizes).items())
+        try:
+            # on the canonical tuple only: bytes() of a numpy array or a
+            # memoryview would copy its raw memory, not its values
+            packed = bytes(sizes)
+        except ValueError:
+            size_counts = tuple(Counter(sizes).items())
+        else:
+            counts = np.bincount(np.frombuffer(packed, np.uint8)).tolist()
+            seen = sorted((size for size, count in enumerate(counts) if count), key=packed.index)
+            size_counts = tuple((size, counts[size]) for size in seen)
         if min(size for size, _ in size_counts) < 1:
             raise DomainError(f"part sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
@@ -149,12 +163,6 @@ def log_sigma(pv: PartitionVector, s: int) -> float:
     return math.log(sigma(pv, s))
 
 
-def normalized_sigma(pv: PartitionVector, j: int) -> Fraction:
-    """Symmetric mean S_j = sigma_j / binomial(k, j), exact rational."""
-    _check_order(pv, j)
-    return Fraction(sigma(pv, j), math.comb(pv.k, j))
-
-
 def newton_gap(pv: PartitionVector, j: int) -> Fraction:
     """S_j^2 - S_{j-1} S_{j+1}, exact; nonnegative by Newton's inequality."""
     if not 1 <= j <= pv.k - 1:
@@ -165,15 +173,6 @@ def newton_gap(pv: PartitionVector, j: int) -> Fraction:
     if gap < 0:
         raise AssertionError(f"Newton inequality violated for {pv.sizes}, j={j}: {gap}")
     return gap
-
-
-def balance_constant(pv: PartitionVector) -> Fraction:
-    """Smallest C with sum(1/n_i) <= C k^2 / n, i.e. n sum(1/n_i) / k^2.
-
-    Equals 1 exactly when all parts have the same size and grows with
-    imbalance.
-    """
-    return Fraction(pv.n) * pv.reciprocal_sum() / (pv.k ** 2)
 
 
 @dataclass(frozen=True)

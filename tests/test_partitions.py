@@ -2,26 +2,25 @@
 
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linhyp import (
     DomainError,
     PartitionVector,
-    balance_constant,
     cluster_threshold,
     estimate_partite,
     falling_factorial,
     log_sigma,
     make_rng,
     newton_gap,
-    normalized_sigma,
     partition,
     sigma,
     sigma_ratio_check,
@@ -131,6 +130,56 @@ def test_constructor_keeps_exact_ints_and_canonicalises_the_rest():
     huge = partition((2 ** 70, 3, 5))
     assert huge.n == 2 ** 70 + 8
     assert sigma(huge, 3) == 2 ** 70 * 15
+    # kept at scale too, on the byte-packed and the Counter histogram: a
+    # copy would cost 8 bytes a part
+    for top in (255, 256):
+        given = tuple(make_rng(top).integers(1, top + 1, size=10**5).tolist())
+        assert partition(given).sizes is given
+
+
+def test_partition_reads_values_from_arrays_and_memoryviews():
+    # an array's or memoryview's raw bytes are not its sizes
+    for raw, plain in (
+        (np.array([1, 300, 2], dtype=np.int64), (1, 300, 2)),
+        (memoryview(np.array([3, 1, 3])), (3, 1, 3)),
+    ):
+        got, want = partition(raw), partition(plain)
+        assert (got.sizes, got.size_counts, got.n) == (want.sizes, want.size_counts, want.n)
+        assert all(type(x) is int for x in got.sizes)
+
+
+_BYTE_SIZE = st.one_of(st.integers(1, 255), st.just(True), st.integers(1, 255).map(np.int64))
+_SIZE = st.one_of(_BYTE_SIZE, st.integers(250, 300), st.integers(1, 300).map(np.uint16))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(sizes=st.lists(_SIZE, min_size=1, max_size=40))
+@example(sizes=[255, 1, 255])
+@example(sizes=[256, 1, 256])
+@example(sizes=[True, np.int64(255), 256])
+def test_size_histogram_matches_a_counter_oracle(sizes):
+    canonical = tuple(map(operator.index, sizes))
+    oracle = Counter(canonical)
+    for given in (sizes, tuple(sizes)):
+        pv = partition(given)
+        assert pv.sizes == canonical and all(type(x) is int for x in pv.sizes)
+        # a Counter keeps its keys in first-seen order
+        assert pv.size_counts == tuple(oracle.items())
+        assert pv.n == sum(canonical)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(_BYTE_SIZE, max_size=20),
+    bad=st.sampled_from([0, -1, -256, np.int64(0), 2.0, 3.5, "2"]),
+    at=st.integers(0, 20),
+    past_a_byte=st.booleans(),
+)
+def test_bad_sizes_are_refused_on_both_histogram_paths(sizes, bad, at, past_a_byte):
+    sizes = sizes + [256] * past_a_byte
+    sizes.insert(at % (len(sizes) + 1), bad)
+    with pytest.raises(DomainError):
+        partition(sizes)
 
 
 def test_uniform_partition_is_all_singletons():
@@ -236,9 +285,8 @@ def test_estimate_partite_matches_newton_identities_at_scale():
     assert est.leading_log == pytest.approx(m * math.log(e3) - math.lgamma(m + 1), rel=1e-12)
 
 
-def test_normalized_sigma_and_newton_gap():
+def test_newton_gap_values_and_domain():
     pv = partition((2, 2, 2))
-    assert normalized_sigma(pv, 2) == Fraction(12, 3)
     assert newton_gap(pv, 1) == Fraction(6, 3) ** 2 - Fraction(12, 3)
     with pytest.raises(DomainError):
         newton_gap(pv, 0)
@@ -254,14 +302,6 @@ def test_newton_gap_nonnegative_fuzz():
         pv = partition(sizes)
         j = int(rng.integers(1, k))
         assert newton_gap(pv, j) >= 0
-
-
-def test_balance_constant_values():
-    assert balance_constant(uniform_partition(7)) == 1
-    assert balance_constant(partition((2, 2, 2))) == 1
-    assert balance_constant(partition((3, 1, 2))) == Fraction(11, 9)
-    # balanced vectors minimize it
-    assert balance_constant(partition((4, 1, 1))) > 1
 
 
 def test_sigma_ratio_equal_parts_is_equality():
