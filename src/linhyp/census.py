@@ -54,11 +54,12 @@ class EdgeSpaceIndex:
     pairs and built on first use: occupants, the edges holding each
     pair; link_rows(e), the bitmasks over edge ids of the edges meeting
     one or at least two of e's pairs, built per edge the first time the
-    plus search roots or places it, and kept; position, the id of each
-    vertex tuple, for the switching move counters; and cat, the pairwise
-    overlap matrix, read only by classify_combo.  Only the switching
-    audit calls classify_combo: it re-checks each subset the plus search
-    visits against the search's own classification, from the link rows.
+    plus search folds it into a root prefix or places it, and kept;
+    position, the id of each vertex tuple, for the switching move
+    counters; and cat, the pairwise overlap matrix, read only by
+    classify_combo.  Only the switching audit calls classify_combo: it
+    re-checks each subset the plus search visits against the search's
+    own classification, from the link rows.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -286,21 +287,6 @@ def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = F
     return total
 
 
-def _orbits_by_label(index: EdgeSpaceIndex, label: list) -> list[tuple[int, int]]:
-    """(first edge id, size) per class of edges with one multiset of vertex labels.
-
-    label holds a hashable label per vertex id.  A label of rank k weighs
-    (r + 1)^k, so an edge's weight sum, at most r of each, encodes the
-    multiset.  Classes come in the order of their first edges.
-    """
-    rank = {x: k for k, x in enumerate(set(label))}
-    weight = [(index.r + 1) ** rank[x] for x in label]
-    classes: dict[int, list[int]] = {}
-    for i, vs in enumerate(index.edges):
-        classes.setdefault(sum(map(weight.__getitem__, vs)), [i, 0])[1] += 1
-    return [(first, size) for first, size in classes.values()]
-
-
 def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> list[tuple[int, int]]:
     """(representative id, orbit size) per orbit of fixed's stabiliser on the other edges.
 
@@ -329,7 +315,14 @@ def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> lis
     # a label's bits: the part's size, its masks as a set of 2^d bits, then the vertex's d bits
     kind = [(size << (1 << d) | mark) << d for size, mark in zip(sizes, marks)]
     label = [kind[p] | mask for p, mask in zip(part, held)]
-    return [(rep, size) for rep, size in _orbits_by_label(index, label) if rep not in fixed]
+    # a label of rank k weighs (r + 1)^k, so an edge's weight sum, at most r
+    # of each, encodes its multiset of labels
+    rank = {x: k for k, x in enumerate(set(label))}
+    weight = [(index.r + 1) ** rank[x] for x in label]
+    classes: dict[int, list[int]] = {}
+    for i, vs in enumerate(index.edges):
+        classes.setdefault(sum(map(weight.__getitem__, vs)), [i, 0])[1] += 1
+    return [(first, size) for first, size in classes.values() if first not in fixed]
 
 
 def _orbit_mean(index: EdgeSpaceIndex, m: int, depth: int, rooted: Callable) -> Counter:
@@ -337,34 +330,34 @@ def _orbit_mean(index: EdgeSpaceIndex, m: int, depth: int, rooted: Callable) -> 
 
     The walk fixes depth distinct edges, one orbit at a time: the i-th
     edge runs over the representatives of stabiliser_orbits of the
-    prefix before it.  rooted(state, x) places x after the prefix whose
-    state is state (None for the empty prefix).  It returns None when
-    the longer prefix is not plus, and nothing under it is walked; below
-    depth it returns the longer prefix's state, and at depth the tally,
-    key by key, of the statistics over the m-subsets that hold the
-    prefix.  That tally is the same for every ordered prefix in the
-    prefix's orbit, which holds prod |O_i| of them for its orbit sizes
-    O_i, and each m-subset holds m!/(m - depth)! ordered prefixes, so a
-    total is sum prod |O_i| tally / (m!/(m - depth)!).  Orbits that miss
-    an edge, or a remainder, raise AssertionError.
+    prefix before it.  rooted(ids) is called on each ordered prefix the
+    walk reaches, its edge ids in the order they were fixed.  It returns
+    None when the prefix is not plus, and nothing under it is walked;
+    below depth any other value, and the walk goes one edge deeper; at
+    depth the tally, key by key, of the statistics over the m-subsets
+    that hold the prefix.  That tally is the same for every ordered
+    prefix in the prefix's orbit, which holds prod |O_i| of them for its
+    orbit sizes O_i, and each m-subset holds m!/(m - depth)! ordered
+    prefixes, so a total is sum prod |O_i| tally / (m!/(m - depth)!).
+    Orbits that miss an edge, or a remainder, raise AssertionError.
     """
     weighted: Counter = Counter()
 
-    def walk(fixed: tuple[int, ...], state, weight: int) -> None:
+    def walk(fixed: tuple[int, ...], weight: int) -> None:
         orbits = stabiliser_orbits(index, fixed)
         if sum(size for _, size in orbits) != index.count - len(fixed):
             raise AssertionError(f"stabiliser orbits of {fixed} do not partition the other edges")
         for rep, size in orbits:
-            child = rooted(state, rep)
-            if child is None:
+            tally = rooted(fixed + (rep,))
+            if tally is None:
                 continue
             if len(fixed) + 1 < depth:
-                walk(fixed + (rep,), child, weight * size)
+                walk(fixed + (rep,), weight * size)
             else:
-                for key, value in child.items():
+                for key, value in tally.items():
                     weighted[key] += weight * size * value
 
-    walk((), None, 1)
+    walk((), 1)
     prefixes = math.perm(m, depth)
     totals: Counter = Counter()
     for key, value in weighted.items():
@@ -401,14 +394,17 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     Below two edges or below r = 3 no two edges are linked, and every
     m-subset is linear.
 
-    The prefix is placed one edge at a time by the same rule, and a
-    prefix that is not plus has nothing walked under it.  At m = depth
-    the prefix is the whole subset and no mask is needed, so the rule is
-    read off the prefix edges' pair rows instead (the met list), and no
-    link row is built; the two readings must agree.  The union-find
-    oracle tests (tests/test_census.py) hold both at depth 2 to every
-    m-subset's signature, and test_rooted_audit_matches_an_unrooted_sweep
-    (tests/test_switching.py) both at depth 3, at m = 3 and m = 4.
+    Each prefix the walk reaches, at most three edges, is classified
+    whole by plus_violation, from its edges' pair rows: two edges with
+    one common pair are linked, and two with more share three or more
+    vertices, so the prefix is not plus.  A prefix that is not plus has
+    nothing walked under it.  At m = depth the prefix is the whole
+    subset, and no link row is built.  Above it the prefix edges' link
+    rows are folded into the three masks once, and extend goes on from
+    there.  The union-find oracle tests (tests/test_census.py) hold the
+    search to every m-subset's signature at depth 2, and with a visitor
+    at depth 3; test_rooted_audit_matches_an_unrooted_sweep
+    (tests/test_switching.py) holds the audit at depth 3, at m = 3 and 4.
 
     visit, when given, is called on every plus m-subset that holds a
     root prefix, with its sorted edge ids and t, and returns a dict of
@@ -422,15 +418,6 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     pairs = index.pairs
     link_rows = index.link_rows
     depth = 2 if visit is None else min(m, 3)
-
-    def grow(blocked: int, twice: int, cblock: int, i: int, f: int | None) -> tuple[int, int, int]:
-        # the masks with edge i placed, free or, f given, clustered with the free
-        # edge f; extend writes the same update inline, since a call per search
-        # node slows census_by_cluster by about a sixth
-        once, two = link_rows(i)
-        if f is not None:
-            cblock |= once | link_rows(f)[0]
-        return blocked | once, twice | (blocked & once) | two, cblock
 
     def extend(strata: Counter, window: int, blocked: int, twice: int, cblock: int,
                free: tuple, t: int, ids: tuple, left: int) -> None:
@@ -466,37 +453,35 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
                    cblock | once | link_rows(f)[0], tuple(g for g in free if g != f), t + 1,
                    ids + (i,), left - 1)
 
-    def rooted(prefix, x: int):
-        ids, free, t, masks = prefix or ((), (), 0, (0, 0, 0))
-        if m > depth:
-            # extend's candidate rule, on the masks of the prefix
-            blocked, twice, cblock = masks
-            bit = 1 << x
-            f = None
-            if blocked & bit:
-                if t >= cap or (twice | cblock) & bit:
-                    return None
-                f = next(g for g in free if link_rows(g)[0] & bit)
-            masks = grow(blocked, twice, cblock, x, f)
-        else:
-            # the same rule on the pair rows, so that no link row is built
-            own = pairs[x]
-            met = [g for g in ids if not own.isdisjoint(pairs[g])]
-            f = met[0] if met else None
-            if met and (len(met) > 1 or t >= cap or f not in free or len(own & pairs[f]) > 1):
+    def rooted(ids: tuple[int, ...]):
+        # the plus rule on the prefix's pair rows: one common pair links two
+        # edges, more means they share three or more vertices
+        linked = []
+        for x, y in combinations(range(len(ids)), 2):
+            common = len(pairs[ids[x]] & pairs[ids[y]])
+            if common > 1:
                 return None
-        if f is not None:
-            free, t = tuple(g for g in free if g != f), t + 1
-        else:
-            free += (x,)
-        ids += (x,)
+            if common:
+                linked.append((x, y))
+        if plus_violation(linked, cap) is not None:
+            return None
         if len(ids) < depth:
-            return ids, free, t, masks
+            return {}
+        t = len(linked)
         if m == depth:
             # the visitor's keys are apart from the integer strata
             return {t: 1} if visit is None else {t: 1, **visit(tuple(sorted(ids)), t)}
+        paired = {x for pair in linked for x in pair}
+        blocked = twice = cblock = 0
+        for x, i in enumerate(ids):
+            once, two = link_rows(i)
+            twice |= (blocked & once) | two
+            blocked |= once
+            if x in paired:
+                cblock |= once
+        free = tuple(i for x, i in enumerate(ids) if x not in paired)
         strata: Counter = Counter()
-        extend(strata, (1 << index.count) - 1, *masks, free, t, ids, m - depth)
+        extend(strata, (1 << index.count) - 1, blocked, twice, cblock, free, t, ids, m - depth)
         return strata
 
     totals = _orbit_mean(index, m, depth, rooted)

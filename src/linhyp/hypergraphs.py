@@ -7,11 +7,12 @@ hypergraph is "plus-classified" with t clusters when every cluster is a
 pair of edges sharing exactly two vertices and t stays below the cluster
 expansion threshold.  With no pair sharing three or more vertices, that
 holds exactly when no edge lies in two linked pairs, and then t is the
-number of linked pairs; plus_violation is this rule, shared by classify
-and EdgeSpaceIndex.classify_combo.  The census's plus search
-(census._plus_strata) applies the same rule incrementally, one edge at a
-time, on bitmasks of the edges that meet one, two or a clustered vertex
-pair of its selection, and is held to the oracle
+number of linked pairs; plus_violation is this rule, shared by classify,
+EdgeSpaceIndex.classify_combo and the census's plus search
+(census._plus_strata).  The search classifies its root prefix of at most
+three edges with it, then applies the same rule incrementally, one edge
+at a time, on bitmasks of the edges that meet one, two or a clustered
+vertex pair of its selection, and is held to the oracle
 montecarlo.cluster_signature by a property test; the switching audit
 walks that search and re-checks each subset it visits with
 classify_combo.  classify is the one place that finds a hypergraph's
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product, starmap
@@ -46,8 +48,16 @@ class Edge(NamedTuple):
 
 
 def make_edge(pv: PartitionVector, vertices: Iterable[int]) -> Edge:
-    """Validate and build an edge: distinct vertices, one per part at most."""
-    vs = tuple(sorted(int(v) for v in vertices))
+    """Validate and build an edge: distinct integer vertices, one per part at most.
+
+    Vertices are canonicalised with operator.index, as PartitionVector
+    does its sizes: numpy integers become ints, and floats or strings are
+    refused rather than truncated or parsed.
+    """
+    try:
+        vs = tuple(sorted(map(operator.index, vertices)))
+    except TypeError:
+        raise DomainError(f"edge vertices must be integers, got {vertices!r}") from None
     if len(set(vs)) != len(vs):
         raise DomainError(f"repeated vertex in edge {vs}")
     parts = tuple(pv.part_of(v) for v in vs)
@@ -230,12 +240,18 @@ def to_text(h: Hypergraph) -> str:
 
 def from_text(text: str) -> Hypergraph:
     """Parse the canonical text form back into a hypergraph."""
+
+    def integers(line: str) -> list[int]:
+        try:
+            return [int(x) for x in line.split(",")]
+        except ValueError:
+            raise DomainError(f"expected comma-separated integers, got {line!r}") from None
+
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("parts:"):
         raise DomainError("expected a 'parts:' header line")
-    sizes = tuple(int(x) for x in lines[0].split(":", 1)[1].split(","))
-    pv = PartitionVector(sizes)
-    vertex_sets = [[int(x) for x in ln.split(",")] for ln in lines[1:]]
+    pv = PartitionVector(tuple(integers(lines[0].split(":", 1)[1])))
+    vertex_sets = [integers(ln) for ln in lines[1:]]
     if vertex_sets:
         r = len(vertex_sets[0])
     else:

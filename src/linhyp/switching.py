@@ -365,18 +365,8 @@ def bijection_audit(
     total = _guard(pv, r, m, work_ceiling, cat=True)
     cap = cluster_threshold(pv, r, m)
     index = EdgeSpaceIndex(pv, r)
-    fwd_range: dict[int, tuple[int, int]] = {}
-    rev_range: dict[int, tuple[int, int]] = {}
+    measured: dict[tuple[str, int], tuple[int, int]] = {}
     stats = cache(index.compat_stats)
-
-    def widen(ranges: dict[int, tuple[int, int]], t: int, value: int) -> None:
-        span = ranges.get(t)
-        if span is None:
-            ranges[t] = (value, value)
-        elif value < span[0]:
-            ranges[t] = (value, span[1])
-        elif value > span[1]:
-            ranges[t] = (span[0], value)
 
     def visit(combo: tuple[int, ...], t: int) -> dict:
         got, reason, clusters, free = index.classify_combo(combo, cap)
@@ -384,10 +374,12 @@ def bijection_audit(
             raise AssertionError(f"{combo}: the plus search gives t={t}, classify_combo {got} ({reason})")
         tally = {}
         if t >= 1:
-            tally["forward", t] = fwd = _forward_total(stats, combo, clusters)
-            widen(fwd_range, t, fwd)
-        tally["reverse", t] = rev = _reverse_total(stats, combo, free)
-        widen(rev_range, t, rev)
+            tally["forward", t] = _forward_total(stats, combo, clusters)
+        tally["reverse", t] = _reverse_total(stats, combo, free)
+        for key, value in tally.items():
+            lo, hi = measured.setdefault(key, (value, value))
+            if not lo <= value <= hi:
+                measured[key] = (min(lo, value), max(hi, value))
         return tally
 
     totals = _plus_strata(index, m, cap, visit)
@@ -410,8 +402,8 @@ def bijection_audit(
                 matched=sum_fwd == sum_rev,
                 ratio_exact=Fraction(count_t, count_prev) if count_prev else None,
                 ratio_formula=brackets.reverse_high / brackets.forward_high,
-                forward_measured=fwd_range.get(t),
-                reverse_measured=rev_range.get(t - 1),
+                forward_measured=measured.get(("forward", t)),
+                reverse_measured=measured.get(("reverse", t - 1)),
                 brackets=brackets,
             )
         )
@@ -548,12 +540,15 @@ def ratio_series(
     and B(t) = 2(2m-2t+1)/(m(m-1)) below the cutoff t_prime, 1/(t-1) at
     and above it.  The cutoff defaults to the smallest t whose stratum
     must be empty (2t > m); with_census replaces it by the first stratum
-    the exact census finds empty and records the exact ratio sum.
+    the exact census finds empty and records the exact ratio sum.  A
+    budget_constant that is negative or not finite raises DomainError.
     """
     if not 3 <= r <= pv.k:
         raise DomainError(f"need 3 <= r <= k, got r={r}, k={pv.k}")
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
+    if not (math.isfinite(budget_constant) and budget_constant >= 0):
+        raise DomainError(f"budget constant must be finite and >= 0, got {budget_constant}")
     applicability: list[str] = []
     exact_sum: Fraction | None = None
     census = None

@@ -328,19 +328,29 @@ def test_classify_combo_matches_pinned_strata():
 
 
 def _assert_plus_search_matches_oracle(pv, r, m):
-    # the search applies the plus rule one edge at a time; hold it to
-    # cluster_signature on every m-subset, with the cap applied to its count
+    # the search classifies its root prefix, then applies the plus rule one
+    # edge at a time; hold it to cluster_signature on every m-subset, with
+    # the cap applied to its count.  The second pass gives a visitor, so
+    # from m = 3 on the search roots at triples (depth 3) and every subset
+    # it visits is checked one by one
     index = EdgeSpaceIndex(pv, r)
-    signatures = [
-        cluster_signature([index.edges[i] for i in combo])
+    signatures = {
+        combo: cluster_signature([index.edges[i] for i in combo])
         for combo in combinations(range(index.count), m)
-    ]
+    }
     for cap in (0, 1, 2, 50):
         want = {0: 0}
-        for t, reason in signatures:
+        for t, reason in signatures.values():
             if reason is None and t <= cap:
                 want[t] = want.get(t, 0) + 1
         assert _plus_strata(index, m, cap) == want, (pv.sizes, r, m, cap)
+
+        def visit(combo, t):
+            assert signatures[combo] == (t, None) and t <= cap, (pv.sizes, r, m, cap, combo, t)
+            return {("visited", t): 1}
+
+        visited = {("visited", t): c for t, c in want.items() if c} if m >= 2 and r >= 3 else {}
+        assert _plus_strata(index, m, cap, visit) == {**want, **visited}, (pv.sizes, r, m, cap)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

@@ -265,6 +265,15 @@ def test_series_cli_smoke(capsys):
     assert payload["applicability"]
 
 
+@pytest.mark.parametrize("constant", ["-1", "nan", "inf"])
+def test_series_cli_refuses_a_bad_budget_constant(capsys, constant):
+    rc, out, err = run_cli(
+        capsys, "series-bounds", "--uniform-n", "200", "--r", "3", "--m", "2",
+        "--budget-constant", constant,
+    )
+    assert (rc, out) == (2, "") and "budget constant" in err
+
+
 def test_verify_cli_run(capsys):
     rc = main(["verify", "--threads", "2"])
     out = capsys.readouterr().out

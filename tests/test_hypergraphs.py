@@ -4,6 +4,7 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,18 @@ def test_make_edge_rejects_two_vertices_in_a_part():
         make_edge(pv, (1, 2, 5))
     with pytest.raises(DomainError):
         make_edge(pv, (1, 3, 9))
+
+
+def test_make_edge_refuses_non_integer_vertices():
+    # a float must not be truncated (1.9 -> 1) nor a string parsed; numpy
+    # integers and bools canonicalise to ints
+    pv = partition((2, 2, 2))
+    for bad in ([1.9, 3, 5], ["1", 3, 5], [1.0, 3, 5], [None, 3, 5], 5):
+        with pytest.raises(DomainError, match="integers"):
+            make_edge(pv, bad)
+    e = make_edge(pv, np.array([5, 1, 3], dtype=np.uint8))
+    assert e == make_edge(pv, (True, 3, 5)) == make_edge(pv, (1, 3, 5))
+    assert all(type(v) is int for v in e.vertices)
 
 
 def test_hypergraph_rejects_wrong_size_and_duplicates():
@@ -142,6 +155,9 @@ def test_text_roundtrip():
     assert from_text(text) == h
     with pytest.raises(DomainError):
         from_text("no header\n1,2,3\n")
+    for bad in ("parts: 2,a\n1,3\n", "parts: 2,2,2\n1,x,5\n", "parts: 2,2,2\n1,3.0,5\n"):
+        with pytest.raises(DomainError, match="comma-separated integers"):
+            from_text(bad)
 
 
 def test_classify_agrees_with_index_and_signature():

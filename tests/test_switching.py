@@ -522,3 +522,17 @@ def test_ratio_series_shift_widens_with_budget():
     base = ratio_series(uniform_partition(8), 3, 3, budget_constant=1.0)
     wide = ratio_series(uniform_partition(8), 3, 3, budget_constant=3.0)
     assert wide.shift == pytest.approx(3 * base.shift)
+
+
+def test_ratio_series_refuses_negative_or_non_finite_budget():
+    # a negative constant would give lower > upper with no applicability
+    # note (uniform n=200 m=2), and nan would end in an AssertionError
+    pv = uniform_partition(200)
+    for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="budget constant"):
+            ratio_series(pv, 3, 2, budget_constant=bad)
+    for m in (0, 2):
+        rep = ratio_series(pv, 3, m, budget_constant=0.0)
+        assert rep.shift == 0.0
+        if m:
+            assert rep.lower <= rep.upper
