@@ -15,14 +15,16 @@ time, each block on its own counter RNG keyed (seed, block):
    table;
 3. classify: classify_rows codes each row's vertex subsets in the
    narrowest unsigned dtype that holds them, sorts them once and reads
-   the plus classification and the overlap count off the runs of equal
-   codes.  Shared triples are found first, and the pair codes are
-   analysed only on the rows they leave undecided (on every row when
-   overlaps are tracked).  Each pair code carries its edge's index in
-   its low bits, so the same sort gives the edges of every run; the
-   test of whether the linked pairs form a matching scatters them, and
-   runs only on rows with two or more linked pairs and no run of three
-   equal pair codes.
+   the plus classification and the overlap count off the sparse list
+   of equal sorted neighbours.  Shared triples are found first, and the
+   pair codes are analysed only on the rows they leave undecided (on
+   every row when overlaps are tracked).  Each pair code carries its
+   edge's index in its low bits, so the same sort gives the edges of
+   every linked pair; the linked pairs form a matching when no edge is
+   named twice, which one sort of the named edges tests, only on rows
+   with two or more linked pairs and no run of three equal pair codes;
+4. tally: np.bincount adds each block's cluster counts and reasons to
+   fixed arrays.
 
 Nothing indexes the edge pairs, and the edge table is built only when
 it holds no more than one block's vertex tuples, so a run needs
@@ -41,7 +43,6 @@ vertex-subset codes (WorkCeilingError).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -69,7 +70,8 @@ BLOCK_TRIALS = 4096
 SAMPLER_WORK_CEILING = 2 * 10 ** 10
 # vertex-subset codes classified at once in one block; each code costs
 # one key of 1 to 8 bytes (the key dtype's width) in each of a handful
-# of (rows, codes) arrays
+# of (rows, codes) arrays, and every flat index into them fits in the
+# int32 flag lists of classify_rows
 SAMPLER_BLOCK_CELLS = 2 ** 23
 # edge ids and suffix counts are int64, and untagged subset codes stay below it
 INT64_LIMIT = 2 ** 63
@@ -302,25 +304,37 @@ def _sorted_codes(
     return keys, runs[:, 1:] == runs[:, :-1]
 
 
-def _shared_counts(same: np.ndarray, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(T, deep) per row, from the equal-neighbour flags of the sorted codes.
+def _equal_flags(same: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(idx, row, start): every set flag of same, as a sparse list in int32.
 
-    deep marks the rows with a run of three or more equal codes.  T is
-    the sum of C(occ, 2) over the runs of occ equal codes; on a row
-    that is not deep every run is a pair, so T is its number of equal
-    neighbours.  The deep rows keep that number unless exact, when they
-    sum the rank of each code within its run (a run of occ ranks sums
-    to C(occ, 2)) in a fixed number of passes, however deep the runs.
+    same holds each row's equal-neighbour flags over its sorted codes.
+    idx is each flag's flat index, rising, and row its row.  A run of
+    occ equal codes leaves occ - 1 flags at consecutive flat indices of
+    one row; start marks the first flag of each run.  Flags adjacent in
+    the flat index but in two rows (the last column of one, the first
+    of the next) start two runs.  Equal codes are rare (about A linked
+    pairs per row), so every count is read from this list rather than
+    from the (rows, width) flags.  SAMPLER_BLOCK_CELLS keeps every flat
+    index far below 2**31.
     """
-    shared = np.count_nonzero(same, axis=1)
-    deep = (same[:, 1:] & same[:, :-1]).any(axis=1)
-    if exact and deep.any():
-        runs = same[deep]
-        pos = np.arange(runs.shape[1] + 1)
-        start = np.zeros((len(runs), len(pos)), dtype=np.int64)
-        start[:, 1:] = np.where(runs, 0, pos[1:])
-        shared[deep] = (pos - np.maximum.accumulate(start, axis=1)).sum(axis=1)
-    return shared, deep
+    idx = np.flatnonzero(same).astype(np.int32)
+    row = idx // np.int32(max(same.shape[1], 1))
+    start = np.ones(idx.size, dtype=bool)
+    np.not_equal(idx[1:], idx[:-1] + 1, out=start[1:])
+    start[1:] |= row[1:] != row[:-1]
+    return idx, row, start
+
+
+def _run_sums(row: np.ndarray, start: np.ndarray, rows: int) -> np.ndarray:
+    """Per row, the sum of C(occ, 2) over its runs of occ equal codes, from _equal_flags.
+
+    The occ - 1 flags of a run, ranked 1, 2, ... within it, sum to
+    C(occ, 2): a fixed number of passes however deep the runs are.
+    """
+    pos = np.arange(row.size, dtype=np.int32)
+    rank = pos + 1 - np.maximum.accumulate(np.where(start, pos, 0))
+    # float weights stay exact: each row sums fewer than 2**53 ranks
+    return np.bincount(row, weights=rank, minlength=rows).astype(np.int64)
 
 
 def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = False):
@@ -330,22 +344,28 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     holds every key (_key_dtype, from n, r, m and track_overlaps), and
     the alpha-subsets of each edge (alpha = 2, 3, and up to r-1 with
     track_overlaps) become codes in that dtype.  Sorting a row puts
-    equal codes in runs; a run of occ codes adds C(occ, 2) to T_alpha,
-    the number of edge pairs sharing an alpha-subset.  Each coded size
-    is sorted once per row.  In plus_violation's order:
+    equal codes in runs; each coded size is sorted once per row, and
+    its flags of equal sorted neighbours are read once, as the sparse
+    list of their flat indices (_equal_flags).  Linked subsets are
+    rare, so everything after the sort is a pass over that list, not
+    over the rows' codes.  A run of occ codes adds C(occ, 2) to T_alpha,
+    the number of edge pairs sharing an alpha-subset; with
+    track_overlaps each T_alpha is exact, the sum of every flag's rank
+    within its run (_run_sums).  In plus_violation's order:
 
-    - alpha >= 3 goes first.  A row with two equal neighbouring 3-codes
+    - alpha >= 3 goes first.  A row with a flag among its 3-codes
       shares a triple and is OVERLAP_GE3; without track_overlaps that
       is all these sizes are sorted for.
     - alpha = 2: each pair code carries its edge's index in its low
-      bits.  t is the number of equal neighbouring pair codes.  A row
-      with a run of three equal pair codes has three edges on one pair
-      and is CLUSTER_GT2_EDGES.  On the other rows every run is one
-      linked pair, so t = T_2, and the linked pairs form a matching
-      exactly when the runs hold 2t distinct edges, read off the low
-      bits; only rows with t >= 2, no run of three and no shared triple
-      are tested, as one linked pair always holds two edges.  A row
-      that fails it is CLUSTER_GT2_EDGES, and otherwise
+      bits, and t is the row's number of flags.  A flag that does not
+      start its run is the third edge of a run of three equal pair
+      codes, and its row is CLUSTER_GT2_EDGES.  On the other rows every
+      run is one linked pair, so t = T_2, and the linked pairs form a
+      matching exactly when no edge ends two flags: each flag names the
+      edges of its two codes, read off the low bits and offset by
+      row * m, and a value named twice marks the row CLUSTER_GT2_EDGES.
+      Only rows with t >= 2, no run of three and no shared triple are
+      named, as one flag always names two edges.  A row that passes is
       TOO_MANY_CLUSTERS when t > cap.
 
     Returns (t, reason, overlaps): reason indexes REASONS, and t is the
@@ -363,11 +383,11 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     t_by_alpha = {}
     triple = np.zeros(rows, dtype=bool)
     for alpha in alphas[1:]:
-        same = _sorted_codes(cols, alpha, n + 1)[1]
+        _, row, start = _equal_flags(_sorted_codes(cols, alpha, n + 1)[1])
         if track_overlaps:
-            t_by_alpha[alpha] = _shared_counts(same, exact=True)[0]
+            t_by_alpha[alpha] = _run_sums(row, start, rows)
         if alpha == 3:
-            triple = same.any(axis=1)
+            triple[row] = True
     t = np.zeros(rows, dtype=np.int64)
     in_two_pairs = np.zeros(rows, dtype=bool)
     if alphas:
@@ -375,22 +395,27 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
         live = slice(None) if track_overlaps or not triple.any() else ~triple
         bits = _tag_bits(m)
         keys, same = _sorted_codes(cols[:, live], 2, n + 1, bits)
-        # an edge in a run of three lies in two linked pairs
-        shared, in_two = _shared_counts(same, exact=track_overlaps)
-        check = np.flatnonzero((shared >= 2) & ~in_two & ~triple[live])
-        if check.size:
-            # scatter the edge of every slot in a run into its row's m
-            # flags, then count the distinct edges touched
-            runs = same[check]
-            in_run = np.zeros((check.size, keys.shape[1]), dtype=bool)
-            in_run[:, 1:] = runs
-            in_run[:, :-1] |= runs
-            slot = (keys[check] & dtype.type((1 << bits) - 1)).astype(np.intp)
-            slot += np.arange(0, check.size * m, m)[:, None]
-            touched = np.zeros((check.size, m), dtype=bool)
-            touched.ravel()[slot[in_run]] = True
-            in_two[check] = np.count_nonzero(touched, axis=1) < 2 * shared[check]
-        t[live] = shared
+        idx, row, start = _equal_flags(same)
+        count = np.bincount(row, minlength=len(keys))
+        t[live] = _run_sums(row, start, len(keys)) if track_overlaps else count
+        # a flag that does not start its run is a third edge on one pair
+        in_two = np.zeros(len(keys), dtype=bool)
+        in_two[row[~start]] = True
+        pick = ((count >= 2) & ~in_two & ~triple[live])[row]
+        row = row[pick]
+        # a flag's lower code is key idx + row of the flat keys and its
+        # upper code the next one; each names its edge, offset by row * m
+        idx = idx[pick] + row
+        row *= np.int32(m)
+        flat, mask = keys.reshape(-1), dtype.type((1 << bits) - 1)
+        ends = np.empty((2, idx.size), dtype=np.int32)
+        ends[0] = flat[idx] & mask
+        idx += 1
+        ends[1] = flat[idx] & mask
+        ends += row
+        ends = ends.reshape(-1)
+        ends.sort()
+        in_two[ends[1:][ends[1:] == ends[:-1]] // m] = True
         in_two_pairs[live] = in_two
         t_by_alpha[2] = t
     reason = np.where(t > cap, 3, 0).astype(np.int8)
@@ -510,8 +535,9 @@ def estimate_linear_probability(
     sampler = _batch_sampler(pv, r, m, trials)
     _classifier_guard(pv.n, r, m, trials, track_overlaps)
     cap = cluster_threshold(pv, r, m)
-    hist: Counter[int] = Counter()
-    viol: Counter[str] = Counter()
+    # a plus row has at most min(cap, m // 2) clusters, each two edges
+    hist = np.zeros(min(cap, m // 2) + 1, dtype=np.int64)
+    viol = np.zeros(len(REASONS), dtype=np.int64)
     overlap = 0
     columns = None
     if sampler.total <= min(trials, BLOCK_TRIALS) * m:
@@ -527,8 +553,8 @@ def estimate_linear_probability(
         else:
             verts = np.moveaxis(columns.take(ids, axis=1), 0, -1)
         t, reason, overlaps = classify_rows(verts, pv.n, cap, track_overlaps)
-        hist.update(t[reason == 0].tolist())
-        viol.update(map(REASONS.__getitem__, reason[reason > 0].tolist()))
+        hist += np.bincount(t[reason == 0], minlength=hist.size)
+        viol += np.bincount(reason, minlength=viol.size)
         if track_overlaps:
             overlap += int(overlaps.sum())
     return SampleReport(
@@ -537,9 +563,9 @@ def estimate_linear_probability(
         m=m,
         trials=trials,
         seed=seed,
-        hits=hist[0],
-        cluster_histogram=dict(hist),
-        violation_counts=dict(viol),
+        hits=int(hist[0]),
+        cluster_histogram={t: int(c) for t, c in enumerate(hist) if c},
+        violation_counts={REASONS[i]: int(c) for i, c in enumerate(viol) if i and c},
         overlap_total=overlap if track_overlaps else None,
     )
 

@@ -541,7 +541,8 @@ def ratio_series(
     and above it.  The cutoff defaults to the smallest t whose stratum
     must be empty (2t > m); with_census replaces it by the first stratum
     the exact census finds empty and records the exact ratio sum.  A
-    budget_constant that is negative or not finite raises DomainError.
+    budget_constant that is negative or not finite, or an explicit
+    t_prime below 1, raises DomainError before the census runs.
     """
     if not 3 <= r <= pv.k:
         raise DomainError(f"need 3 <= r <= k, got r={r}, k={pv.k}")
@@ -549,6 +550,8 @@ def ratio_series(
         raise DomainError(f"need m >= 0, got {m}")
     if not (math.isfinite(budget_constant) and budget_constant >= 0):
         raise DomainError(f"budget constant must be finite and >= 0, got {budget_constant}")
+    if t_prime is not None and t_prime < 1:
+        raise DomainError(f"cutoff t_prime must be >= 1, got {t_prime}")
     applicability: list[str] = []
     exact_sum: Fraction | None = None
     census = None
@@ -580,8 +583,6 @@ def ratio_series(
         )
     if t_prime is None:
         t_prime = m // 2 + 1
-    if t_prime < 1:
-        raise DomainError(f"cutoff t_prime must be >= 1, got {t_prime}")
 
     n_terms = cluster_threshold(pv, r, m)
     a_value = float(cluster_mean(pv, r, m))

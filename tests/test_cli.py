@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linhyp import montecarlo, verify
+from linhyp import montecarlo, switching, verify
 from linhyp.cli import main
 from linhyp.verify import enumerable_grid
 
@@ -272,6 +272,26 @@ def test_series_cli_refuses_a_bad_budget_constant(capsys, constant):
         "--budget-constant", constant,
     )
     assert (rc, out) == (2, "") and "budget constant" in err
+
+
+def test_series_cli_refuses_t_prime_below_one_at_m_below_two(capsys):
+    # the m < 2 answer is trivial, but an explicit cutoff is still checked
+    rc, out, err = run_cli(
+        capsys, "series-bounds", "--parts", "2,2,2", "--r", "3", "--m", "1", "--t-prime", "-5"
+    )
+    assert (rc, out) == (2, "") and "t_prime" in err
+
+
+def test_series_cli_refuses_t_prime_below_one_before_the_census(capsys, monkeypatch):
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before the cutoff was checked")
+
+    monkeypatch.setattr(switching, "census_by_cluster", no_census)
+    rc, out, err = run_cli(
+        capsys, "series-bounds", "--parts", "2,2,2", "--r", "3", "--m", "3",
+        "--with-census", "--t-prime", "0",
+    )
+    assert (rc, out) == (2, "") and "t_prime" in err
 
 
 def test_verify_cli_run(capsys):

@@ -1,6 +1,8 @@
 """Tests for uniform sampling: exactness, determinism, and statistics."""
 
+import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -487,3 +489,73 @@ def test_classify_rows_at_the_uint16_boundary(track):
         wide = classify_rows(verts, 10 ** 4, cap, track)
         for a, b in zip(wide, got):
             assert a is b is None or a.tolist() == b.tolist(), n
+
+
+@pytest.mark.parametrize(
+    "r, n, rows, t_2",
+    [
+        # the first row's top two pair codes are equal, and so are the
+        # second row's lowest two
+        (3, 8, [[(1, 7, 8), (2, 7, 8)], [(1, 2, 3), (1, 2, 4)]], 1),
+        (4, 10, [[(1, 2, 9, 10), (3, 4, 9, 10)], [(1, 2, 3, 4), (1, 2, 5, 6)]], 1),
+        # the same at the 3-codes: a shared top triple, then a shared
+        # lowest one, each holding three shared pairs
+        (4, 10, [[(1, 8, 9, 10), (2, 8, 9, 10)], [(1, 2, 3, 5), (1, 2, 3, 6)]], 3),
+    ],
+)
+def test_runs_do_not_cross_a_row_boundary(r, n, rows, t_2):
+    # the two rows' boundary flags are adjacent in the flat index; each
+    # belongs to a run of two equal codes in its own row, not to one run of
+    # three across both rows
+    verts = np.array(rows, dtype=np.int64)
+    cap = 2
+    t, reason, overlaps = classify_rows(verts, n, cap, track_overlaps=True)
+    _assert_rows_match_signature(verts, t, reason, overlaps, cap)
+    assert t.tolist() == [t_2, t_2]
+    assert overlaps.tolist() == [1, 1]
+    t_plain, reason_plain, _ = classify_rows(verts, n, cap)
+    assert reason_plain.tolist() == reason.tolist()
+
+
+@pytest.mark.parametrize("track, dense_peak", [(False, 3.06e6), (True, 10.09e6)])
+def test_classify_rows_memory_on_runs_three_deep(track, dense_peak):
+    # the whole edge space of parts 3,3,3 in each of 4096 rows, so every
+    # pair code runs three deep and two of every three pair codes hold a
+    # flag.  The dense passes over the (rows, codes) flags peaked at
+    # dense_peak bytes here (numpy 2.4.6); the sparse flag lists stay
+    # within twice that
+    pv = partition((3, 3, 3))
+    sampler = EdgeSampler(pv, 3)
+    m = sampler.total
+    verts = sampler.unrank_many(_draw_block(make_rng(0), m, BLOCK_TRIALS, m))
+    cap = cluster_threshold(pv, 3, m)
+    classify_rows(verts, pv.n, cap, track)
+    tracemalloc.start()
+    try:
+        _, reason, overlaps = classify_rows(verts, pv.n, cap, track)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * dense_peak, peak
+    assert set(reason.tolist()) == {REASONS.index("cluster_gt2_edges")}
+    if track:
+        tuples = verts[0].tolist()
+        assert set(overlaps.tolist()) == {_overlap_pairs(tuples)}
+
+
+def test_report_tallies_are_plain_nonzero_ints():
+    # the cap (331) is far above m // 2, the most clusters a plus row holds
+    pv = uniform_partition(20)
+    r, m = 3, 10
+    assert cluster_threshold(pv, r, m) > m // 2
+    rep = estimate_linear_probability(pv, r, m, trials=5000, seed=3, track_overlaps=True)
+    tallies = [rep.hits, rep.overlap_total]
+    tallies += list(rep.cluster_histogram.values()) + list(rep.violation_counts.values())
+    assert all(type(c) is int for c in tallies), tallies
+    assert all(type(t) is int for t in rep.cluster_histogram)
+    assert all(type(k) is str for k in rep.violation_counts)
+    assert 0 not in rep.cluster_histogram.values()
+    assert 0 not in rep.violation_counts.values()
+    assert rep.hits == rep.cluster_histogram[0] > 0
+    assert max(rep.cluster_histogram) <= m // 2
+    json.dumps(rep.to_json_dict())
