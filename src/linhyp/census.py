@@ -26,7 +26,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
+from operator import add, mul
 from typing import Callable
 
 from .errors import DomainError, WorkCeilingError
@@ -47,9 +48,9 @@ class EdgeSpaceIndex:
     """Precomputed structures over the full edge space of one instance.
 
     Edges are indexed by their canonical enumeration order.  The index
-    carries one table, pairs: per edge, the frozenset of ids of its
-    vertex pairs (at r = 2 the edge's one pair, which no other edge
-    holds; empty rows when r <= 1).  Two distinct edges are linked
+    carries one table, pairs: per edge, the frozenset of the codes
+    u * (n + 1) + v of its vertex pairs u < v (at r = 2 the edge's one
+    pair, which no other edge holds; empty rows when r <= 1).  Two distinct edges are linked
     exactly when their pair rows meet.  Everything else is read off
     pairs and built on first use: occupants, the edges holding each
     pair; link_rows(e), the bitmasks over edge ids of the edges meeting
@@ -68,12 +69,12 @@ class EdgeSpaceIndex:
         self.edges: list[tuple[int, ...]] = edge_tuples(pv, r)
         self.count = len(self.edges)
 
-        # intern vertex pairs as small integers
-        table: dict[tuple[int, int], int] = {}
-        self.pairs: list[frozenset[int]] = [
-            frozenset(table.setdefault(sub, len(table)) for sub in combinations(vs, 2))
-            for vs in self.edges
-        ]
+        # pair {u, v}, u < v, is u * (n + 1) + v, coded column by column
+        cols, base = list(zip(*self.edges)), repeat(pv.n + 1)
+        codes = [map(add, map(mul, cols[i], base), cols[j]) for i, j in combinations(range(r), 2)]
+        self.pairs: list[frozenset[int]] = (
+            list(map(frozenset, zip(*codes))) if codes else [frozenset()] * self.count
+        )
 
         self._links: dict[int, tuple[int, int]] = {}
         self._cat: list[bytearray] | None = None

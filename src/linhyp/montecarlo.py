@@ -8,30 +8,32 @@ time, each block on its own counter RNG keyed (seed, block):
 2. unrank: EdgeSampler.unrank_many maps the ids to vertex tuples through
    the part-suffix counts, so part subsets come out with probability
    proportional to the product of their part sizes: one searchsorted per
-   vertex but the last, which is n + 1 minus the remaining weight.
-   estimate_linear_probability instead unranks the whole edge space once
-   when sigma_r <= min(trials, BLOCK_TRIALS) * m, no more ids than one
-   block draws, and gathers each block's tuples from that (r, sigma_r)
-   table;
-3. classify: classify_rows codes each row's vertex subsets in the
-   narrowest unsigned dtype that holds them, sorts them once and reads
-   the plus classification and the overlap count off the sparse list
-   of equal sorted neighbours.  Shared triples are found first, and the
-   pair codes are analysed only on the rows they leave undecided (on
-   every row when overlaps are tracked).  Each pair code carries its
-   edge's index in its low bits, so the same sort gives the edges of
-   every linked pair; the linked pairs form a matching when no edge is
-   named twice, which one sort of the named edges tests, only on rows
-   with two or more linked pairs and no run of three equal pair codes;
+   vertex but the last, which is n + 1 minus the remaining weight;
+3. classify: _subset_codes codes the edges' vertex subsets in the
+   narrowest unsigned dtype that holds them, one row of codes per edge,
+   and _classify sorts each sampled row's codes once and reads the plus
+   classification and the overlap count off the sparse list of equal
+   sorted neighbours.  When sigma_r <= min(trials, BLOCK_TRIALS) * m,
+   no more ids than one block draws, estimate_linear_probability codes
+   the whole edge space once, a (sigma_r, C(r, alpha)) table per coded
+   size alpha, and each block gathers its rows of codes from it by edge
+   id, already laid out for the sort; above the rule each block is
+   unranked and coded by classify_rows.  Shared triples are found
+   first, and the pair codes are gathered and analysed only on the
+   rows they leave undecided (on every row when overlaps are tracked).
+   Each pair code carries its edge's index in its low bits, so the same
+   sort gives the edges of every linked pair; the linked pairs form a
+   matching when no edge is named twice, which one sort of the named
+   edges tests, only on rows with two or more linked pairs and no run
+   of three equal pair codes;
 4. tally: np.bincount adds each block's cluster counts and reasons to
    fixed arrays.
 
-Nothing indexes the edge pairs, and the edge table is built only when
-it holds no more than one block's vertex tuples, so a run needs
-O(BLOCK_TRIALS * m * r) memory however large sigma_r is; above the rule
-every block unranks its own ids.  One seed pins the same draws in
-estimate_linear_probability, draw_subset_ids and sample_hypergraph,
-and every report is reproducible; the stream is not
+Nothing indexes the edge pairs, and the code table is built only when
+it holds no more than one block's codes, so a run needs
+O(BLOCK_TRIALS * m * r) memory however large sigma_r is.  One seed pins
+the same draws in estimate_linear_probability, draw_subset_ids and
+sample_hypergraph, and every report is reproducible; the stream is not
 the one of the earlier per-trial loop, so seeded outputs differ from it.
 Before anything is allocated the sampler refuses edge spaces whose
 counts do not fit in int64 and tagged pair codes that do not fit in 64
@@ -166,9 +168,8 @@ class EdgeSampler:
         """Vertex tuples of an int64 array of edge ids, shape ids.shape + (r,).
 
         The tuples are a view of an (r,) + ids.shape array, so each
-        vertex column is contiguous, as classify_rows reads them; it
-        casts them to its key dtype in one copy, and the edge table of
-        estimate_linear_probability is stored in that dtype.  key is
+        vertex column is contiguous, as _subset_codes reads them when it
+        casts them to its key dtype in one copy.  key is
         the weight from the id to the end of the order.  At each level
         j >= 2 the next vertex lies in the first part i with
         suffix[i+1][j] < key, found by one searchsorted on the rising
@@ -271,36 +272,50 @@ def _key_dtype(n: int, r: int, m: int, track_overlaps: bool) -> np.dtype:
     return np.min_scalar_type(top)
 
 
-def _sorted_codes(
-    cols: np.ndarray, alpha: int, base: int, bits: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's alpha-subset keys, sorted, and which sorted neighbours share a code.
+def _subset_codes(verts: np.ndarray, n: int, m: int, track_overlaps: bool) -> dict[int, np.ndarray]:
+    """Per coded size alpha, the (edges, C(r, alpha)) subset codes of an (edges, r) vertex array.
 
-    cols is the (r, rows, m) array of contiguous vertex columns in the
-    key dtype, and every operand is of that dtype, so each subset's
-    codes are built by whole contiguous (rows, m) passes in it; one
-    transposing copy then puts each row's codes together, and one
-    in-place sort orders them.  With bits, each code is shifted left by
-    bits and its edge's index fills the low bits: key >> bits is the
-    code and key & (2**bits - 1) the edge.
+    An alpha-subset's code is its vertices read as digits in base n + 1,
+    in the key dtype (_key_dtype), and each pair code is shifted left by
+    _tag_bits(m) to leave the low bits for an edge index.  An edge's
+    codes are one row, so gathering m edge rows lays out one sampled
+    row's codes side by side, ready to sort.  The vertex columns are cast
+    to the key dtype once, and every column of codes is built by whole
+    passes over them in that dtype.
     """
-    r, rows, m = cols.shape
-    dtype = cols.dtype
-    base, shift = dtype.type(base), dtype.type(bits)
-    subsets = list(combinations(range(r), alpha))
-    codes = np.empty((len(subsets), rows, m), dtype=dtype)
-    for code, pos in zip(codes, subsets):
-        np.multiply(cols[pos[0]], base, out=code)
-        for p in pos[1:-1]:
-            code += cols[p]
-            code *= base
-        code += cols[pos[-1]]
+    edges, r = verts.shape
+    dtype = _key_dtype(n, r, m, track_overlaps)
+    cols = np.ascontiguousarray(verts.T, dtype=dtype)
+    base = dtype.type(n + 1)
+    table = {}
+    for alpha in _subset_sizes(r, track_overlaps):
+        subsets = list(combinations(range(r), alpha))
+        codes = table[alpha] = np.empty((edges, len(subsets)), dtype=dtype)
+        for code, pos in zip(codes.T, subsets):
+            np.multiply(cols[pos[0]], base, out=code)
+            for p in pos[1:-1]:
+                code += cols[p]
+                code *= base
+            code += cols[pos[-1]]
+        if alpha == 2:
+            codes <<= dtype.type(_tag_bits(m))
+    return table
+
+
+def _sorted_keys(codes: np.ndarray, bits: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's keys, sorted in place, and which sorted neighbours share a code.
+
+    codes is a (rows, m, C) array of the rows' edge codes, and a row's
+    keys are its m * C codes side by side.  With bits, each code first
+    gets its edge's index, 0 to m - 1, ORed into its low bits: key >>
+    bits is the code and key & (2**bits - 1) the edge.
+    """
+    rows, m, width = codes.shape
+    keys = codes.reshape(rows, m * width)
     if bits:
-        codes <<= shift
-        codes |= np.arange(m, dtype=dtype)
-    keys = codes.transpose(1, 0, 2).reshape(rows, len(subsets) * m)
+        keys |= np.repeat(np.arange(m, dtype=keys.dtype), width)
     keys.sort(axis=1)
-    runs = keys >> shift if bits else keys
+    runs = keys >> keys.dtype.type(bits) if bits else keys
     return keys, runs[:, 1:] == runs[:, :-1]
 
 
@@ -340,33 +355,13 @@ def _run_sums(row: np.ndarray, start: np.ndarray, rows: int) -> np.ndarray:
 def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = False):
     """Plus-classify every row of a (rows, m, r) array of sorted edge vertex tuples.
 
-    The vertices are first cast to the narrowest unsigned dtype that
-    holds every key (_key_dtype, from n, r, m and track_overlaps), and
-    the alpha-subsets of each edge (alpha = 2, 3, and up to r-1 with
-    track_overlaps) become codes in that dtype.  Sorting a row puts
-    equal codes in runs; each coded size is sorted once per row, and
-    its flags of equal sorted neighbours are read once, as the sparse
-    list of their flat indices (_equal_flags).  Linked subsets are
-    rare, so everything after the sort is a pass over that list, not
-    over the rows' codes.  A run of occ codes adds C(occ, 2) to T_alpha,
-    the number of edge pairs sharing an alpha-subset; with
-    track_overlaps each T_alpha is exact, the sum of every flag's rank
-    within its run (_run_sums).  In plus_violation's order:
-
-    - alpha >= 3 goes first.  A row with a flag among its 3-codes
-      shares a triple and is OVERLAP_GE3; without track_overlaps that
-      is all these sizes are sorted for.
-    - alpha = 2: each pair code carries its edge's index in its low
-      bits, and t is the row's number of flags.  A flag that does not
-      start its run is the third edge of a run of three equal pair
-      codes, and its row is CLUSTER_GT2_EDGES.  On the other rows every
-      run is one linked pair, so t = T_2, and the linked pairs form a
-      matching exactly when no edge ends two flags: each flag names the
-      edges of its two codes, read off the low bits and offset by
-      row * m, and a value named twice marks the row CLUSTER_GT2_EDGES.
-      Only rows with t >= 2, no run of three and no shared triple are
-      named, as one flag always names two edges.  A row that passes is
-      TOO_MANY_CLUSTERS when t > cap.
+    Codes the rows' edges with _subset_codes, in the narrowest unsigned
+    dtype that holds every key (_key_dtype, from n, r, m and
+    track_overlaps), and classifies them with _classify, as the edge
+    table of estimate_linear_probability is.  The codes are sorted in
+    place, and only the pair codes of the rows no shared triple decides
+    are copied, so the codes and their sorted keys are all the call
+    holds at once.
 
     Returns (t, reason, overlaps): reason indexes REASONS, and t is the
     cluster count where reason is 0 (elsewhere it is T_2 with
@@ -375,15 +370,50 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
     exact T_alpha, with track_overlaps; else it is None.
     """
     rows, m, r = verts.shape
+    codes = _subset_codes(verts.reshape(rows * m, r), n, m, track_overlaps)
+
+    def gather(alpha, live):
+        return codes[alpha].reshape(rows, m, math.comb(r, alpha))[live]
+
+    return _classify(gather, rows, m, r, cap, track_overlaps)
+
+
+def _classify(gather, rows: int, m: int, r: int, cap: int, track_overlaps: bool):
+    """classify_rows on the subset codes that gather(alpha, live) returns.
+
+    gather returns the (rows, m, C(r, alpha)) codes of _subset_codes for
+    the rows that live selects (a slice or a boolean mask), as an array
+    this call may overwrite.  Sorting a row puts equal codes in runs;
+    each coded size is sorted once per row, and its flags of equal
+    sorted neighbours are read once, as the sparse list of their flat
+    indices (_equal_flags).  Linked subsets are rare, so everything
+    after the sort is a pass over that list, not over the rows' codes.
+    A run of occ codes adds C(occ, 2) to T_alpha, the number of edge
+    pairs sharing an alpha-subset; with track_overlaps each T_alpha is
+    exact, the sum of every flag's rank within its run (_run_sums).  In
+    plus_violation's order:
+
+    - alpha >= 3 goes first.  A row with a flag among its 3-codes
+      shares a triple and is OVERLAP_GE3; without track_overlaps that
+      is all these sizes are sorted for.
+    - alpha = 2, gathered only for the rows left live: each pair code
+      carries its edge's index in its low bits, and t is the row's
+      number of flags.  A flag that does not start its run is the third
+      edge of a run of three equal pair codes, and its row is
+      CLUSTER_GT2_EDGES.  On the other rows every run is one linked
+      pair, so t = T_2, and the linked pairs form a matching exactly
+      when no edge ends two flags: each flag names the edges of its two
+      codes, read off the low bits and offset by row * m, and a value
+      named twice marks the row CLUSTER_GT2_EDGES.  Only rows with
+      t >= 2, no run of three and no shared triple are named, as one
+      flag always names two edges.  A row that passes is
+      TOO_MANY_CLUSTERS when t > cap.
+    """
     alphas = _subset_sizes(r, track_overlaps)
-    dtype = _key_dtype(n, r, m, track_overlaps)
-    # no copy for the sampler's own tuples, which are contiguous columns
-    # in the key dtype; any other array is cast before any arithmetic
-    cols = np.ascontiguousarray(verts.transpose(2, 0, 1), dtype=dtype)
     t_by_alpha = {}
     triple = np.zeros(rows, dtype=bool)
     for alpha in alphas[1:]:
-        _, row, start = _equal_flags(_sorted_codes(cols, alpha, n + 1)[1])
+        _, row, start = _equal_flags(_sorted_keys(gather(alpha, slice(None)))[1])
         if track_overlaps:
             t_by_alpha[alpha] = _run_sums(row, start, rows)
         if alpha == 3:
@@ -394,9 +424,12 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
         # a shared triple decides a row, unless its T_2 counts towards overlaps
         live = slice(None) if track_overlaps or not triple.any() else ~triple
         bits = _tag_bits(m)
-        keys, same = _sorted_codes(cols[:, live], 2, n + 1, bits)
+        keys, same = _sorted_keys(gather(2, live), bits)
         idx, row, start = _equal_flags(same)
-        count = np.bincount(row, minlength=len(keys))
+        # np.add.at reads the int32 rows in buffered chunks, where
+        # np.bincount would first copy the whole list to intp
+        count = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(count, row, 1)
         t[live] = _run_sums(row, start, len(keys)) if track_overlaps else count
         # a flag that does not start its run is a third edge on one pair
         in_two = np.zeros(len(keys), dtype=bool)
@@ -407,7 +440,7 @@ def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = Fa
         # upper code the next one; each names its edge, offset by row * m
         idx = idx[pick] + row
         row *= np.int32(m)
-        flat, mask = keys.reshape(-1), dtype.type((1 << bits) - 1)
+        flat, mask = keys.reshape(-1), keys.dtype.type((1 << bits) - 1)
         ends = np.empty((2, idx.size), dtype=np.int32)
         ends[0] = flat[idx] & mask
         idx += 1
@@ -539,20 +572,21 @@ def estimate_linear_probability(
     hist = np.zeros(min(cap, m // 2) + 1, dtype=np.int64)
     viol = np.zeros(len(REASONS), dtype=np.int64)
     overlap = 0
-    columns = None
+    table = None
     if sampler.total <= min(trials, BLOCK_TRIALS) * m:
-        # the edge space has no more ids than one block draws: unrank it
-        # once, as (r, sigma_r) vertex columns no larger than a block's
-        # tuples, stored in classify_rows' key dtype
-        dtype = _key_dtype(pv.n, r, m, track_overlaps)
-        columns = sampler.unrank_many(np.arange(sampler.total)).T.astype(dtype)
+        # the edge space has no more ids than one block draws: code it
+        # once, in no more cells than one block's codes
+        edges = sampler.unrank_many(np.arange(sampler.total))
+        table = _subset_codes(edges, pv.n, m, track_overlaps)
     for rng, rows in _blocks(trials, seed):
         ids = _draw_block(rng, sampler.total, rows, m)
-        if columns is None:
-            verts = sampler.unrank_many(ids)
+        if table is None:
+            t, reason, overlaps = classify_rows(sampler.unrank_many(ids), pv.n, cap, track_overlaps)
         else:
-            verts = np.moveaxis(columns.take(ids, axis=1), 0, -1)
-        t, reason, overlaps = classify_rows(verts, pv.n, cap, track_overlaps)
+            t, reason, overlaps = _classify(
+                lambda alpha, live: table[alpha].take(ids[live], axis=0),
+                rows, m, r, cap, track_overlaps,
+            )
         hist += np.bincount(t[reason == 0], minlength=hist.size)
         viol += np.bincount(reason, minlength=viol.size)
         if track_overlaps:

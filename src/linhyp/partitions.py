@@ -63,7 +63,8 @@ class PartitionVector:
             # and a Counter would merge 3.0 into the int key 3.  A first
             # part that is not an int (a numpy array's) already decides it
             # without the pass.
-            if not (sizes and type(sizes[0]) is int and set(map(type, sizes)) == {int}):
+            if not (sizes and type(sizes[0]) is int
+                    and operator.countOf(map(type, sizes), int) == len(sizes)):
                 sizes = tuple(map(operator.index, sizes))
         except TypeError:
             raise DomainError(f"part sizes must be integers, got {self.sizes}") from None

@@ -34,8 +34,10 @@ from linhyp.hypergraphs import TOO_MANY_CLUSTERS, edge_space
 from linhyp.montecarlo import (
     BLOCK_TRIALS,
     REASONS,
+    _classify,
     _draw_block,
     _key_dtype,
+    _subset_codes,
     _subset_id_blocks,
     classify_rows,
     cluster_signature,
@@ -439,6 +441,37 @@ def test_batch_classifier_agrees_with_cluster_signature(data):
         assert got == _capped_signature(vertex_sets, cap)
         assert got_reason is not None or t_plain[row] == t[row]
         assert overlaps[row] == _overlap_pairs(vertex_sets)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+# the whole edge space of parts 3,3,3 in every row: every pair code runs three deep
+@example(data=_Drawn(sizes=[3, 3, 3], r=3, m=27, cap=50, track=False, seed=0))
+# without overlaps, shared triples decide some rows and leave the rest live
+@example(data=_Drawn(sizes=[3, 3, 3, 3], r=4, m=4, cap=1, track=False, seed=47))
+@example(data=_Drawn(sizes=[3, 3, 3, 3, 3, 3, 3], r=6, m=4, cap=1, track=False, seed=3))
+def test_gathered_codes_match_classify_rows(data):
+    # the edge space coded once and gathered by edge id, as
+    # estimate_linear_probability classifies its blocks, against
+    # classify_rows on the same rows' vertex tuples, row by row
+    sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=7), label="sizes"))
+    r = data.draw(st.sampled_from([r for r in (3, 4, 5, 6) if r <= len(sizes)]), label="r")
+    pv = partition(sizes)
+    sampler = EdgeSampler(pv, r)
+    m = data.draw(st.integers(0, min(sampler.total, 60)), label="m")
+    cap = data.draw(st.sampled_from((0, 1, 2, 50)), label="cap")
+    track = data.draw(st.booleans(), label="track")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    ids = _draw_block(make_rng(seed), sampler.total, 16, m)
+    table = _subset_codes(sampler.unrank_many(np.arange(sampler.total)), pv.n, m, track)
+
+    def gather(alpha, live):
+        return table[alpha].take(ids[live], axis=0)
+
+    got = _classify(gather, len(ids), m, r, cap, track)
+    want = classify_rows(sampler.unrank_many(ids), pv.n, cap, track)
+    for a, b in zip(got, want):
+        assert a is b is None or a.tolist() == b.tolist()
 
 
 def _assert_rows_match_signature(verts, t, reason, overlaps, cap):
