@@ -42,12 +42,18 @@ from .hypergraphs import (
 from .partitions import PartitionVector, sigma
 
 DEFAULT_WORK_CEILING = 10 ** 8
+# edges one EdgeSpaceIndex may hold; an edge costs about 430 bytes (its
+# vertex tuple and its row of pair codes), so about 1.8 GB in all.  The
+# bound is fixed: no work ceiling raises it
+INDEX_EDGE_LIMIT = 2 ** 22
 
 
 class EdgeSpaceIndex:
     """Precomputed structures over the full edge space of one instance.
 
-    Edges are indexed by their canonical enumeration order.  The index
+    An edge space of more than INDEX_EDGE_LIMIT edges is refused
+    (WorkCeilingError) before any edge is built.  Edges are indexed by
+    their canonical enumeration order.  The index
     carries one table, pairs: per edge, the frozenset of the codes
     u * (n + 1) + v of its vertex pairs u < v (at r = 2 the edge's one
     pair, which no other edge holds; empty rows when r <= 1).  Two distinct edges are linked
@@ -64,6 +70,12 @@ class EdgeSpaceIndex:
     """
 
     def __init__(self, pv: PartitionVector, r: int):
+        edge_count = sigma(pv, r)
+        if edge_count > INDEX_EDGE_LIMIT:
+            raise WorkCeilingError(
+                edge_count, INDEX_EDGE_LIMIT, "edge index", unit="edges",
+                remedy="this ceiling is fixed: use fewer vertices or a smaller r",
+            )
         self.pv = pv
         self.r = r
         self.edges: list[tuple[int, ...]] = edge_tuples(pv, r)
@@ -238,18 +250,20 @@ def pair_orbit_count(pv: PartitionVector, r: int) -> int:
     return coeff[-1] - orbit_count(pv, r)
 
 
-def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = False) -> int:
-    """count_all, after refusing a work estimate above the ceiling.
+def _guard(
+    pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = False
+) -> tuple[int, EdgeSpaceIndex | None]:
+    """(count_all, the edge index the search needs or None), or WorkCeilingError.
 
-    The estimate prices what a pair-rooted caller builds and runs:
-    sigma_r for the edge index, sigma_r^2 for cat when the caller reads
-    it (the audit, cat=True, at m >= 2), and C(m, 2) pair checks per
-    visited m-subset.  At m >= 2 the visited m-subsets are those that
-    hold a root pair, pair_orbit_count * binomial(sigma_r - 2, m - 2) of
-    them; at m = 1 one subset per edge orbit, and at m = 0 the empty
-    subset.  Each edge orbit has at most sigma_r - 1 stabiliser orbits,
-    so the pair orbits are counted only when that bound would refuse.
-    Nothing is allocated before the refusal.
+    With m < 2 or r < 3 no two edges are linked: every m-subset is
+    linear, and nothing is priced or built.  Otherwise the estimate
+    prices what a pair-rooted caller builds and runs: sigma_r for the
+    edge index, sigma_r^2 for cat when the caller reads it (the audit,
+    cat=True), and C(m, 2) pair checks per visited m-subset, the
+    pair_orbit_count * binomial(sigma_r - 2, m - 2) that hold a root
+    pair.  Each edge orbit has at most sigma_r - 1 stabiliser orbits, so
+    the pair orbits are counted only when that bound would refuse.  The
+    index is built only after the refusal.
 
     The audit roots at triples from m = 3 on and visits only plus
     m-subsets.  A root pair in a subset extends to at most m - 2 root
@@ -271,21 +285,18 @@ def _guard(pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = F
     bytes, against a price of at least 3 P * sigma_r^2.
     """
     total = count_all(pv, r, m)
+    if m < 2 or r < 3:
+        return total, None
     edge_count = sigma(pv, r)
-    work = edge_count + (edge_count ** 2 if cat and m >= 2 else 0)
-    if m == 0:
-        work += 1
-    elif m == 1:
-        work += orbit_count(pv, r)
-    else:
-        per_pair = math.comb(edge_count - 2, m - 2) * (m * (m - 1) // 2)
-        pair_orbits = orbit_count(pv, r) * (edge_count - 1)
-        if work + pair_orbits * per_pair > work_ceiling:
-            pair_orbits = pair_orbit_count(pv, r)
-        work += pair_orbits * per_pair
+    work = edge_count + (edge_count ** 2 if cat else 0)
+    per_pair = math.comb(edge_count - 2, m - 2) * (m * (m - 1) // 2)
+    pair_orbits = orbit_count(pv, r) * (edge_count - 1)
+    if work + pair_orbits * per_pair > work_ceiling:
+        pair_orbits = pair_orbit_count(pv, r)
+    work += pair_orbits * per_pair
     if work > work_ceiling:
         raise WorkCeilingError(work, work_ceiling, "census")
-    return total
+    return total, EdgeSpaceIndex(pv, r)
 
 
 def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> list[tuple[int, int]]:
@@ -500,8 +511,8 @@ def count_linear(
     """Exact number of linear m-edge hypergraphs: the plus search at cap 0, one thread."""
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    _guard(pv, r, m, work_ceiling)
-    return _plus_strata(EdgeSpaceIndex(pv, r), m, 0)[0]
+    total, index = _guard(pv, r, m, work_ceiling)
+    return total if index is None else _plus_strata(index, m, 0)[0]
 
 
 def count_linear_naive(
@@ -568,9 +579,9 @@ def census_by_cluster(
     work_ceiling: int = DEFAULT_WORK_CEILING,
 ) -> CensusResult:
     """Stratify the m-subsets of the edge space by plus-search cluster count."""
-    total = _guard(pv, r, m, work_ceiling)
+    total, index = _guard(pv, r, m, work_ceiling)
     cap = cluster_threshold(pv, r, m)
-    by_cluster = _plus_strata(EdgeSpaceIndex(pv, r), m, cap)
+    by_cluster = {0: total} if index is None else _plus_strata(index, m, cap)
     return CensusResult(
         total=total,
         linear=by_cluster[0],

@@ -8,7 +8,11 @@ class DomainError(ValueError):
 
 
 class WorkCeilingError(RuntimeError):
-    """An exhaustive computation would exceed the configured work ceiling."""
+    """An exhaustive computation would exceed the configured work ceiling.
+
+    remedy tells the user what to change; a fixed ceiling names the
+    inputs to lower, since no option raises it.
+    """
 
     def __init__(
         self,
@@ -16,10 +20,11 @@ class WorkCeilingError(RuntimeError):
         ceiling: int,
         what: str = "enumeration",
         unit: str = "elementary pair checks",
+        remedy: str = "raise the ceiling to force it",
     ):
         self.required = required
         self.ceiling = ceiling
         super().__init__(
             f"{what} needs about {required} {unit}, "
-            f"above the ceiling of {ceiling}; raise the ceiling to force it"
+            f"above the ceiling of {ceiling}; {remedy}"
         )

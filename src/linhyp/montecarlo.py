@@ -67,13 +67,15 @@ from .hypergraphs import (
 from .partitions import PartitionVector, falling_factorial, sigma
 
 BLOCK_TRIALS = 4096
-# the draw compares up to m ids per id and the classifier sorts m*C(r,2)
-# pair codes per row: refuse runs whose trials * m^2 exceed this
+# trials * m^2 bounds a run's id comparisons: the draw compares up to m
+# ids per id, and the classifier sorts m*C(r,2) pair codes per row.
+# Fixed: only fewer trials or a smaller m admit a run above it
 SAMPLER_WORK_CEILING = 2 * 10 ** 10
-# vertex-subset codes classified at once in one block; each code costs
-# one key of 1 to 8 bytes (the key dtype's width) in each of a handful
-# of (rows, codes) arrays, and every flat index into them fits in the
-# int32 flag lists of classify_rows
+# vertex-subset codes classified at once in one block,
+# min(trials, 4096) * m * sum_alpha C(r, alpha); each code costs one key
+# of 1 to 8 bytes (the key dtype's width) in each of a handful of (rows,
+# codes) arrays, and every flat index into them fits in the int32 flag
+# lists of classify_rows.  Fixed, like SAMPLER_WORK_CEILING
 SAMPLER_BLOCK_CELLS = 2 ** 23
 # edge ids and suffix counts are int64, and untagged subset codes stay below it
 INT64_LIMIT = 2 ** 63
@@ -214,7 +216,10 @@ def _batch_sampler(pv: PartitionVector, r: int, m: int, trials: int) -> EdgeSamp
         raise DomainError(f"need 0 <= m <= {total}, got m={m}")
     work = trials * max(m, 1) ** 2
     if work > SAMPLER_WORK_CEILING:
-        raise WorkCeilingError(work, SAMPLER_WORK_CEILING, "sampler work (trials x m^2)")
+        raise WorkCeilingError(
+            work, SAMPLER_WORK_CEILING, "sampler work (trials x m^2)", unit="id comparisons",
+            remedy="this ceiling is fixed: lower the trials or m",
+        )
     return sampler
 
 
@@ -244,7 +249,8 @@ def _classifier_guard(n: int, r: int, m: int, trials: int, track_overlaps: bool)
     cells = min(trials, BLOCK_TRIALS) * m * sum(math.comb(r, a) for a in alphas)
     if cells > SAMPLER_BLOCK_CELLS:
         raise WorkCeilingError(
-            cells, SAMPLER_BLOCK_CELLS, "sampler block", unit="vertex-subset codes"
+            cells, SAMPLER_BLOCK_CELLS, "sampler block", unit="vertex-subset codes",
+            remedy="this ceiling is fixed: lower m, the trials below 4096, or drop overlap tracking",
         )
 
 

@@ -362,11 +362,10 @@ def bijection_audit(
     m = 2) can be carried to a root triple, so every orbit of
     hypergraphs has a member there.
     """
-    total = _guard(pv, r, m, work_ceiling, cat=True)
+    total, index = _guard(pv, r, m, work_ceiling, cat=True)
     cap = cluster_threshold(pv, r, m)
-    index = EdgeSpaceIndex(pv, r)
     measured: dict[tuple[str, int], tuple[int, int]] = {}
-    stats = cache(index.compat_stats)
+    stats = None if index is None else cache(index.compat_stats)
 
     def visit(combo: tuple[int, ...], t: int) -> dict:
         got, reason, clusters, free = index.classify_combo(combo, cap)
@@ -382,7 +381,7 @@ def bijection_audit(
                 measured[key] = (min(lo, value), max(hi, value))
         return tally
 
-    totals = _plus_strata(index, m, cap, visit)
+    totals = {0: total} if index is None else _plus_strata(index, m, cap, visit)
     counts = {t: c for t, c in totals.items() if isinstance(t, int) and c}
 
     records = []

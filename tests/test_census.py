@@ -225,24 +225,50 @@ def test_a_wrong_link_row_makes_the_search_disagree_with_the_naive_filter(monkey
 
 
 def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):
-    # at m = 1 the rooted search visits one subset per orbit, but the index
-    # would hold all C(2000, 3) (1.3e9) edges; at m = 2 the audit visits
-    # 161699 rooted subsets but would read a 161700^2-byte cat
+    # below two edges every subset is linear: C(2000, 3) (1.3e9) with
+    # nothing built; at m = 2 the price holds that many index edges, and
+    # the audit at n = 100 visits 161699 rooted subsets but would read a
+    # 161700^2-byte cat
     def refuse(*args):
-        raise AssertionError("a refused call must build nothing")
+        raise AssertionError("a refused or trivial call must build nothing")
 
     monkeypatch.setattr(census, "EdgeSpaceIndex", refuse)
     monkeypatch.setattr(switching, "EdgeSpaceIndex", refuse)
+    pv, edges = uniform_partition(2000), math.comb(2000, 3)
+    assert count_linear(pv, 3, 1) == edges
+    assert census_by_cluster(pv, 3, 1).by_cluster == {0: edges}
+    assert bijection_audit(pv, 3, 1).strata == {0: edges}
     calls = (
-        (count_linear, 2000, 1, math.comb(2000, 3)),
-        (census_by_cluster, 2000, 1, math.comb(2000, 3)),
-        (bijection_audit, 2000, 1, math.comb(2000, 3)),
+        (count_linear, 2000, 2, edges),
+        (census_by_cluster, 2000, 2, edges),
         (bijection_audit, 100, 2, math.comb(100, 3) ** 2),
     )
     for func, n, m, built in calls:
         with pytest.raises(WorkCeilingError) as info:
             func(uniform_partition(n), 3, m)
         assert info.value.required > built, (func.__name__, n, m)
+    # at r = 2 the audit has no switching brackets, and fails before building
+    with pytest.raises(DomainError):
+        bijection_audit(partition((2, 2, 2)), 2, 2)
+
+
+# labelled counts of linear 3-graphs in which every pair of vertices from
+# distinct parts lies in exactly one edge, far past the grid's m:
+# Steiner triple systems on uniform n = v, m = v(v - 1)/6 (Colbourn &
+# Rosa, Triple Systems, Oxford 1999), v!/|Aut| for their one class, and
+# Latin squares of order q on parts q,q,q, m = q^2 (OEIS A002860).
+# (sizes, r, m) -> (count, work ceiling)
+KNOWN_COUNTS = {
+    ((1,) * 7, 3, 7): (30, census.DEFAULT_WORK_CEILING),  # the Fano plane, 7!/168
+    ((1,) * 9, 3, 12): (840, 10 ** 15),  # AG(2, 3), 9!/432; priced at 4.2e14
+    ((3, 3, 3), 3, 9): (12, census.DEFAULT_WORK_CEILING),  # Latin squares of order 3
+}
+
+
+@pytest.mark.parametrize("sizes, r, m", sorted(KNOWN_COUNTS))
+def test_known_design_counts(sizes, r, m):
+    want, ceiling = KNOWN_COUNTS[sizes, r, m]
+    assert count_linear(partition(sizes), r, m, work_ceiling=ceiling) == want
 
 
 def test_census_result_consistency_enforced():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linhyp import montecarlo, switching, verify
+from linhyp import WorkCeilingError, census, montecarlo, switching, uniform_partition, verify
 from linhyp.cli import main
 from linhyp.verify import enumerable_grid
 
@@ -235,11 +235,46 @@ def test_orbit_rooted_stdout_is_byte_identical(capsys, command, m):
 def test_exit_code_on_work_ceiling_at_small_m(capsys):
     # few rooted subsets, but a 1.3e9-edge index or a 161700^2-byte cat
     for argv in (
-        ("census", "--uniform-n", "2000", "--r", "3", "--m", "1"),
+        ("census", "--uniform-n", "2000", "--r", "3", "--m", "2"),
         ("audit-switchings", "--uniform-n", "100", "--r", "3", "--m", "2"),
     ):
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (3, "") and "ceiling" in err, argv
+    # one edge is never linked to another: C(2000, 3), nothing searched
+    rc, out, err = run_cli(capsys, "census", "--uniform-n", "2000", "--r", "3", "--m", "1")
+    assert (rc, err) == (0, "") and json.loads(out)["linear"] == "1331334000"
+
+
+def test_edge_index_bound_refuses_before_building_an_edge(capsys, monkeypatch):
+    # the census price admits uniform n=500 m=2 (41,416,999 pair checks),
+    # but its 20,708,500 edges would need about 8.9 GB; the overlap
+    # expectation builds an index with no price of its own
+    def no_edges(*args):
+        raise AssertionError("built edge tuples before refusing")
+
+    monkeypatch.setattr(census, "edge_tuples", no_edges)
+    rc, out, err = run_cli(capsys, "census", "--uniform-n", "500", "--r", "3", "--m", "2")
+    assert (rc, out) == (3, "") and f"edge index needs about {math.comb(500, 3)} edges" in err
+    assert "this ceiling is fixed: use fewer vertices" in err
+    with pytest.raises(WorkCeilingError) as info:
+        montecarlo.expected_overlap_pairs(uniform_partition(1000), 3, 2)
+    assert (info.value.required, info.value.ceiling) == (math.comb(1000, 3), census.INDEX_EDGE_LIMIT)
+
+
+def test_fixed_sampler_ceilings_name_what_to_lower(capsys, monkeypatch):
+    # no option raises these ceilings, so the message says which inputs to lower
+    _refuse_drawing(monkeypatch)
+    cases = (
+        (("sample", "--uniform-n", "1000", "--r", "3", "--m", "3000", "--trials", "4096"),
+         "id comparisons", "lower the trials or m"),
+        (("sample", "--uniform-n", "1000", "--r", "3", "--m", "1000", "--trials", "4096"),
+         "vertex-subset codes", "lower m, the trials below 4096"),
+    )
+    for argv, unit, remedy in cases:
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (3, ""), argv
+        assert unit in err and "this ceiling is fixed: " + remedy in err, err
+        assert "pair checks" not in err and "raise the ceiling" not in err, err
 
 
 def test_audit_cli_smoke(capsys):

@@ -18,6 +18,8 @@ from linhyp import (
     EdgeSampler,
     census_by_cluster,
     cluster_threshold,
+    count_all,
+    count_linear,
     edge_subset_probability,
     estimate_linear_probability,
     expected_overlap_pairs,
@@ -144,6 +146,19 @@ def test_hit_rate_pins():
     assert abs(rep6.p_hat - 10 / 19) <= 3 * rep6.stderr
     one = estimate_linear_probability(partition((2, 2, 2)), 3, 1, trials=2000, seed=1)
     assert one.p_hat == 1.0 and one.stderr == 0.0
+
+
+@pytest.mark.parametrize("trials", [300, 2])
+@pytest.mark.parametrize("track", [False, True])
+def test_every_trial_is_a_hit_at_r2(trials, track):
+    # no two distinct 2-edges share two vertices: the classifier codes no
+    # vertex subsets and finds no shared pair; sigma_2 = 12 takes the code
+    # table at 300 trials and block-by-block unranking at 2 (12 > 2 * 5)
+    pv = partition((2, 2, 2))
+    assert count_linear(pv, 2, 5) == count_all(pv, 2, 5) == 792
+    rep = estimate_linear_probability(pv, 2, 5, trials=trials, seed=5, track_overlaps=track)
+    assert (rep.hits, rep.cluster_histogram, rep.violation_counts) == (trials, {0: trials}, {})
+    assert rep.overlap_total == (0 if track else None)
 
 
 def test_report_tallies_sum_to_trials():
