@@ -67,11 +67,10 @@ def _emit(payload: dict) -> None:
 
 def _decimal_from_log(log_value: float) -> str:
     """Value exp(log_value) as a short decimal string, exponent notation."""
-    if log_value == -math.inf:
-        return "0"
     log10 = log_value / math.log(10.0)
     exp10 = math.floor(log10)
-    mantissa = 10.0 ** (log10 - exp10)
+    # rounding to the printed places can carry the mantissa up to 10
+    mantissa = round(10.0 ** (log10 - exp10), 9)
     if mantissa >= 10.0:
         mantissa /= 10.0
         exp10 += 1

@@ -10,8 +10,9 @@ class DomainError(ValueError):
 class WorkCeilingError(RuntimeError):
     """An exhaustive computation would exceed the configured work ceiling.
 
-    remedy tells the user what to change; a fixed ceiling names the
-    inputs to lower, since no option raises it.
+    remedy tells the user what to change: by default the option that
+    raises the ceiling; a fixed ceiling names the inputs to lower, since
+    no option raises it.
     """
 
     def __init__(
@@ -20,7 +21,7 @@ class WorkCeilingError(RuntimeError):
         ceiling: int,
         what: str = "enumeration",
         unit: str = "elementary pair checks",
-        remedy: str = "raise the ceiling to force it",
+        remedy: str = "raise the ceiling with --work-ceiling (work_ceiling= in the library) to force it",
     ):
         self.required = required
         self.ceiling = ceiling

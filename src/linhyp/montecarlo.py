@@ -308,54 +308,55 @@ def _subset_codes(verts: np.ndarray, n: int, m: int, track_overlaps: bool) -> di
     return table
 
 
-def _sorted_keys(codes: np.ndarray, bits: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's keys, sorted in place, and which sorted neighbours share a code.
+def _equal_flags(codes: np.ndarray, bits: int = 0) -> tuple[np.ndarray, ...]:
+    """(keys, idx, row, start): each row's keys, sorted in place, and its equal neighbours.
 
     codes is a (rows, m, C) array of the rows' edge codes, and a row's
     keys are its m * C codes side by side.  With bits, each code first
     gets its edge's index, 0 to m - 1, ORed into its low bits: key >>
-    bits is the code and key & (2**bits - 1) the edge.
+    bits is the code and key & (2**bits - 1) the edge.  idx is the flat
+    index into keys of every key whose code the next key in its row
+    repeats, rising, and row its row, both int32.  A run of occ equal
+    codes leaves occ - 1 flags at consecutive indices; start marks the
+    first flag of each run.  A row's last key has no successor, so two
+    rows' flags are never adjacent.  Equal codes are rare (about A
+    linked pairs per row), so every count is read from this list rather
+    than from the (rows, m * C) keys.  SAMPLER_BLOCK_CELLS keeps every
+    flat index far below 2**31.
     """
     rows, m, width = codes.shape
     keys = codes.reshape(rows, m * width)
     if bits:
         keys |= np.repeat(np.arange(m, dtype=keys.dtype), width)
     keys.sort(axis=1)
-    runs = keys >> keys.dtype.type(bits) if bits else keys
-    return keys, runs[:, 1:] == runs[:, :-1]
-
-
-def _equal_flags(same: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(idx, row, start): every set flag of same, as a sparse list in int32.
-
-    same holds each row's equal-neighbour flags over its sorted codes.
-    idx is each flag's flat index, rising, and row its row.  A run of
-    occ equal codes leaves occ - 1 flags at consecutive flat indices of
-    one row; start marks the first flag of each run.  Flags adjacent in
-    the flat index but in two rows (the last column of one, the first
-    of the next) start two runs.  Equal codes are rare (about A linked
-    pairs per row), so every count is read from this list rather than
-    from the (rows, width) flags.  SAMPLER_BLOCK_CELLS keeps every flat
-    index far below 2**31.
-    """
+    runs = (keys >> keys.dtype.type(bits) if bits else keys).reshape(-1)
+    # one pass over the flat keys, then each row's last key is unflagged
+    same = np.empty(runs.size, dtype=bool)
+    np.equal(runs[1:], runs[:-1], out=same[:-1])
+    del runs
+    cols = max(m * width, 1)
+    same[cols - 1::cols] = False
     idx = np.flatnonzero(same).astype(np.int32)
-    row = idx // np.int32(max(same.shape[1], 1))
+    del same
+    row = idx // np.int32(cols)
     start = np.ones(idx.size, dtype=bool)
     np.not_equal(idx[1:], idx[:-1] + 1, out=start[1:])
-    start[1:] |= row[1:] != row[:-1]
-    return idx, row, start
+    return keys, idx, row, start
 
 
 def _run_sums(row: np.ndarray, start: np.ndarray, rows: int) -> np.ndarray:
     """Per row, the sum of C(occ, 2) over its runs of occ equal codes, from _equal_flags.
 
-    The occ - 1 flags of a run, ranked 1, 2, ... within it, sum to
-    C(occ, 2): a fixed number of passes however deep the runs are.
+    A run of L = occ - 1 flags adds C(occ, 2) = L(L + 1)/2, read once
+    per run from the run starts.
     """
-    pos = np.arange(row.size, dtype=np.int32)
-    rank = pos + 1 - np.maximum.accumulate(np.where(start, pos, 0))
-    # float weights stay exact: each row sums fewer than 2**53 ranks
-    return np.bincount(row, weights=rank, minlength=rows).astype(np.int64)
+    first = np.flatnonzero(start)
+    flags = np.diff(first, append=start.size)
+    flags *= flags + 1
+    flags //= 2
+    sums = np.zeros(rows, dtype=np.int64)
+    np.add.at(sums, row[first], flags)
+    return sums
 
 
 def classify_rows(verts: np.ndarray, n: int, cap: int, track_overlaps: bool = False):
@@ -392,11 +393,11 @@ def _classify(gather, rows: int, m: int, r: int, cap: int, track_overlaps: bool)
     this call may overwrite.  Sorting a row puts equal codes in runs;
     each coded size is sorted once per row, and its flags of equal
     sorted neighbours are read once, as the sparse list of their flat
-    indices (_equal_flags).  Linked subsets are rare, so everything
+    key indices (_equal_flags).  Linked subsets are rare, so everything
     after the sort is a pass over that list, not over the rows' codes.
     A run of occ codes adds C(occ, 2) to T_alpha, the number of edge
     pairs sharing an alpha-subset; with track_overlaps each T_alpha is
-    exact, the sum of every flag's rank within its run (_run_sums).  In
+    exact, read once per run from the run starts (_run_sums).  In
     plus_violation's order:
 
     - alpha >= 3 goes first.  A row with a flag among its 3-codes
@@ -419,7 +420,7 @@ def _classify(gather, rows: int, m: int, r: int, cap: int, track_overlaps: bool)
     t_by_alpha = {}
     triple = np.zeros(rows, dtype=bool)
     for alpha in alphas[1:]:
-        _, row, start = _equal_flags(_sorted_keys(gather(alpha, slice(None)))[1])
+        _, _, row, start = _equal_flags(gather(alpha, slice(None)))
         if track_overlaps:
             t_by_alpha[alpha] = _run_sums(row, start, rows)
         if alpha == 3:
@@ -430,8 +431,7 @@ def _classify(gather, rows: int, m: int, r: int, cap: int, track_overlaps: bool)
         # a shared triple decides a row, unless its T_2 counts towards overlaps
         live = slice(None) if track_overlaps or not triple.any() else ~triple
         bits = _tag_bits(m)
-        keys, same = _sorted_keys(gather(2, live), bits)
-        idx, row, start = _equal_flags(same)
+        keys, idx, row, start = _equal_flags(gather(2, live), bits)
         # np.add.at reads the int32 rows in buffered chunks, where
         # np.bincount would first copy the whole list to intp
         count = np.zeros(len(keys), dtype=np.int64)
@@ -441,11 +441,10 @@ def _classify(gather, rows: int, m: int, r: int, cap: int, track_overlaps: bool)
         in_two = np.zeros(len(keys), dtype=bool)
         in_two[row[~start]] = True
         pick = ((count >= 2) & ~in_two & ~triple[live])[row]
-        row = row[pick]
-        # a flag's lower code is key idx + row of the flat keys and its
-        # upper code the next one; each names its edge, offset by row * m
-        idx = idx[pick] + row
-        row *= np.int32(m)
+        # a flag's lower code is key idx of the flat keys and its upper
+        # code the next one; each names its edge, offset by row * m
+        idx = idx[pick]
+        row = row[pick] * np.int32(m)
         flat, mask = keys.reshape(-1), keys.dtype.type((1 << bits) - 1)
         ends = np.empty((2, idx.size), dtype=np.int32)
         ends[0] = flat[idx] & mask
@@ -484,13 +483,11 @@ def cluster_signature(vertex_sets: list[tuple[int, ...]]) -> tuple[int, str | No
             x = parent[x]
         return x
 
-    linked = 0
     for i, j in combinations(range(m), 2):
         shared = len(sets[i] & sets[j])
         if shared >= 3:
             return 0, "overlap_ge3"
         if shared == 2:
-            linked += 1
             parent[find(i)] = find(j)
     comp_size: dict[int, int] = {}
     for i in range(m):
@@ -498,10 +495,8 @@ def cluster_signature(vertex_sets: list[tuple[int, ...]]) -> tuple[int, str | No
         comp_size[root] = comp_size.get(root, 0) + 1
     if any(size > 2 for size in comp_size.values()):
         return 0, "cluster_gt2_edges"
-    clusters = sum(1 for size in comp_size.values() if size == 2)
-    if clusters != linked:
-        return 0, "cluster_gt2_edges"
-    return clusters, None
+    # each two-edge component holds exactly one linked pair
+    return sum(1 for size in comp_size.values() if size == 2), None
 
 
 @dataclass(frozen=True)

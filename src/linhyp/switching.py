@@ -157,20 +157,19 @@ def apply_reverse(h: Hypergraph, move: ReverseMove) -> Hypergraph:
     return out
 
 
-def _plus_ids(h: Hypergraph, index: EdgeSpaceIndex):
+def _plus_ids(h: Hypergraph, cls: Classification, index: EdgeSpaceIndex):
     """(ids, clusters, free): h's edges, cluster pairs and free edges as index ids.
 
-    Raises DomainError when an edge lies outside the edge space or h is
-    not plus-classified.  Ids follow sorted vertex tuples, as classify does.
+    cls is h's plus classification (_classified), taken before the
+    caller builds an index.  Raises DomainError when an edge lies outside
+    the edge space.  Ids follow sorted vertex tuples, as classify does.
     """
     position = index.position
     try:
         ids = tuple(sorted(position[e.vertices] for e in h.edges))
     except KeyError as exc:
         raise DomainError(f"edge {exc.args[0]} outside the edge space") from exc
-    clusters = tuple(
-        (position[a.vertices], position[b.vertices]) for a, b in _classified(h).pairs
-    )
+    clusters = tuple((position[a.vertices], position[b.vertices]) for a, b in cls.pairs)
     paired = {i for pair in clusters for i in pair}
     return ids, clusters, tuple(i for i in ids if i not in paired)
 
@@ -202,18 +201,26 @@ def _reverse_total(stats, combo: tuple[int, ...], free) -> int:
 
 
 def count_forward_moves(h: Hypergraph, index: EdgeSpaceIndex | None = None) -> int:
-    """|forward moves| without materializing them (cross-checked in tests)."""
-    index = index or EdgeSpaceIndex(h.pv, h.r)
-    ids, clusters, _ = _plus_ids(h, index)
-    if not clusters:
+    """|forward moves| without materializing them (cross-checked in tests).
+
+    h is classified, and refused, before any index is built.
+    """
+    cls = _classified(h)
+    if not cls.pairs:
         raise DomainError("no cluster to switch away")
+    index = index or EdgeSpaceIndex(h.pv, h.r)
+    ids, clusters, _ = _plus_ids(h, cls, index)
     return _forward_total(index.compat_stats, ids, clusters)
 
 
 def count_reverse_moves(h: Hypergraph, index: EdgeSpaceIndex | None = None) -> int:
-    """|reverse moves| without materializing them (cross-checked in tests)."""
+    """|reverse moves| without materializing them (cross-checked in tests).
+
+    h is classified, and refused, before any index is built.
+    """
+    cls = _classified(h)
     index = index or EdgeSpaceIndex(h.pv, h.r)
-    ids, _, free = _plus_ids(h, index)
+    ids, _, free = _plus_ids(h, cls, index)
     return _reverse_total(index.compat_stats, ids, free)
 
 

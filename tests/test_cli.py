@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from linhyp import WorkCeilingError, census, montecarlo, switching, uniform_partition, verify
-from linhyp.cli import main
+from linhyp.cli import _decimal_from_log, main
 from linhyp.verify import enumerable_grid
 
 
@@ -146,6 +146,30 @@ def test_estimate_uniform_decimal(capsys):
     assert payload["variant"] == "uniform"
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (999999.99999999, "1.000000000e+6"),
+        (9.9999999996e20, "1.000000000e+21"),
+        (1.0, "1.000000000e+0"),
+        (10.0, "1.000000000e+1"),
+    ],
+)
+def test_decimal_from_log_carries_a_rounded_mantissa(value, text):
+    # a mantissa that rounds up to 10 at nine places moves to the exponent
+    assert _decimal_from_log(math.log(value)) == text
+
+
+def test_estimate_refined_uniform(capsys):
+    rc, out, err = run_cli(
+        capsys, "estimate", "--uniform-n", "30", "--r", "3", "--m", "10", "--variant", "refined"
+    )
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["variant"] == "refined"
+    assert payload["correction_exact"] == "-83/90"
+
+
 def test_estimate_partite_correction_field(capsys):
     rc, out, _ = run_cli(capsys, "estimate", "--parts", "2,2,2", "--r", "3", "--m", "2")
     assert rc == 0
@@ -197,12 +221,11 @@ def test_exit_code_on_domain_error(capsys):
 
 
 def test_exit_code_on_work_ceiling(capsys):
-    rc, _, err = run_cli(capsys, "census", "--uniform-n", "20", "--r", "3", "--m", "10")
-    assert rc == 3 and "ceiling" in err
-    rc, out, _ = run_cli(
-        capsys, "audit-switchings", "--uniform-n", "20", "--r", "3", "--m", "10"
-    )
-    assert rc == 3
+    # the refusal names the option that raises the ceiling
+    for command in ("census", "audit-switchings"):
+        rc, out, err = run_cli(capsys, command, "--uniform-n", "20", "--r", "3", "--m", "10")
+        assert (rc, out) == (3, "") and "above the ceiling of 100000000" in err
+        assert "raise the ceiling with --work-ceiling (work_ceiling= in the library)" in err
 
 
 # stdout of the unrooted full sweeps on parts 4,2,3,1,2 r=3, seven edge

@@ -153,6 +153,9 @@ def test_text_roundtrip():
     text = to_text(h)
     assert text.splitlines()[0] == "parts: 3,1,2"
     assert from_text(text) == h
+    # a header alone is the empty hypergraph, whose edge size is 0
+    empty = from_text("parts: 2,2,2\n")
+    assert (empty.pv, empty.r, empty.m) == (partition((2, 2, 2)), 0, 0)
     with pytest.raises(DomainError):
         from_text("no header\n1,2,3\n")
     for bad in ("parts: 2,a\n1,3\n", "parts: 2,2,2\n1,x,5\n", "parts: 2,2,2\n1,3.0,5\n"):

@@ -28,6 +28,7 @@ from linhyp import (
     partition,
     ratio_series,
     series_sum_bounds,
+    switching,
     uniform_partition,
 )
 from linhyp.asymptotics import cluster_mean
@@ -200,6 +201,23 @@ def test_forward_needs_a_cluster():
     bad = hypergraph(pv, 3, [(1, 3, 5), (1, 3, 6), (1, 4, 5)])
     with pytest.raises(DomainError):
         enumerate_reverse(bad)
+
+
+def test_move_counts_refuse_before_building_the_index(monkeypatch):
+    # at uniform n=100 the index holds 161,700 edges; a refused hypergraph
+    # must not build it
+    def no_index(*args):
+        raise AssertionError("EdgeSpaceIndex built for a refused hypergraph")
+
+    monkeypatch.setattr(switching, "EdgeSpaceIndex", no_index)
+    pv = uniform_partition(100)
+    cluster_free = hypergraph(pv, 3, [(1, 2, 3), (4, 5, 6)])
+    with pytest.raises(DomainError, match="no cluster"):
+        count_forward_moves(cluster_free)
+    # three edges pairwise sharing two vertices: one cluster of three edges
+    not_plus = hypergraph(pv, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
+    with pytest.raises(DomainError, match="not plus"):
+        count_reverse_moves(not_plus)
 
 
 def test_audit_pinned_384():
@@ -516,6 +534,14 @@ def test_ratio_series_census_cutoff_hole():
     assert rep.model_sum == 1.0
     assert rep.exact_sum == 4
     assert rep.applicability
+
+
+def test_ratio_series_census_without_linear_sets():
+    # parts 2,2,2 hold 8 edges, and no 5 of them form a linear hypergraph
+    rep = ratio_series(partition((2, 2, 2)), 3, 5, with_census=True)
+    assert "no linear hypergraphs; exact ratio undefined" in rep.applicability
+    assert rep.exact_sum is None
+    assert rep.t_prime == 1
 
 
 def test_ratio_series_shift_widens_with_budget():
