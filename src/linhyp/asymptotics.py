@@ -63,16 +63,16 @@ def cluster_mean(pv: PartitionVector, r: int, m: int) -> Fraction:
     edges: estimate_partite's correction is -A, and ratio_series uses A
     as its term ratio.
     """
-    sig = sigmas(pv, r)
-    return Fraction(
-        sig[2] * sig[r - 2] ** 2 * falling_factorial(m, 2),
-        2 * sig[r] * sig[r],
-    )
+    return _cluster_mean(sigmas(pv, r), r, m)
 
 
-def _check_m(m: int) -> None:
-    if m < 0:
-        raise DomainError(f"need m >= 0, got {m}")
+def _cluster_mean(sig: tuple[int, ...], r: int, m: int) -> Fraction:
+    return Fraction(sig[2] * sig[r - 2] ** 2 * falling_factorial(m, 2), 2 * sig[r] * sig[r])
+
+
+def _check_m(m: int, edges: int) -> None:
+    if not 0 <= m <= edges:
+        raise DomainError(f"m={m} outside 0..{edges}")
 
 
 def estimate_partite(pv: PartitionVector, r: int, m: int) -> EstimateResult:
@@ -80,13 +80,17 @@ def estimate_partite(pv: PartitionVector, r: int, m: int) -> EstimateResult:
 
     Leading term ln(sigma_r^m / m!), corrected by
     -sigma_2 sigma_{r-2}^2 [m]_2 / (2 sigma_r^2); the neglected terms
-    are budgeted at m^2/n^3 + m^3/n^4.
+    are budgeted at m^2/n^3 + m^3/n^4.  m outside 0..sigma_r raises
+    DomainError.
     """
     if not 3 <= r <= pv.k:
         raise DomainError(f"need 3 <= r <= k, got r={r}, k={pv.k}")
-    _check_m(m)
+    sig = sigmas(pv, r)
+    _check_m(m, sig[r])
+    # log_sigma stays the leading term's own call, so that a traced bench
+    # run times it as a layer (bench/tracer.py)
     leading = m * log_sigma(pv, r) - log_factorial(m)
-    correction = -cluster_mean(pv, r, m)
+    correction = -_cluster_mean(sig, r, m)
     n = pv.n
     budget = m * m / n ** 3 + m ** 3 / n ** 4
     return EstimateResult(leading, float(correction), budget, correction)
@@ -96,12 +100,14 @@ def estimate_uniform(n: int, r: int, m: int) -> EstimateResult:
     """Unpartitioned estimate: edge space is all r-subsets of [n].
 
     Leading term ln(binomial(n, r)^m / m!), corrected by
-    -[r]_2^2 [m]_2 / (4 n^2), budget m^2/n^3 + m^3/n^4.
+    -[r]_2^2 [m]_2 / (4 n^2), budget m^2/n^3 + m^3/n^4.  m outside
+    0..binomial(n, r) raises DomainError.
     """
     if not 3 <= r <= n:
         raise DomainError(f"need 3 <= r <= n, got r={r}, n={n}")
-    _check_m(m)
-    leading = m * math.log(math.comb(n, r)) - log_factorial(m)
+    edges = math.comb(n, r)
+    _check_m(m, edges)
+    leading = m * math.log(edges) - log_factorial(m)
     correction = -Fraction(
         falling_factorial(r, 2) ** 2 * falling_factorial(m, 2),
         4 * n * n,

@@ -66,7 +66,9 @@ class EdgeSpaceIndex:
     counters; and cat, the pairwise overlap matrix, read only by
     classify_combo.  Only the switching audit calls classify_combo: it
     re-checks each subset the plus search visits against the search's
-    own classification, from the link rows.
+    own classification, from the link rows.  edge_reads adds sigma_r per
+    pass over the edge space (a link-row build, compat_stats and
+    stabiliser_orbits calls), for the plus search's meter.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -90,6 +92,7 @@ class EdgeSpaceIndex:
 
         self._links: dict[int, tuple[int, int]] = {}
         self._cat: list[bytearray] | None = None
+        self.edge_reads = 0
 
     @cached_property
     def position(self) -> dict[tuple[int, ...], int]:
@@ -120,6 +123,7 @@ class EdgeSpaceIndex:
         """
         rows = self._links.get(e)
         if rows is None:
+            self.edge_reads += self.count
             occupants, bit = self.occupants, (1).__lshift__
             once = twice = 0
             for pid in self.pairs[e]:
@@ -180,6 +184,7 @@ class EdgeSpaceIndex:
         sharing >= 2 vertices, and the number sharing exactly 2.  Pairs
         are counted off the pairs rows, larger subsets off the edge tuples.
         """
+        self.edge_reads += self.count
         pairs = self.pairs
         used = frozenset().union(*(pairs[g] for g in h0))
         members = set(h0)
@@ -196,7 +201,10 @@ class EdgeSpaceIndex:
 
 def count_all(pv: PartitionVector, r: int, m: int) -> int:
     """Number of m-subsets of the edge space, binomial(sigma_r, m)."""
-    edge_count = sigma(pv, r)
+    return _subset_count(sigma(pv, r), m)
+
+
+def _subset_count(edge_count: int, m: int) -> int:
     if not 0 <= m <= edge_count:
         raise DomainError(f"m={m} outside 0..{edge_count}")
     return math.comb(edge_count, m)
@@ -206,7 +214,9 @@ def orbit_count(pv: PartitionVector, r: int) -> int:
     """Number of edge orbits, from the part-size histogram alone.
 
     An orbit is a multiset of r part sizes using at most c_s parts of
-    size s: the x^r coefficient of prod_s (1 + x + ... + x^{c_s}).
+    size s: the x^r coefficient of prod_s (1 + x + ... + x^{c_s}).  No
+    search reads it; it is the histogram oracle that the tests hold
+    stabiliser_orbits(index, ()) to.
     """
     coeff = [1] + [0] * r
     for _, c in pv.size_counts:
@@ -214,88 +224,24 @@ def orbit_count(pv: PartitionVector, r: int) -> int:
     return coeff[r]
 
 
-def pair_orbit_count(pv: PartitionVector, r: int) -> int:
-    """Number of orbits of ordered pairs of distinct edges, from the histogram alone.
-
-    A pair orbit is a multiset of part states, one per part that either
-    edge uses: the first edge only (x), the second only (y), both at one
-    vertex (xy), or, in a part of size >= 2, both at different vertices
-    (xy).  The c_s parts of size s hold at most c_s states, so the x^r y^r
-    coefficient of the product over sizes counts the orbits of all
-    ordered pairs; the orbit_count pairs of an edge with itself are taken
-    off.
-    """
-    w = r + 1
-    coeff = [1] + [0] * (w * w - 1)  # coeff[i * w + j] of x^i y^j
-    for size, c in pv.size_counts:
-        # x^i y^j of one size: sum over the b parts that hold both edges,
-        # with i + j - b <= c parts in use, of the ways to place the two
-        # edges in those b parts: b + 1 (how many at different vertices)
-        # at size >= 2, else 1
-        factor = []
-        for i in range(w):
-            for j in range(w):
-                lo, hi = max(0, i + j - c), min(i, j)
-                if lo <= hi:
-                    ways = (hi + 1) * (hi + 2) // 2 - lo * (lo + 1) // 2 if size >= 2 else hi - lo + 1
-                    factor.append((i, j, ways))
-        product = [0] * (w * w)
-        for k, u in enumerate(coeff):
-            if u:
-                i, j = divmod(k, w)
-                for a, b, v in factor:
-                    if i + a <= r and j + b <= r:
-                        product[k + a * w + b] += u * v
-        coeff = product
-    return coeff[-1] - orbit_count(pv, r)
-
-
 def _guard(
     pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = False
 ) -> tuple[int, EdgeSpaceIndex | None]:
-    """(count_all, the edge index the search needs or None), or WorkCeilingError.
+    """(binomial(sigma_r, m), the edge index the search needs or None), or WorkCeilingError.
 
     With m < 2 or r < 3 no two edges are linked: every m-subset is
-    linear, and nothing is priced or built.  Otherwise the estimate
-    prices what a pair-rooted caller builds and runs: sigma_r for the
-    edge index, sigma_r^2 for cat when the caller reads it (the audit,
-    cat=True), and C(m, 2) pair checks per visited m-subset, the
-    pair_orbit_count * binomial(sigma_r - 2, m - 2) that hold a root
-    pair.  Each edge orbit has at most sigma_r - 1 stabiliser orbits, so
-    the pair orbits are counted only when that bound would refuse.  The
-    index is built only after the refusal.
-
-    The audit roots at triples from m = 3 on and visits only plus
-    m-subsets.  A root pair in a subset extends to at most m - 2 root
-    triples in it, so it may visit up to m - 2 times the subsets priced
-    here where a pair's stabiliser fixes most edges.  On cells with
-    small stabilisers (parts 3,1,2,2 and 2,2,2,3 at m = 4 and 5,
-    5,1,1,3,3 and 4,2,3,1,2 at m = 4) it visits 0.36 to 0.63 of them,
-    and test_audit_visits_no_more_subsets_than_the_price_counts
-    (tests/test_switching.py) holds it under the price there.  The price
-    is kept as it was, so every refusal threshold stays where it was.
-
-    The plus search's link rows, two of sigma_r bits per edge it roots
-    or places, fit under this price with no term of their own.  At
-    m = 2 none is built.  At m = 3 the counts build rows only for the
-    roots and second edges, at most edge orbits + P of them for P pair
-    orbits, against a price of P * (sigma_r - 2) * 3; the audit fixes
-    all three edges there, compares them on their pair rows, and builds
-    none.  At m >= 4 at most sigma_r edges get rows, sigma_r^2 / 4
-    bytes, against a price of at least 3 P * sigma_r^2.
+    linear, and nothing is priced or built.  Otherwise the price, checked
+    before anything is built, is what the call allocates: sigma_r for the
+    edge index, plus sigma_r^2 for cat when the caller reads it (the
+    audit, cat=True).  _plus_strata meters the search's own work.
     """
-    total = count_all(pv, r, m)
+    edge_count = sigma(pv, r)
+    total = _subset_count(edge_count, m)
     if m < 2 or r < 3:
         return total, None
-    edge_count = sigma(pv, r)
-    work = edge_count + (edge_count ** 2 if cat else 0)
-    per_pair = math.comb(edge_count - 2, m - 2) * (m * (m - 1) // 2)
-    pair_orbits = orbit_count(pv, r) * (edge_count - 1)
-    if work + pair_orbits * per_pair > work_ceiling:
-        pair_orbits = pair_orbit_count(pv, r)
-    work += pair_orbits * per_pair
-    if work > work_ceiling:
-        raise WorkCeilingError(work, work_ceiling, "census")
+    price = edge_count + (edge_count ** 2 if cat else 0)
+    if price > work_ceiling:
+        raise WorkCeilingError(price, work_ceiling, "census", unit="work units")
     return total, EdgeSpaceIndex(pv, r)
 
 
@@ -313,8 +259,10 @@ def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> lis
     the same multiset of labels.  fixed=() gives the orbits of the edges,
     keyed by the multiset of the sizes of the parts they use.  A fixed
     edge is alone in its class, which is dropped.  Representatives are
-    the orbits' first edges in canonical order, in that order.
+    the orbits' first edges in canonical order, in that order.  The
+    call is one pass over the edge space, added to index.edge_reads.
     """
+    index.edge_reads += index.count
     part, sizes, d = index.vertex_part, index.pv.sizes, len(fixed)
     held = [0] * len(part)
     marks = [0] * index.pv.k
@@ -379,7 +327,8 @@ def _orbit_mean(index: EdgeSpaceIndex, m: int, depth: int, rooted: Callable) -> 
     return totals
 
 
-def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None = None) -> dict:
+def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None = None,
+                 work_ceiling: int = DEFAULT_WORK_CEILING) -> dict:
     """Plus m-subsets by cluster count: stratum 0, then populated strata.
 
     Plus is hereditary under a fixed cap, so extending only plus
@@ -424,29 +373,65 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     they are weighted like the strata and returned beside them.  The
     last edge is then also placed one at a time, over the set bits of
     the candidates.  Below two edges nothing is visited.
+
+    The search is metered, not priced: one work count, refused with
+    WorkCeilingError as soon as it passes work_ceiling, reporting the
+    work done.  It adds 1 per extend call; 1 per subset counted at the
+    last level, or C(m, 2) when a visitor is given, for its pair checks;
+    and sigma_r per pass over the edge space made on the search's
+    behalf, read off index.edge_reads: a link-row build, a
+    stabiliser_orbits call in _orbit_mean's walk, a compat_stats call
+    in the visitor.  The count is checked once per extend call, on entry
+    to rooted and after each visit.  A prefix's rows follow at least
+    depth stabiliser passes, so at most work_ceiling / sigma_r link
+    rows, about work_ceiling / 4 bytes, are ever built.
     """
     if m < 2 or index.r < 3:
         return {0: math.comb(index.count, m)}
     pairs = index.pairs
     link_rows = index.link_rows
     depth = 2 if visit is None else min(m, 3)
+    leaf = 1 if visit is None else m * (m - 1) // 2
+    # the search's own units; edge reads made before it began are not its work
+    done, limit = 0, work_ceiling + index.edge_reads
+
+    def charge(work: int) -> None:
+        nonlocal done
+        done += work
+        if done + index.edge_reads > limit:
+            spent = done + index.edge_reads - limit + work_ceiling
+            raise WorkCeilingError(spent, work_ceiling, "census", unit="work units", verb="stopped after")
 
     def extend(strata: Counter, window: int, blocked: int, twice: int, cblock: int,
                free: tuple, t: int, ids: tuple, left: int) -> None:
+        # the hot path: it charges inline and calls charge only to refuse
+        nonlocal done
         fresh = window & ~blocked
         joins = window & blocked & ~(twice | cblock) if t < cap else 0
         if left == 1:
-            strata[t] += fresh.bit_count()
+            found = fresh.bit_count()
+            strata[t] += found
             if joins:
-                strata[t + 1] += joins.bit_count()
-            if visit is not None:
-                for cands, s in ((fresh, t), (joins, t + 1)):
-                    while cands:
-                        low = cands & -cands
-                        cands ^= low
-                        for key, value in visit(tuple(sorted(ids + (low.bit_length() - 1,))), s).items():
-                            strata[key] += value
+                joined = joins.bit_count()
+                strata[t + 1] += joined
+                found += joined
+            if visit is None:
+                done += 1 + found
+                if done + index.edge_reads > limit:
+                    charge(0)
+                return
+            charge(1)
+            for cands, s in ((fresh, t), (joins, t + 1)):
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    for key, value in visit(tuple(sorted(ids + (low.bit_length() - 1,))), s).items():
+                        strata[key] += value
+                    charge(leaf)
             return
+        done += 1
+        if done + index.edge_reads > limit:
+            charge(0)
         # window & -(low << 1) keeps the window's edges after i
         while fresh:
             low = fresh & -fresh
@@ -466,6 +451,7 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
                    ids + (i,), left - 1)
 
     def rooted(ids: tuple[int, ...]):
+        charge(0)  # the stabiliser passes that reached this prefix
         # the plus rule on the prefix's pair rows: one common pair links two
         # edges, more means they share three or more vertices
         linked = []
@@ -482,7 +468,9 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
         t = len(linked)
         if m == depth:
             # the visitor's keys are apart from the integer strata
-            return {t: 1} if visit is None else {t: 1, **visit(tuple(sorted(ids)), t)}
+            tally = {t: 1} if visit is None else {t: 1, **visit(tuple(sorted(ids)), t)}
+            charge(leaf)
+            return tally
         paired = {x for pair in linked for x in pair}
         blocked = twice = cblock = 0
         for x, i in enumerate(ids):
@@ -512,7 +500,7 @@ def count_linear(
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
     total, index = _guard(pv, r, m, work_ceiling)
-    return total if index is None else _plus_strata(index, m, 0)[0]
+    return total if index is None else _plus_strata(index, m, 0, work_ceiling=work_ceiling)[0]
 
 
 def count_linear_naive(
@@ -581,7 +569,7 @@ def census_by_cluster(
     """Stratify the m-subsets of the edge space by plus-search cluster count."""
     total, index = _guard(pv, r, m, work_ceiling)
     cap = cluster_threshold(pv, r, m)
-    by_cluster = {0: total} if index is None else _plus_strata(index, m, cap)
+    by_cluster = {0: total} if index is None else _plus_strata(index, m, cap, work_ceiling=work_ceiling)
     return CensusResult(
         total=total,
         linear=by_cluster[0],

@@ -12,7 +12,8 @@ class WorkCeilingError(RuntimeError):
 
     remedy tells the user what to change: by default the option that
     raises the ceiling; a fixed ceiling names the inputs to lower, since
-    no option raises it.
+    no option raises it.  verb says whether required was priced up front
+    or metered ("stopped after").
     """
 
     def __init__(
@@ -22,10 +23,11 @@ class WorkCeilingError(RuntimeError):
         what: str = "enumeration",
         unit: str = "elementary pair checks",
         remedy: str = "raise the ceiling with --work-ceiling (work_ceiling= in the library) to force it",
+        verb: str = "needs about",
     ):
         self.required = required
         self.ceiling = ceiling
         super().__init__(
-            f"{what} needs about {required} {unit}, "
+            f"{what} {verb} {required} {unit}, "
             f"above the ceiling of {ceiling}; {remedy}"
         )

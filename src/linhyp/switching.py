@@ -388,7 +388,7 @@ def bijection_audit(
                 measured[key] = (min(lo, value), max(hi, value))
         return tally
 
-    totals = {0: total} if index is None else _plus_strata(index, m, cap, visit)
+    totals = {0: total} if index is None else _plus_strata(index, m, cap, visit, work_ceiling)
     counts = {t: c for t, c in totals.items() if isinstance(t, int) and c}
 
     records = []

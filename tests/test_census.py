@@ -29,7 +29,6 @@ from linhyp.census import (
     EdgeSpaceIndex,
     _plus_strata,
     orbit_count,
-    pair_orbit_count,
     stabiliser_orbits,
 )
 from linhyp.hypergraphs import cluster_threshold
@@ -195,7 +194,9 @@ def test_link_rows_are_built_only_for_roots_and_second_edges(monkeypatch):
     pv = uniform_partition(60)
     res = census_by_cluster(pv, 3, 3)
     assert res.linear == count_linear(pv, 3, 3) == 6578391204000
-    bound = len(stabiliser_orbits(built[0])) + pair_orbit_count(pv, 3)
+    index = built[0]
+    roots = stabiliser_orbits(index)
+    bound = len(roots) + sum(len(stabiliser_orbits(index, (root,))) for root, _ in roots)
     assert bound == 4
     for index in built:
         assert 0 < len(index._links) <= bound
@@ -226,9 +227,8 @@ def test_a_wrong_link_row_makes_the_search_disagree_with_the_naive_filter(monkey
 
 def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):
     # below two edges every subset is linear: C(2000, 3) (1.3e9) with
-    # nothing built; at m = 2 the price holds that many index edges, and
-    # the audit at n = 100 visits 161699 rooted subsets but would read a
-    # 161700^2-byte cat
+    # nothing built; at m = 2 the price is exactly that many index edges,
+    # and the audit's at n = 100 the index and a 161700^2-byte cat
     def refuse(*args):
         raise AssertionError("a refused or trivial call must build nothing")
 
@@ -238,15 +238,16 @@ def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):
     assert count_linear(pv, 3, 1) == edges
     assert census_by_cluster(pv, 3, 1).by_cluster == {0: edges}
     assert bijection_audit(pv, 3, 1).strata == {0: edges}
+    audit_edges = math.comb(100, 3)
     calls = (
         (count_linear, 2000, 2, edges),
         (census_by_cluster, 2000, 2, edges),
-        (bijection_audit, 100, 2, math.comb(100, 3) ** 2),
+        (bijection_audit, 100, 2, audit_edges + audit_edges ** 2),
     )
-    for func, n, m, built in calls:
+    for func, n, m, price in calls:
         with pytest.raises(WorkCeilingError) as info:
             func(uniform_partition(n), 3, m)
-        assert info.value.required > built, (func.__name__, n, m)
+        assert info.value.required == price, (func.__name__, n, m)
     # at r = 2 the audit has no switching brackets, and fails before building
     with pytest.raises(DomainError):
         bijection_audit(partition((2, 2, 2)), 2, 2)
@@ -257,18 +258,18 @@ def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):
 # Steiner triple systems on uniform n = v, m = v(v - 1)/6 (Colbourn &
 # Rosa, Triple Systems, Oxford 1999), v!/|Aut| for their one class, and
 # Latin squares of order q on parts q,q,q, m = q^2 (OEIS A002860).
-# (sizes, r, m) -> (count, work ceiling)
+# All run at the default work ceiling.  (sizes, r, m) -> count
 KNOWN_COUNTS = {
-    ((1,) * 7, 3, 7): (30, census.DEFAULT_WORK_CEILING),  # the Fano plane, 7!/168
-    ((1,) * 9, 3, 12): (840, 10 ** 15),  # AG(2, 3), 9!/432; priced at 4.2e14
-    ((3, 3, 3), 3, 9): (12, census.DEFAULT_WORK_CEILING),  # Latin squares of order 3
+    ((1,) * 7, 3, 7): 30,  # the Fano plane, 7!/168
+    ((1,) * 9, 3, 12): 840,  # AG(2, 3), 9!/432
+    ((3, 3, 3), 3, 9): 12,  # Latin squares of order 3
+    ((4, 4, 4), 3, 16): 576,  # Latin squares of order 4, about 5.4e6 extend calls
 }
 
 
 @pytest.mark.parametrize("sizes, r, m", sorted(KNOWN_COUNTS))
 def test_known_design_counts(sizes, r, m):
-    want, ceiling = KNOWN_COUNTS[sizes, r, m]
-    assert count_linear(partition(sizes), r, m, work_ceiling=ceiling) == want
+    assert count_linear(partition(sizes), r, m) == KNOWN_COUNTS[sizes, r, m]
 
 
 def test_census_result_consistency_enforced():
@@ -556,34 +557,24 @@ def test_stabiliser_orbits_are_the_orbits_of_the_roots_stabiliser():
                 _check_stabiliser_orbits(index, group, (root, rep), sizes)
 
 
-def test_pair_orbit_count_matches_the_stabiliser_orbits():
-    shapes = (
-        (2, 2, 2), (3, 1, 2), (4, 2, 3, 1, 2), (1,) * 7, (2, 1, 2, 1), (3, 3, 1), (1, 1, 2, 3),
-        (3, 1, 2, 2), (2, 2, 2, 2), (5, 1, 1, 3, 3),
-    )
-    for sizes in shapes:
-        pv = partition(sizes)
-        for r in range(0, pv.k + 1):
-            index = EdgeSpaceIndex(pv, r)
-            want = sum(len(stabiliser_orbits(index, (root,))) for root, _ in stabiliser_orbits(index))
-            assert pair_orbit_count(pv, r) == want, (sizes, r)
-    # one orbit of edges; a second edge shares 0, 1 or 2 vertices with the root
-    assert pair_orbit_count(uniform_partition(8), 3) == 3
-
-
-def test_rooted_price_counts_the_pair_orbits_when_it_refuses():
-    # (3,1,2,2) r=3 m=4: 28 edges, 30 pair orbits, and per pair orbit a
-    # sweep of C(26, 2) subsets of 6 pair checks each
-    pv = partition((3, 1, 2, 2))
-    assert pair_orbit_count(pv, 3) == 30
-    price = 28 + 30 * math.comb(26, 2) * 6
-    with pytest.raises(WorkCeilingError) as info:
-        count_linear(pv, 3, 4, work_ceiling=price - 1)
-    assert info.value.required == price
-    assert count_linear(pv, 3, 4, work_ceiling=price) == count_linear_naive(pv, 3, 4)
-    with pytest.raises(WorkCeilingError) as info:
-        bijection_audit(pv, 3, 4, work_ceiling=price + 28 ** 2 - 1)
-    assert info.value.required == price + 28 ** 2
+def test_the_meter_refuses_the_search_it_would_otherwise_run(monkeypatch):
+    # uniform n=12 r=3 m=4 is answered at the default ceiling; at these
+    # ceilings each call passes its up-front price (220 edges, and the
+    # audit's 220^2-byte cat) and is stopped by the meter, having built
+    # no more link rows than the ceiling pays sigma_r for
+    built = _built_indexes(monkeypatch)
+    pv, edges = uniform_partition(12), 220
+    want = [count_linear(pv, 3, 4), census_by_cluster(pv, 3, 4), bijection_audit(pv, 3, 4)]
+    assert want[0] == want[1].linear == want[2].strata[0] == 41761720
+    calls = ((count_linear, 20000), (census_by_cluster, 20000), (bijection_audit, 60000))
+    for func, ceiling in calls:
+        built.clear()
+        with pytest.raises(WorkCeilingError) as info:
+            func(pv, 3, 4, work_ceiling=ceiling)
+        assert info.value.required > ceiling == info.value.ceiling, func.__name__
+        assert "stopped after" in str(info.value)
+        (index,) = built
+        assert len(index._links) <= ceiling // edges, func.__name__
 
 
 @pytest.mark.parametrize("shift", [(1, 0), (1, -1)])

@@ -221,11 +221,35 @@ def test_exit_code_on_domain_error(capsys):
 
 
 def test_exit_code_on_work_ceiling(capsys):
-    # the refusal names the option that raises the ceiling
-    for command in ("census", "audit-switchings"):
-        rc, out, err = run_cli(capsys, command, "--uniform-n", "20", "--r", "3", "--m", "10")
-        assert (rc, out) == (3, "") and "above the ceiling of 100000000" in err
+    # the refusal names the option that raises the ceiling.  The census is
+    # stopped by the search's meter at the default ceiling; the audit's
+    # meter would run 35-47 s first, so it gets a ceiling below its
+    # up-front price, 1140 index edges and a 1140^2-byte cat
+    cases = (
+        ("census", (), "census stopped after", "100000000"),
+        ("audit-switchings", ("--work-ceiling", "1000000"), "census needs about 1300740 work units", "1000000"),
+    )
+    for command, extra, said, ceiling in cases:
+        rc, out, err = run_cli(capsys, command, "--uniform-n", "20", "--r", "3", "--m", "10", *extra)
+        assert (rc, out) == (3, "") and f"above the ceiling of {ceiling};" in err, command
+        assert said in err, err
         assert "raise the ceiling with --work-ceiling (work_ceiling= in the library)" in err
+
+
+def test_estimate_refuses_m_outside_the_edge_space(capsys):
+    # no m-edge hypergraph exists past sigma_r, and such an m used to
+    # overflow a float or print a count for an empty set
+    cases = (
+        (("--uniform-n", "3", "--r", "3", "--m", str(10 ** 160)), "0..1"),
+        (("--uniform-n", "10", "--r", "3", "--m", str(10 ** 400)), "0..120"),
+        (("--uniform-n", "4", "--r", "3", "--m", "5"), "0..4"),
+    )
+    for argv, edges in cases:
+        for variant in ("partite", "uniform", "refined"):
+            rc, out, err = run_cli(capsys, "estimate", *argv, "--variant", variant)
+            assert (rc, out) == (2, "") and err.startswith("error: m=") and edges in err, (argv, variant)
+    rc, out, _ = run_cli(capsys, "estimate", "--uniform-n", "4", "--r", "3", "--m", "4")
+    assert rc == 0 and json.loads(out)["m"] == 4
 
 
 # stdout of the unrooted full sweeps on parts 4,2,3,1,2 r=3, seven edge
