@@ -4,21 +4,24 @@ Vertices 1..n are laid out in consecutive blocks: part 0 holds 1..n_0,
 part 1 holds the next n_1 integers, and so on.  The elementary symmetric
 functions are taken over the part-size histogram, so equal parts cost one
 closed-form factor, not one step each.  The histogram is built once, by
-C-level passes, when the vector is built: the sizes are canonicalised to
-ints, packed one byte each when every size lies in 0..255, and counted by
-numpy; n, the smallest size and the sum of 1/n_i are then read from the
-histogram, not from the parts.  Everything here is exact integer
-or rational arithmetic up to the final math.log in log_sigma, which takes
-the exact sigma however large it is.
+two C-level passes, when the vector is built: bytes() packs the parts one
+byte each when every size lies in 0..255, refusing non-integers, and numpy
+counts the bytes; n, k, the smallest size and the sum of 1/n_i are then
+read from the histogram, not from the parts.  The per-part tuple of exact
+ints is built only when sizes is first read, which no numeric reader here
+does.  Everything here is exact integer or rational arithmetic up to the
+final math.log in log_sigma, which takes the exact sigma however large it
+is.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -39,56 +42,94 @@ def falling_factorial(x: int, t: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class PartitionVector:
     """Immutable vector of part sizes, all at least 1.
 
-    n and the size histogram are built at construction: sizes that all fit
-    in a byte are packed by bytes() and counted by np.bincount, and only a
-    vector holding a size past 255 is counted by a Counter.  The part bounds
-    are built on first use and kept.  Equality and hashing read sizes alone.
+    Construction makes two C-level passes over the parts: bytes() packs
+    them one byte each, reading every part through __index__ and refusing
+    non-integers, and np.bincount counts the packed bytes.  k, n and the
+    size histogram come from those two passes; only a vector holding a
+    size past 255 (or below 0) is canonicalised and counted by a Counter.
+    The per-part tuple sizes is built on its first read and kept: a tuple
+    of exact ints comes back as given, anything else as exact ints equal
+    to the values the histogram counted.  No numeric reader reads it.
+    The part bounds are built on first use and kept.  Two vectors are
+    equal when their sizes are; equal histograms decide it without the
+    tuples when every part has one size, and the hash reads the histogram.
     """
 
-    sizes: tuple[int, ...]
-    # (size, number of parts of that size), sizes in first-seen order
-    size_counts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    n: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, sizes: Iterable[int]):
         try:
-            sizes = tuple(self.sizes)
-            # a tuple of exact ints is kept as given; numpy integers and
-            # bools become ints, and anything without __index__ is refused.
-            # The per-part type test matters: bytes() would pack True as 1,
-            # and a Counter would merge 3.0 into the int key 3.  A first
-            # part that is not an int (a numpy array's) already decides it
-            # without the pass.
-            if not (sizes and type(sizes[0]) is int
-                    and operator.countOf(map(type, sizes), int) == len(sizes)):
-                sizes = tuple(map(operator.index, sizes))
+            # bytes() of a tuple or list reads each part through __index__;
+            # of a numpy array or a memoryview it would copy raw memory
+            parts = sizes if type(sizes) in (tuple, list) else tuple(sizes)
         except TypeError:
-            raise DomainError(f"part sizes must be integers, got {self.sizes}") from None
-        if not sizes:
+            raise DomainError(f"part sizes must be an iterable of integers, got {reprlib.repr(sizes)}") from None
+        if not parts:
             raise DomainError("a partition vector needs at least one part")
         try:
-            # on the canonical tuple only: bytes() of a numpy array or a
-            # memoryview would copy its raw memory, not its values
-            packed = bytes(sizes)
+            packed = bytes(parts)
+        except TypeError:
+            raise _refusal(parts) from None
         except ValueError:
-            size_counts = tuple(Counter(sizes).items())
+            # a size past a byte, or below 0
+            try:
+                kept = tuple(map(operator.index, parts))
+            except TypeError:
+                raise _refusal(parts) from None
+            size_counts = tuple(Counter(kept).items())
+            if min(size for size, _ in size_counts) < 1:
+                raise _refusal(parts) from None
         else:
             counts = np.bincount(np.frombuffer(packed, np.uint8)).tolist()
+            if counts[0]:
+                raise _refusal(parts, packed.find(0))
             seen = sorted((size for size, count in enumerate(counts) if count), key=packed.index)
             size_counts = tuple((size, counts[size]) for size in seen)
-        if min(size for size, _ in size_counts) < 1:
-            raise DomainError(f"part sizes must be >= 1, got {sizes}")
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "size_counts", size_counts)
-        object.__setattr__(self, "n", sum(size * count for size, count in size_counts))
+            kept = packed
+        # a given tuple is kept so that sizes can be the very object given
+        self._fill(parts if type(parts) is tuple else kept, size_counts, len(parts))
 
-    @property
-    def k(self) -> int:
-        return len(self.sizes)
+    def _fill(self, parts: tuple | bytes | None, size_counts: tuple[tuple[int, int], ...], k: int) -> None:
+        vars(self).update(
+            _parts=parts,
+            # (size, number of parts of that size), sizes in first-seen order
+            size_counts=size_counts,
+            k=k,
+            n=sum(size * count for size, count in size_counts),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PartitionVector is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PartitionVector is immutable: cannot delete {name}")
+
+    def __repr__(self) -> str:
+        return f"PartitionVector(sizes={self.sizes!r})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PartitionVector:
+            return NotImplemented
+        return self.size_counts == other.size_counts and (
+            len(self.size_counts) == 1 or self.sizes == other.sizes
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.size_counts)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """The part sizes as exact ints, built on first read and kept."""
+        parts = self._parts
+        if parts is None:
+            return (1,) * self.k
+        if type(parts) is bytes:
+            return tuple(parts)
+        # bytes() packed True as 1 and a numpy integer as its value
+        if operator.countOf(map(type, parts), int) == len(parts):
+            return parts
+        return tuple(map(operator.index, parts))
 
     @cached_property
     def _bounds(self) -> tuple[int, ...]:
@@ -111,16 +152,46 @@ class PartitionVector:
         return sum((Fraction(count, size) for size, count in self.size_counts), Fraction(0))
 
 
+def _is_size(x) -> bool:
+    try:
+        return operator.index(x) >= 1
+    except TypeError:
+        return False
+
+
+def _refusal(parts: tuple | list, at: int | None = None) -> DomainError:
+    """The refusal naming the first part that is not an integer >= 1.
+
+    Searched for only once the vector is refused: at is given when the
+    byte path has already found it, and is otherwise found by a scan.
+    """
+    if at is None:
+        at = next(i for i, x in enumerate(parts) if not _is_size(x))
+    return DomainError(
+        f"part sizes must be integers >= 1, but part {at} of {len(parts)} is {reprlib.repr(parts[at])}"
+    )
+
+
 def partition(sizes: Iterable[int]) -> PartitionVector:
     """A PartitionVector from any iterable of sizes, validated as PartitionVector does."""
     return PartitionVector(sizes)
 
 
 def uniform_partition(n: int) -> PartitionVector:
-    """n singleton parts: the fully uniform (unpartitioned) case."""
+    """n singleton parts: the fully uniform (unpartitioned) case.
+
+    Built from its histogram ((1, n),) alone: no per-part tuple or byte
+    string exists until sizes is read.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"need an integer n, got {reprlib.repr(n)}") from None
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    return PartitionVector((1,) * n)
+    pv = object.__new__(PartitionVector)
+    pv._fill(None, ((1, n),), n)
+    return pv
 
 
 def _check_order(pv: PartitionVector, s: int) -> None:

@@ -45,6 +45,12 @@ MAX_GRID_M = 4
 ENUMERATION_CAP = 10 ** 5
 # every grid cell has a single edge orbit; these have two, three and seven
 ORBIT_CELLS = (((2, 1, 2, 1), 3, 4), ((3, 1, 2, 2), 3, 4), ((4, 2, 3, 1, 2), 3, 2))
+# labelled counts of linear designs covering every pair, far past the grid's m
+DESIGN_COUNTS = {
+    ((1,) * 7, 3, 7): 30,  # the Fano plane, 7!/168
+    ((1,) * 9, 3, 12): 840,  # AG(2, 3), 9!/432
+    ((3, 3, 3), 3, 9): 12,  # Latin squares of order 3
+}
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,17 @@ def _check_census(suite: _Suite, workers: int) -> None:
         "pruned count_linear agrees with naive filter on the whole grid",
         not mismatches,
         "; ".join(mismatches[:3]),
+    )
+
+    wrong = []
+    for (sizes, r, m), want in DESIGN_COUNTS.items():
+        got = count_linear(partition(sizes), r, m, workers=workers)
+        if got != want:
+            wrong.append(f"parts={','.join(map(str, sizes))} r={r} m={m}: {got} != {want}")
+    suite.check(
+        "count_linear gives the Fano plane, AG(2, 3) and order-3 Latin square counts",
+        not wrong,
+        "; ".join(wrong),
     )
 
 

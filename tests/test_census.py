@@ -33,6 +33,7 @@ from linhyp.census import (
 )
 from linhyp.hypergraphs import cluster_threshold
 from linhyp.montecarlo import cluster_signature
+from linhyp.verify import DESIGN_COUNTS
 
 # (sizes, r, m) -> (total, by_cluster, not_plus); enumerated independently
 # by a throwaway brute-force script before this module existed, then frozen
@@ -259,10 +260,9 @@ def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):
 # Rosa, Triple Systems, Oxford 1999), v!/|Aut| for their one class, and
 # Latin squares of order q on parts q,q,q, m = q^2 (OEIS A002860).
 # All run at the default work ceiling.  (sizes, r, m) -> count
+# verify's design counts, plus one too slow for verify
 KNOWN_COUNTS = {
-    ((1,) * 7, 3, 7): 30,  # the Fano plane, 7!/168
-    ((1,) * 9, 3, 12): 840,  # AG(2, 3), 9!/432
-    ((3, 3, 3), 3, 9): 12,  # Latin squares of order 3
+    **DESIGN_COUNTS,
     ((4, 4, 4), 3, 16): 576,  # Latin squares of order 4, about 5.4e6 extend calls
 }
 

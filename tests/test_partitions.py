@@ -3,6 +3,7 @@
 import json
 import math
 import operator
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -177,9 +178,63 @@ def test_size_histogram_matches_a_counter_oracle(sizes):
 )
 def test_bad_sizes_are_refused_on_both_histogram_paths(sizes, bad, at, past_a_byte):
     sizes = sizes + [256] * past_a_byte
-    sizes.insert(at % (len(sizes) + 1), bad)
-    with pytest.raises(DomainError):
+    at %= len(sizes) + 1
+    sizes.insert(at, bad)
+    with pytest.raises(DomainError, match=f"part {at} of {len(sizes)} is "):
         partition(sizes)
+
+
+def test_estimate_never_builds_or_type_checks_the_per_part_tuple():
+    given = tuple(make_rng(2901).integers(1, 8, size=10**5).tolist())
+    # a numpy integer among exact ints: a type pass at construction would
+    # build the canonical tuple there
+    for t in (given, given[:-1] + (np.int64(given[-1]),)):
+        pv = partition(t)
+        estimate_partite(pv, 3, 10)
+        assert "sizes" not in vars(pv)
+        assert pv.sizes == given and all(type(x) is int for x in pv.sizes)
+    assert partition(given).sizes is given
+
+
+def test_mixed_types_equal_and_hash_like_their_canonical_twin_read_or_not():
+    for read_mixed in (False, True):
+        for read_twin in (False, True):
+            mixed, twin = partition((3, np.int64(3), True)), partition((3, 3, 1))
+            if read_mixed:
+                assert mixed.sizes == (3, 3, 1)
+            if read_twin:
+                assert twin.sizes == (3, 3, 1)
+            assert mixed == twin and twin == mixed and hash(mixed) == hash(twin)
+            assert mixed != partition((3, 1, 3)) and mixed != partition((1, 3, 3))
+
+
+@pytest.mark.parametrize("tail", [(0,), (2.5,), (-3,), (300, 0)])
+def test_refusal_names_the_first_bad_part_briefly(tail):
+    sizes = (2,) * 100000 + tail
+    with pytest.raises(DomainError) as info:
+        partition(sizes)
+    message = str(info.value)
+    assert len(message) < 200
+    at = 100000 + (len(tail) - 1)
+    assert f"part {at} of {len(sizes)} is {sizes[at]!r}" in message
+
+
+def test_uniform_partition_is_built_from_its_histogram():
+    tracemalloc.start()
+    try:
+        pv = uniform_partition(10**7)
+        est = estimate_partite(pv, 3, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (pv.size_counts, pv.n, pv.k) == (((1, 10**7),), 10**7, 10**7)
+    assert "sizes" not in vars(pv)
+    # singleton parts: sigma_s = C(n, s)
+    n = 10**7
+    assert est.correction_exact == -Fraction(math.comb(n, 2) * n * n * 10 * 9, 2 * math.comb(n, 3) ** 2)
+    assert estimate_partite(uniform_partition(50), 3, 10) == estimate_partite(partition((1,) * 50), 3, 10)
+    assert uniform_partition(6) == partition((1,) * 6) and hash(uniform_partition(6)) == hash(partition([1] * 6))
 
 
 def test_uniform_partition_is_all_singletons():
