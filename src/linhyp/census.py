@@ -11,9 +11,13 @@ ordered edge triples when a visitor is given.  One rule,
 stabiliser_orbits(index, fixed), gives the orbits of the stabiliser of
 a fixed prefix on the other edges (the edge orbits when the prefix is
 empty), and _orbit_mean walks the plus prefixes through it and turns
-the rooted tallies into totals over every m-subset.  The search's state
-is a few bitmasks over edge ids, ORed together from the link rows of
-the edges it places, and its last level is two popcounts.
+the rooted tallies into totals over every m-subset.  edge_set_orbit
+keys an unordered edge set by its orbit, from the same labelling of
+the vertices (_vertex_masks); the audit looks compat_stats up by that
+key, so it scans the edge space once per orbit of the (m-2)-sets its
+moves leave.  The search's state is a few bitmasks over edge ids, ORed
+together from the link rows of the edges it places, and its last level
+is two popcounts, taken without a visitor by the level before it.
 count_linear_naive filters every subset by vertex bitmasks, with no
 EdgeSpaceIndex, and exists to cross-check them.  All counts are exact
 integers.
@@ -26,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, permutations, repeat
 from operator import add, mul
 from typing import Callable
 
@@ -245,36 +249,49 @@ def _guard(
     return total, EdgeSpaceIndex(pv, r)
 
 
+def _vertex_masks(index: EdgeSpaceIndex, fixed: tuple[int, ...]) -> tuple[dict[int, int], dict[int, int]]:
+    """(held, marks): the labelling of the vertices by an ordered tuple of edges.
+
+    held maps each vertex of a fixed edge to its mask, bit j set when
+    fixed[j] holds it; marks maps each part those vertices lie in to the
+    set of their masks, bit 1 << mask per mask.  An edge holds at most
+    one vertex of a part, so the masks inside one part are disjoint and
+    pairwise distinct, and marks holds each of them once.
+    """
+    part, edges = index.vertex_part, index.edges
+    held: dict[int, int] = {}
+    for j, e in enumerate(fixed):
+        for u in edges[e]:
+            held[u] = held.get(u, 0) | 1 << j
+    marks: dict[int, int] = {}
+    for u, mask in held.items():
+        marks[part[u]] = marks.get(part[u], 0) | 1 << mask
+    return held, marks
+
+
 def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> list[tuple[int, int]]:
     """(representative id, orbit size) per orbit of fixed's stabiliser on the other edges.
 
     The automorphisms permute the vertices inside each part and swap
     parts of equal size; the stabiliser of the ordered tuple fixed maps
-    each fixed edge to itself.  A fixed edge holds one vertex of each
-    part it uses, so the stabiliser keeps the mask of fixed edges holding
-    each vertex, moves a part only to one of the same size holding the
-    same set of nonzero masks, and permutes the other vertices of a part
-    freely.  Each vertex is labelled (its part's size, that set of masks,
-    its own mask), and two edges share an orbit exactly when they have
-    the same multiset of labels.  fixed=() gives the orbits of the edges,
-    keyed by the multiset of the sizes of the parts they use.  A fixed
-    edge is alone in its class, which is dropped.  Representatives are
-    the orbits' first edges in canonical order, in that order.  The
-    call is one pass over the edge space, added to index.edge_reads.
+    each fixed edge to itself.  So it keeps each vertex's mask of fixed
+    edges holding it, moves a part only to one of the same size holding
+    the same set of nonzero masks (_vertex_masks), and permutes the
+    other vertices of a part freely.  Each vertex is labelled (its
+    part's size, that set of masks, its own mask), and two edges share
+    an orbit exactly when they have the same multiset of labels.
+    fixed=() gives the orbits of the edges, keyed by the multiset of the
+    sizes of the parts they use.  A fixed edge is alone in its class,
+    which is dropped.  Representatives are the orbits' first edges in
+    canonical order, in that order.  The call is one pass over the edge
+    space, added to index.edge_reads.
     """
     index.edge_reads += index.count
     part, sizes, d = index.vertex_part, index.pv.sizes, len(fixed)
-    held = [0] * len(part)
-    marks = [0] * index.pv.k
-    for j, e in enumerate(fixed):
-        for u in index.edges[e]:
-            held[u] |= 1 << j
-    for e in fixed:
-        for u in index.edges[e]:
-            marks[part[u]] |= 1 << held[u]
+    held, marks = _vertex_masks(index, fixed)
     # a label's bits: the part's size, its masks as a set of 2^d bits, then the vertex's d bits
-    kind = [(size << (1 << d) | mark) << d for size, mark in zip(sizes, marks)]
-    label = [kind[p] | mask for p, mask in zip(part, held)]
+    kind = [(size << (1 << d) | marks.get(p, 0)) << d for p, size in enumerate(sizes)]
+    label = [kind[p] | held.get(u, 0) for u, p in enumerate(part)]
     # a label of rank k weighs (r + 1)^k, so an edge's weight sum, at most r
     # of each, encodes its multiset of labels
     rank = {x: k for k, x in enumerate(set(label))}
@@ -283,6 +300,26 @@ def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> lis
     for i, vs in enumerate(index.edges):
         classes.setdefault(sum(map(weight.__getitem__, vs)), [i, 0])[1] += 1
     return [(first, size) for first, size in classes.values() if first not in fixed]
+
+
+def edge_set_orbit(index: EdgeSpaceIndex, ids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Canonical key of the unordered edge set ids under the partition's automorphisms.
+
+    The key is the least, over the orderings of ids, of the sorted
+    (part size, marks[part]) pairs of the parts the edges touch
+    (_vertex_masks).  For one ordering those pairs are complete: the
+    masks inside a part are distinct, so two ordered tuples have equal
+    sorted pairs exactly when an automorphism carries one onto the
+    other edge by edge, swapping equal-size parts of equal marks and
+    matching vertices of equal mask.  Two edge sets therefore share a
+    key exactly when they share an orbit.  It costs len(ids)! orderings
+    of len(ids) * r vertices each and reads no other edge.
+    """
+    sizes = index.pv.sizes
+    return min(
+        tuple(sorted((sizes[p], mark) for p, mark in _vertex_masks(index, order)[1].items()))
+        for order in permutations(ids)
+    )
 
 
 def _orbit_mean(index: EdgeSpaceIndex, m: int, depth: int, rooted: Callable) -> Counter:
@@ -351,9 +388,11 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     (twice may also hold an edge that meets one used pair twice over, a
     cluster's shared pair, but such an edge is in cblock anyway.)  The
     last edge is not placed: the free candidates are counted into
-    stratum t and the cluster candidates into t + 1, two popcounts.
-    Below two edges or below r = 3 no two edges are linked, and every
-    m-subset is linear.
+    stratum t and the cluster candidates into t + 1, two popcounts
+    (last).  Without a visitor the level before it calls last on each
+    of its candidates instead of an extend call, and so does rooted at
+    m = depth + 1.  Below two edges or below r = 3 no two edges are
+    linked, and every m-subset is linear.
 
     Each prefix the walk reaches, at most three edges, is classified
     whole by plus_violation, from its edges' pair rows: two edges with
@@ -376,15 +415,16 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
 
     The search is metered, not priced: one work count, refused with
     WorkCeilingError as soon as it passes work_ceiling, reporting the
-    work done.  It adds 1 per extend call; 1 per subset counted at the
-    last level, or C(m, 2) when a visitor is given, for its pair checks;
-    and sigma_r per pass over the edge space made on the search's
-    behalf, read off index.edge_reads: a link-row build, a
-    stabiliser_orbits call in _orbit_mean's walk, a compat_stats call
-    in the visitor.  The count is checked once per extend call, on entry
-    to rooted and after each visit.  A prefix's rows follow at least
-    depth stabiliser passes, so at most work_ceiling / sigma_r link
-    rows, about work_ceiling / 4 bytes, are ever built.
+    work done.  It adds 1 per extend call or last level counted in its
+    place; 1 per subset counted at the last level, or C(m, 2) when a
+    visitor is given, for its pair checks; and sigma_r per pass over
+    the edge space made on the search's behalf, read off
+    index.edge_reads: a link-row build, a stabiliser_orbits call in
+    _orbit_mean's walk, a compat_stats call in the visitor.  The count
+    is checked once per extend call or last level, on entry to rooted
+    and after each visit.  A prefix's rows follow at least depth
+    stabiliser passes, so at most work_ceiling / sigma_r link rows,
+    about work_ceiling / 4 bytes, are ever built.
     """
     if m < 2 or index.r < 3:
         return {0: math.comb(index.count, m)}
@@ -402,24 +442,29 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
             spent = done + index.edge_reads - limit + work_ceiling
             raise WorkCeilingError(spent, work_ceiling, "census", unit="work units", verb="stopped after")
 
+    def split(window: int, blocked: int, twice: int, cblock: int, t: int) -> tuple[int, int]:
+        # the window's candidates: the free ones, and while t < cap those opening a cluster
+        return window & ~blocked, window & blocked & ~(twice | cblock) if t < cap else 0
+
+    def last(strata: Counter, window: int, blocked: int, twice: int, cblock: int, t: int) -> int:
+        # the last edge, counted: free candidates into stratum t, cluster ones into t + 1
+        fresh, joins = split(window, blocked, twice, cblock, t)
+        found = fresh.bit_count()
+        strata[t] += found
+        if joins:
+            joined = joins.bit_count()
+            strata[t + 1] += joined
+            found += joined
+        return found
+
     def extend(strata: Counter, window: int, blocked: int, twice: int, cblock: int,
                free: tuple, t: int, ids: tuple, left: int) -> None:
         # the hot path: it charges inline and calls charge only to refuse
         nonlocal done
-        fresh = window & ~blocked
-        joins = window & blocked & ~(twice | cblock) if t < cap else 0
+        fresh, joins = split(window, blocked, twice, cblock, t)
         if left == 1:
-            found = fresh.bit_count()
-            strata[t] += found
-            if joins:
-                joined = joins.bit_count()
-                strata[t + 1] += joined
-                found += joined
-            if visit is None:
-                done += 1 + found
-                if done + index.edge_reads > limit:
-                    charge(0)
-                return
+            # only with a visitor: the last edge is placed too
+            last(strata, window, blocked, twice, cblock, t)
             charge(1)
             for cands, s in ((fresh, t), (joins, t + 1)):
                 while cands:
@@ -432,23 +477,37 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
         done += 1
         if done + index.edge_reads > limit:
             charge(0)
+        # without a visitor the level before the last counts each candidate's
+        # last level itself, at the 1 + found an extend call there would charge
+        fold = left == 2 and visit is None
         # window & -(low << 1) keeps the window's edges after i
         while fresh:
             low = fresh & -fresh
             fresh ^= low
             i = low.bit_length() - 1
             once, two = link_rows(i)
-            extend(strata, window & -(low << 1), blocked | once, twice | (blocked & once) | two, cblock,
-                   free + (i,), t, ids + (i,), left - 1)
+            after, blocked_i, twice_i = window & -(low << 1), blocked | once, twice | (blocked & once) | two
+            if fold:
+                done += 1 + last(strata, after, blocked_i, twice_i, cblock, t)
+                if done + index.edge_reads > limit:
+                    charge(0)
+            else:
+                extend(strata, after, blocked_i, twice_i, cblock, free + (i,), t, ids + (i,), left - 1)
         while joins:
             low = joins & -joins
             joins ^= low
             i = low.bit_length() - 1
             f = next(g for g in free if link_rows(g)[0] & low)
             once, two = link_rows(i)
-            extend(strata, window & -(low << 1), blocked | once, twice | (blocked & once) | two,
-                   cblock | once | link_rows(f)[0], tuple(g for g in free if g != f), t + 1,
-                   ids + (i,), left - 1)
+            after, blocked_i, twice_i = window & -(low << 1), blocked | once, twice | (blocked & once) | two
+            clustered = cblock | once | link_rows(f)[0]
+            if fold:
+                done += 1 + last(strata, after, blocked_i, twice_i, clustered, t + 1)
+                if done + index.edge_reads > limit:
+                    charge(0)
+            else:
+                extend(strata, after, blocked_i, twice_i, clustered, tuple(g for g in free if g != f), t + 1,
+                       ids + (i,), left - 1)
 
     def rooted(ids: tuple[int, ...]):
         charge(0)  # the stabiliser passes that reached this prefix
@@ -481,7 +540,11 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
                 cblock |= once
         free = tuple(i for x, i in enumerate(ids) if x not in paired)
         strata: Counter = Counter()
-        extend(strata, (1 << index.count) - 1, blocked, twice, cblock, free, t, ids, m - depth)
+        window = (1 << index.count) - 1
+        if m == depth + 1 and visit is None:
+            charge(1 + last(strata, window, blocked, twice, cblock, t))
+        else:
+            extend(strata, window, blocked, twice, cblock, free, t, ids, m - depth)
         return strata
 
     totals = _orbit_mean(index, m, depth, rooted)

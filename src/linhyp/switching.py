@@ -12,7 +12,9 @@ m-subset the census's plus search (census._plus_strata) visits: the plus
 m-subsets that hold a root triple (a root pair at m = 2), one ordered
 triple per orbit, each edge a representative of the orbits of the
 stabiliser of the edges before it (census.stabiliser_orbits).  The move
-counts are written once, in _forward_total and _reverse_total.
+counts are written once, in _forward_total and _reverse_total; the
+audit reads compat_stats through _orbit_stats, once per orbit of the
+(m-2)-sets the moves leave, and count_*_moves scan it directly.
 classify also decides whether a given move is valid: apply_forward
 accepts it exactly when the result has one cluster fewer, apply_reverse
 exactly when the inserted pair is one of the result's clusters.  The
@@ -25,12 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, permutations
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .asymptotics import cluster_mean
-from .census import DEFAULT_WORK_CEILING, EdgeSpaceIndex, _guard, _plus_strata, census_by_cluster
+from .census import (
+    DEFAULT_WORK_CEILING,
+    EdgeSpaceIndex,
+    _guard,
+    _plus_strata,
+    census_by_cluster,
+    edge_set_orbit,
+)
 from .errors import DomainError
 from .hypergraphs import (
     Classification,
@@ -200,6 +208,35 @@ def _reverse_total(stats, combo: tuple[int, ...], free) -> int:
     return total
 
 
+def _orbit_stats(index: EdgeSpaceIndex) -> Callable[[tuple[int, ...]], tuple[int, int, int]]:
+    """index.compat_stats, looked up by h0 and then by h0's orbit.
+
+    (size, n_ge2, n_eq2) is the same for every h0 in one orbit of the
+    partition's automorphisms, so the scan runs once per orbit of the
+    h0 it is asked for, keyed by census.edge_set_orbit, and once per
+    distinct h0 where the key is not computed.  The key enumerates
+    |h0|! orderings of |h0| * r vertices, so it is computed only when
+    that is at most sigma_r, the cost of the scan it saves.
+    """
+    by_set: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    by_orbit: dict[tuple, tuple[int, int, int]] = {}
+
+    def stats(h0: tuple[int, ...]) -> tuple[int, int, int]:
+        got = by_set.get(h0)
+        if got is None:
+            if math.factorial(len(h0)) * len(h0) * index.r > index.count:
+                got = index.compat_stats(h0)
+            else:
+                key = edge_set_orbit(index, h0)
+                got = by_orbit.get(key)
+                if got is None:
+                    got = by_orbit[key] = index.compat_stats(h0)
+            by_set[h0] = got
+        return got
+
+    return stats
+
+
 def count_forward_moves(h: Hypergraph, index: EdgeSpaceIndex | None = None) -> int:
     """|forward moves| without materializing them (cross-checked in tests).
 
@@ -367,12 +404,17 @@ def bijection_audit(
     AssertionError.  The per-hypergraph ranges are taken over the
     visited subsets unweighted: any three edges of a hypergraph (two at
     m = 2) can be carried to a root triple, so every orbit of
-    hypergraphs has a member there.
+    hypergraphs has a member there.  Every move count reads
+    compat_stats(h0) for the (m - 2)-set h0 a move leaves, and that is
+    the same on h0's whole orbit, so _orbit_stats scans the edge space
+    once per orbit of the h0 met (census.edge_set_orbit), or once per
+    distinct h0 where the key costs more than a scan; each scan is
+    charged sigma_r to the search's meter.
     """
     total, index = _guard(pv, r, m, work_ceiling, cat=True)
     cap = cluster_threshold(pv, r, m)
     measured: dict[tuple[str, int], tuple[int, int]] = {}
-    stats = None if index is None else cache(index.compat_stats)
+    stats = None if index is None else _orbit_stats(index)
 
     def visit(combo: tuple[int, ...], t: int) -> dict:
         got, reason, clusters, free = index.classify_combo(combo, cap)

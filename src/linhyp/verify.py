@@ -37,7 +37,7 @@ from .partitions import (
     sigma_ratio_check,
     uniform_partition,
 )
-from .switching import SeriesSpec, bijection_audit, series_sum_bounds
+from .switching import SeriesSpec, _orbit_stats, bijection_audit, series_sum_bounds
 
 MULTIPARTITE_SHAPES = ((2, 2, 2), (3, 1, 2), (2, 2, 2, 2), (3, 3, 3))
 MAX_UNIFORM_N = 10
@@ -220,6 +220,21 @@ def _check_switchings(suite: _Suite) -> None:
         "occupied strata satisfy m >= 2t",
         not soft_nonempty,
         "; ".join(soft_nonempty[:3]),
+    )
+
+    # the audit scans compat_stats once per orbit of h0 (switching._orbit_stats);
+    # hold every (m-2)-set, a superset of the h0 it asks for, to a direct scan
+    wrong_stats = []
+    for sizes, r, m in (((2, 2, 2, 2), 3, 4),) + ORBIT_CELLS:
+        index = EdgeSpaceIndex(partition(sizes), r)
+        stats = _orbit_stats(index)
+        for h0 in combinations(range(index.count), m - 2):
+            if stats(h0) != index.compat_stats(h0):
+                wrong_stats.append(f"parts={sizes} r={r} h0={h0}: {stats(h0)} vs {index.compat_stats(h0)}")
+    suite.check(
+        "compat_stats looked up by orbit equals a direct scan on four cells",
+        not wrong_stats,
+        "; ".join(wrong_stats[:3]),
     )
 
     # the audit's strata are the census's (both read census._plus_strata);

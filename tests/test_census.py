@@ -557,20 +557,69 @@ def test_stabiliser_orbits_are_the_orbits_of_the_roots_stabiliser():
                 _check_stabiliser_orbits(index, group, (root, rep), sizes)
 
 
+def _set_orbits(index, group):
+    """Orbit number of every set of at most three edges, closed under group."""
+    images = [[index.position[tuple(sorted(g[v] for v in vs))] for vs in index.edges] for g in group]
+    orbit = {}
+    for size in range(4):
+        for ids in combinations(range(index.count), size):
+            if ids not in orbit:
+                number = len(orbit)
+                for image in images:
+                    orbit[tuple(sorted(image[i] for i in ids))] = number
+    return orbit
+
+
+@pytest.mark.parametrize("sizes, r", [((2, 1, 2, 1), 3), ((3, 1, 2, 2), 3), ((2, 2, 2), 3), ((2, 2, 2, 2), 4)])
+def test_edge_set_orbit_keys_the_orbits_of_edge_sets(sizes, r):
+    # two sets of at most three edges share a key exactly when some
+    # automorphism carries one onto the other
+    pv = partition(sizes)
+    index = EdgeSpaceIndex(pv, r)
+    orbit = _set_orbits(index, list(_automorphisms(pv)))
+    orbits_of_key = {}
+    for ids, number in orbit.items():
+        orbits_of_key.setdefault(census.edge_set_orbit(index, ids), set()).add(number)
+    assert all(len(numbers) == 1 for numbers in orbits_of_key.values()), sizes
+    assert len(orbits_of_key) == len(set(orbit.values())), sizes
+
+
+def test_an_orbit_key_without_part_sizes_changes_an_audit_answer(monkeypatch):
+    # parts of unequal size holding the same masks are no automorphism's
+    # image of each other; a key blind to sizes merges their (m-2)-sets
+    # and hands one the other's compat_stats (both cells are also held to
+    # an unrooted sweep in tests/test_switching.py)
+    def sizeless(index, ids):
+        return min(tuple(sorted(census._vertex_masks(index, order)[1].values())) for order in permutations(ids))
+
+    cells = (((3, 1, 2, 2), 3, 4), ((4, 2, 3, 1, 2), 3, 3))
+    want = [bijection_audit(partition(sizes), r, m).to_json_dict() for sizes, r, m in cells]
+    monkeypatch.setattr(switching, "edge_set_orbit", sizeless)
+    for (sizes, r, m), expected in zip(cells, want):
+        assert bijection_audit(partition(sizes), r, m).to_json_dict() != expected, sizes
+
+
 def test_the_meter_refuses_the_search_it_would_otherwise_run(monkeypatch):
     # uniform n=12 r=3 m=4 is answered at the default ceiling; at these
-    # ceilings each call passes its up-front price (220 edges, and the
-    # audit's 220^2-byte cat) and is stopped by the meter, having built
-    # no more link rows than the ceiling pays sigma_r for
+    # ceilings each call passes its up-front price and is stopped by the
+    # meter, having built no more link rows than the ceiling pays sigma_r
+    # for.  The audit scans once per orbit of the (m-2)-sets it meets, so
+    # at n=12 its whole search costs less than its price (220 edges and a
+    # 220^2-byte cat); it is stopped on parts 3,3,3,3 r=3 m=5 (price
+    # 108 + 108^2 = 11,772), where the visits outgrow the price
     built = _built_indexes(monkeypatch)
-    pv, edges = uniform_partition(12), 220
+    pv = uniform_partition(12)
     want = [count_linear(pv, 3, 4), census_by_cluster(pv, 3, 4), bijection_audit(pv, 3, 4)]
     assert want[0] == want[1].linear == want[2].strata[0] == 41761720
-    calls = ((count_linear, 20000), (census_by_cluster, 20000), (bijection_audit, 60000))
-    for func, ceiling in calls:
+    calls = (
+        (count_linear, pv, 4, 220, 20000),
+        (census_by_cluster, pv, 4, 220, 20000),
+        (bijection_audit, partition((3, 3, 3, 3)), 5, 108, 20000),
+    )
+    for func, cell, m, edges, ceiling in calls:
         built.clear()
         with pytest.raises(WorkCeilingError) as info:
-            func(pv, 3, 4, work_ceiling=ceiling)
+            func(cell, 3, m, work_ceiling=ceiling)
         assert info.value.required > ceiling == info.value.ceiling, func.__name__
         assert "stopped after" in str(info.value)
         (index,) = built

@@ -297,6 +297,43 @@ def test_rooted_audit_matches_an_unrooted_sweep(sizes, r, m):
     assert rep.to_json_dict() == want.to_json_dict()
 
 
+def _counted_scans(monkeypatch):
+    """The h0 of every compat_stats scan made while the patch holds."""
+    scans = []
+    scan = EdgeSpaceIndex.compat_stats
+
+    def counted(self, h0):
+        scans.append(h0)
+        return scan(self, h0)
+
+    monkeypatch.setattr(EdgeSpaceIndex, "compat_stats", counted)
+    return scans
+
+
+def test_audit_scans_once_per_orbit_of_the_sets_a_move_leaves(monkeypatch):
+    # uniform n=12 r=3 m=4 asks for 2,734 distinct two-edge h0, in three
+    # orbits: disjoint, sharing one vertex, sharing two
+    scans = _counted_scans(monkeypatch)
+    rep = bijection_audit(uniform_partition(12), 3, 4)
+    assert rep.strata == {0: 41761720, 1: 39584160, 2: 3076920}
+    assert rep.all_matched
+    assert 0 < len(scans) <= 3
+
+
+def test_audit_scans_each_set_where_the_orbit_key_costs_more_than_a_scan(monkeypatch):
+    # on parts 2,2,2 r=3 a key costs 2! orderings of 2 * 3 vertices, more
+    # than the 8-edge scan, so none is computed and each distinct h0 is
+    # scanned once; strata and not_plus are those of test_census's PINNED
+    def refuse(index, ids):
+        raise AssertionError("no orbit key is worth computing here")
+
+    scans = _counted_scans(monkeypatch)
+    monkeypatch.setattr(switching, "edge_set_orbit", refuse)
+    rep = bijection_audit(partition((2, 2, 2)), 3, 4)
+    assert (rep.strata, rep.not_plus) == ({0: 2, 2: 6}, 62)
+    assert len(scans) == len(set(scans)) > 0
+
+
 @pytest.mark.parametrize("wrong", ["t", "reason"])
 def test_audit_raises_when_classify_combo_disagrees_with_the_search(monkeypatch, wrong):
     true_classify = EdgeSpaceIndex.classify_combo
