@@ -18,6 +18,8 @@ key, so it scans the edge space once per orbit of the (m-2)-sets its
 moves leave.  The search's state is a few bitmasks over edge ids, ORed
 together from the link rows of the edges it places, and its last level
 is two popcounts, taken without a visitor by the level before it.
+EdgeSpaceIndex's one table is the edges' sorted vertex tuples; vertex
+pairs are read off them by combinations, never coded as integers.
 count_linear_naive filters every subset by vertex bitmasks, with no
 EdgeSpaceIndex, and exists to cross-check them.  All counts are exact
 integers.
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
-from operator import add, mul
 from typing import Callable
 
 from .errors import DomainError, WorkCeilingError
@@ -46,9 +47,9 @@ from .hypergraphs import (
 from .partitions import PartitionVector, sigma
 
 DEFAULT_WORK_CEILING = 10 ** 8
-# edges one EdgeSpaceIndex may hold; an edge costs about 430 bytes (its
-# vertex tuple and its row of pair codes), so about 1.8 GB in all.  The
-# bound is fixed: no work ceiling raises it
+# edges one EdgeSpaceIndex may hold; an edge costs 72-73 bytes when built (its
+# vertex tuple and list slot, by tracemalloc at uniform n=30, 60 and 100, r=3),
+# so about 0.3 GB in all.  The bound is fixed: no work ceiling raises it
 INDEX_EDGE_LIMIT = 2 ** 22
 
 
@@ -57,17 +58,16 @@ class EdgeSpaceIndex:
 
     An edge space of more than INDEX_EDGE_LIMIT edges is refused
     (WorkCeilingError) before any edge is built.  Edges are indexed by
-    their canonical enumeration order.  The index
-    carries one table, pairs: per edge, the frozenset of the codes
-    u * (n + 1) + v of its vertex pairs u < v (at r = 2 the edge's one
-    pair, which no other edge holds; empty rows when r <= 1).  Two distinct edges are linked
-    exactly when their pair rows meet.  Everything else is read off
-    pairs and built on first use: occupants, the edges holding each
-    pair; link_rows(e), the bitmasks over edge ids of the edges meeting
-    one or at least two of e's pairs, built per edge the first time the
-    plus search folds it into a root prefix or places it, and kept;
-    position, the id of each vertex tuple, for the switching move
-    counters; and cat, the pairwise overlap matrix, read only by
+    their canonical enumeration order.  The index carries one table,
+    edges: per edge, its sorted vertex tuple, in lexicographic order, so
+    an edge's id is found by bisection.  Two distinct edges are linked
+    exactly when they share two vertices, one vertex pair (u, v), u < v,
+    read off the tuples by combinations(vs, 2).  Everything else is
+    built from edges on first use: occupants, the edges holding each
+    vertex pair; link_rows(e), the bitmasks over edge ids of the edges
+    meeting one or at least two of e's pairs, built per edge the first
+    time the plus search folds it into a root prefix or places it, and
+    kept; and cat, the pairwise overlap matrix, read only by
     classify_combo.  Only the switching audit calls classify_combo: it
     re-checks each subset the plus search visits against the search's
     own classification, from the link rows.  edge_reads adds sigma_r per
@@ -86,22 +86,9 @@ class EdgeSpaceIndex:
         self.r = r
         self.edges: list[tuple[int, ...]] = edge_tuples(pv, r)
         self.count = len(self.edges)
-
-        # pair {u, v}, u < v, is u * (n + 1) + v, coded column by column
-        cols, base = list(zip(*self.edges)), repeat(pv.n + 1)
-        codes = [map(add, map(mul, cols[i], base), cols[j]) for i, j in combinations(range(r), 2)]
-        self.pairs: list[frozenset[int]] = (
-            list(map(frozenset, zip(*codes))) if codes else [frozenset()] * self.count
-        )
-
         self._links: dict[int, tuple[int, int]] = {}
         self._cat: list[bytearray] | None = None
         self.edge_reads = 0
-
-    @cached_property
-    def position(self) -> dict[tuple[int, ...], int]:
-        """Edge id of each sorted vertex tuple."""
-        return {vs: i for i, vs in enumerate(self.edges)}
 
     @cached_property
     def vertex_part(self) -> list[int]:
@@ -109,12 +96,12 @@ class EdgeSpaceIndex:
         return [0] + [p for p, size in enumerate(self.pv.sizes) for _ in range(size)]
 
     @cached_property
-    def occupants(self) -> dict[int, list[int]]:
-        """Ids of the edges holding each vertex pair, in edge order."""
-        occupants: dict[int, list[int]] = {}
-        for i, row in enumerate(self.pairs):
-            for pid in row:
-                occupants.setdefault(pid, []).append(i)
+    def occupants(self) -> dict[tuple[int, int], list[int]]:
+        """Ids of the edges holding each vertex pair (u, v), u < v, in edge order."""
+        occupants: dict[tuple[int, int], list[int]] = {}
+        for i, vs in enumerate(self.edges):
+            for pair in combinations(vs, 2):
+                occupants.setdefault(pair, []).append(i)
         return occupants
 
     def link_rows(self, e: int) -> tuple[int, int]:
@@ -130,8 +117,8 @@ class EdgeSpaceIndex:
             self.edge_reads += self.count
             occupants, bit = self.occupants, (1).__lshift__
             once = twice = 0
-            for pid in self.pairs[e]:
-                row = sum(map(bit, occupants[pid]))
+            for pair in combinations(self.edges[e], 2):
+                row = sum(map(bit, occupants[pair]))
                 twice |= once & row
                 once |= row
             rows = self._links[e] = (once, twice)
@@ -185,20 +172,19 @@ class EdgeSpaceIndex:
         h0 and not being one of them: the edge's vertex pairs avoid every
         pair h0 occupies, as in count_linear's search.  Returns the count
         of compatible edges, the number of unordered compatible pairs
-        sharing >= 2 vertices, and the number sharing exactly 2.  Pairs
-        are counted off the pairs rows, larger subsets off the edge tuples.
+        sharing >= 2 vertices, and the number sharing exactly 2, from the
+        T_alpha tallies of their vertex alpha-subsets.
         """
         self.edge_reads += self.count
-        pairs = self.pairs
-        used = frozenset().union(*(pairs[g] for g in h0))
+        edges = self.edges
+        used = {pair for g in h0 for pair in combinations(edges[g], 2)}
+        # an edge of h0 holds a used pair once r >= 2; below that only the id tells
         members = set(h0)
-        pool = [i for i, row in enumerate(pairs) if used.isdisjoint(row) and i not in members]
+        pool = [vs for i, vs in enumerate(edges) if used.isdisjoint(combinations(vs, 2)) and i not in members]
         # T[alpha] = sum over alpha-subsets of binomial(occupancy, 2)
         t_by_alpha: dict[int, int] = {}
         for alpha in range(2, self.r):
-            subsets = map(pairs.__getitem__, pool) if alpha == 2 else (
-                combinations(self.edges[i], alpha) for i in pool)
-            occ = Counter(chain.from_iterable(subsets))
+            occ = Counter(chain.from_iterable(map(combinations, pool, repeat(alpha))))
             t_by_alpha[alpha] = sum(c * (c - 1) // 2 for c in occ.values())
         return (len(pool), *shared_pair_counts(t_by_alpha, self.r))
 
@@ -395,10 +381,10 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     linked, and every m-subset is linear.
 
     Each prefix the walk reaches, at most three edges, is classified
-    whole by plus_violation, from its edges' pair rows: two edges with
-    one common pair are linked, and two with more share three or more
-    vertices, so the prefix is not plus.  A prefix that is not plus has
-    nothing walked under it.  At m = depth the prefix is the whole
+    whole by plus_violation, from its edges' shared vertices, as
+    hypergraphs.classify does: two edges sharing two vertices are
+    linked, and two sharing three or more make the prefix not plus.  A
+    prefix that is not plus has nothing walked under it.  At m = depth the prefix is the whole
     subset, and no link row is built.  Above it the prefix edges' link
     rows are folded into the three masks once, and extend goes on from
     there.  The union-find oracle tests (tests/test_census.py) hold the
@@ -428,7 +414,7 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     """
     if m < 2 or index.r < 3:
         return {0: math.comb(index.count, m)}
-    pairs = index.pairs
+    edges = index.edges
     link_rows = index.link_rows
     depth = 2 if visit is None else min(m, 3)
     leaf = 1 if visit is None else m * (m - 1) // 2
@@ -511,14 +497,15 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
 
     def rooted(ids: tuple[int, ...]):
         charge(0)  # the stabiliser passes that reached this prefix
-        # the plus rule on the prefix's pair rows: one common pair links two
-        # edges, more means they share three or more vertices
+        # the plus rule on the prefix's shared vertices, as classify applies it:
+        # two link the edges, three or more mean the prefix is not plus
+        vsets = [set(edges[i]) for i in ids]
         linked = []
         for x, y in combinations(range(len(ids)), 2):
-            common = len(pairs[ids[x]] & pairs[ids[y]])
-            if common > 1:
+            shared = len(vsets[x] & vsets[y])
+            if shared > 2:
                 return None
-            if common:
+            if shared == 2:
                 linked.append((x, y))
         if plus_violation(linked, cap) is not None:
             return None
@@ -575,9 +562,9 @@ def count_linear_naive(
     """Filter every m-subset for pairwise overlaps <= 1.
 
     Deliberately independent of count_linear: it reads the vertex sets
-    of edge_space as bitmasks and builds no edge index, no pair or link
-    rows and no overlap matrix, and it does no pruning and no orbit
-    rooting.  Two edges overlap in two or more vertices exactly when
+    of edge_space as bitmasks and builds no edge index, no occupant
+    lists or link rows and no overlap matrix, and it does no pruning
+    and no orbit rooting.  Two edges overlap in two or more vertices exactly when
     their common mask has more than one bit set.  The price is its own full sweep, sigma_r
     + binomial(sigma_r, m) * C(m, 2) pair checks.  Kept as a cross-check
     oracle for the fast path.

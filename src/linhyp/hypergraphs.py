@@ -10,16 +10,15 @@ holds exactly when no edge lies in two linked pairs, and then t is the
 number of linked pairs; plus_violation is this rule, shared by classify,
 EdgeSpaceIndex.classify_combo and the census's plus search
 (census._plus_strata).  The search classifies its root prefix of at most
-three edges with it, then applies the same rule incrementally, one edge
-at a time, on bitmasks of the edges that meet one, two or a clustered
-vertex pair of its selection, and is held to the oracle
-montecarlo.cluster_signature by a property test; the switching audit
-walks that search and re-checks each subset it visits with
-classify_combo.  classify is the one place that finds a hypergraph's
-clusters: it returns them as edge pairs, and the switching moves read
-them from it.  The sampler's
-montecarlo.classify_rows applies the same rule, in the same order of
-reasons, to arrays.
+three edges with it, by shared vertices as classify does, then applies
+the same rule one edge at a time, on bitmasks of the edges that meet
+one, two or a clustered vertex pair of its selection, and is held to
+the oracle montecarlo.cluster_signature by a property test; the
+switching audit walks that search and re-checks each subset it visits
+with classify_combo.  classify is the one place that finds a
+hypergraph's clusters: it returns them as edge pairs, and the switching
+moves read them from it.  The sampler's montecarlo.classify_rows
+applies the same rule, in the same order of reasons, to arrays.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ stay independent of EdgeSpaceIndex, so that they cross-check the counts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -169,15 +170,23 @@ def _plus_ids(h: Hypergraph, cls: Classification, index: EdgeSpaceIndex):
     """(ids, clusters, free): h's edges, cluster pairs and free edges as index ids.
 
     cls is h's plus classification (_classified), taken before the
-    caller builds an index.  Raises DomainError when an edge lies outside
-    the edge space.  Ids follow sorted vertex tuples, as classify does.
+    caller builds an index.  Ids are places in index.edges, found by
+    bisection, so they follow sorted vertex tuples, as classify does.
+    Raises DomainError for an index of another partition or edge size,
+    or an edge outside the edge space.
     """
-    position = index.position
-    try:
-        ids = tuple(sorted(position[e.vertices] for e in h.edges))
-    except KeyError as exc:
-        raise DomainError(f"edge {exc.args[0]} outside the edge space") from exc
-    clusters = tuple((position[a.vertices], position[b.vertices]) for a, b in cls.pairs)
+    if index.pv != h.pv or index.r != h.r:
+        raise DomainError("the index is of another partition or edge size than the hypergraph")
+    edges = index.edges
+
+    def position(e: Edge) -> int:
+        i = bisect_left(edges, e.vertices)
+        if i == len(edges) or edges[i] != e.vertices:
+            raise DomainError(f"edge {e.vertices} outside the edge space")
+        return i
+
+    ids = tuple(sorted(map(position, h.edges)))
+    clusters = tuple((position(a), position(b)) for a, b in cls.pairs)
     paired = {i for pair in clusters for i in pair}
     return ids, clusters, tuple(i for i in ids if i not in paired)
 

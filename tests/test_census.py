@@ -161,15 +161,19 @@ def test_naive_filter_builds_no_index_and_prices_its_sweep(monkeypatch):
 
 
 def test_naive_filter_catches_a_wrong_pair_table(monkeypatch):
-    # merged pair ids link edges that share no vertex pair; the plus
-    # search reads the merged rows, the bitmask filter never sees them
-    init = EdgeSpaceIndex.__init__
+    # occupant lists merged across the pairs with the same smaller vertex
+    # link edges that share only that vertex; the plus search reads the
+    # merged lists through its link rows, the bitmask filter never sees them
+    build = EdgeSpaceIndex.occupants.func
 
-    def merged(self, pv, r):
-        init(self, pv, r)
-        self.pairs = [frozenset(pid // 2 for pid in row) for row in self.pairs]
+    def merged(self):
+        occupants = build(self)
+        by_low = {}
+        for (u, _), ids in occupants.items():
+            by_low.setdefault(u, set()).update(ids)
+        return {pair: sorted(by_low[pair[0]]) for pair in occupants}
 
-    monkeypatch.setattr(EdgeSpaceIndex, "__init__", merged)
+    monkeypatch.setattr(EdgeSpaceIndex, "occupants", property(merged))
     pv = partition((2, 2, 2))
     assert count_linear(pv, 3, 3) == 0
     assert count_linear_naive(pv, 3, 3) == 8
@@ -328,8 +332,9 @@ def test_compat_stats_excludes_h0_when_edges_have_no_pairs():
 
 
 def test_index_size_grows_with_pairs_not_subsets():
-    # 18 edges of 17 vertices hold 18 * 136 pairs; a table of every vertex
-    # subset of size 2..r-1 would hold about 18 * 2**17 and peak near 140 MiB
+    # 18 edges of 17 vertices: the index holds their 18 tuples; a table of
+    # every vertex subset of size 2..r-1 would hold about 18 * 2**17 and
+    # peak near 140 MiB
     tracemalloc.start()
     try:
         index = EdgeSpaceIndex(uniform_partition(18), 17)
@@ -338,6 +343,21 @@ def test_index_size_grows_with_pairs_not_subsets():
         tracemalloc.stop()
     assert index.count == 18
     assert peak < 2 * 2 ** 20, peak
+
+
+def test_index_holds_only_the_vertex_tuples():
+    # 4,060 edges at uniform n=30: a tuple and a list slot each, about 73
+    # bytes; a frozenset of pair codes per edge took it to about 377
+    pv = uniform_partition(30)
+    tracemalloc.start()
+    try:
+        index = EdgeSpaceIndex(pv, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.count == sigma(pv, 3) == 4060
+    assert peak < 150 * index.count, peak / index.count
+    assert not hasattr(index, "pairs") and not hasattr(index, "position")
 
 
 def test_classify_combo_matches_pinned_strata():
@@ -464,9 +484,10 @@ def test_edge_orbits_are_the_automorphism_orbits():
     for sizes in ((2, 1, 2, 1), (3, 3, 1)):
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, 3)
+        position = {vs: i for i, vs in enumerate(index.edges)}
         covered = set()
         for root, size in stabiliser_orbits(index):
-            orbit = {index.position[e] for e in _brute_orbit(pv, index.edges[root])}
+            orbit = {position[e] for e in _brute_orbit(pv, index.edges[root])}
             assert (len(orbit), min(orbit)) == (size, root), sizes
             assert covered.isdisjoint(orbit), sizes
             covered |= orbit
@@ -529,8 +550,10 @@ def _check_stabiliser_orbits(index, group, fixed, label):
     """stabiliser_orbits(index, fixed) against the orbits, on the other edges,
     of the members of group that map each edge of fixed to itself."""
 
+    position = {vs: i for i, vs in enumerate(index.edges)}
+
     def image(g, i):
-        return index.position[tuple(sorted(g[v] for v in index.edges[i]))]
+        return position[tuple(sorted(g[v] for v in index.edges[i]))]
 
     stabiliser = [g for g in group if all(image(g, e) == e for e in fixed)]
     orbits = stabiliser_orbits(index, fixed)
@@ -559,7 +582,8 @@ def test_stabiliser_orbits_are_the_orbits_of_the_roots_stabiliser():
 
 def _set_orbits(index, group):
     """Orbit number of every set of at most three edges, closed under group."""
-    images = [[index.position[tuple(sorted(g[v] for v in vs))] for vs in index.edges] for g in group]
+    position = {vs: i for i, vs in enumerate(index.edges)}
+    images = [[position[tuple(sorted(g[v] for v in vs))] for vs in index.edges] for g in group]
     orbit = {}
     for size in range(4):
         for ids in combinations(range(index.count), size):

@@ -230,9 +230,8 @@ def test_plus_rule_agrees_with_union_find_oracle(data):
     assert cls.in_plus == (reason is None)
     if reason is None:
         # classify's edge pairs are classify_combo's clusters
-        assert tuple(
-            (index.position[a.vertices], index.position[b.vertices]) for a, b in cls.pairs
-        ) == clusters
+        position = {vs: i for i, vs in enumerate(index.edges)}
+        assert tuple((position[a.vertices], position[b.vertices]) for a, b in cls.pairs) == clusters
         # clusters and free edges partition the combo
         assert len(clusters) == t
         assert sorted([i for pair in clusters for i in pair] + list(free)) == list(combo)

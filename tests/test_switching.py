@@ -33,7 +33,7 @@ from linhyp import (
 )
 from linhyp.asymptotics import cluster_mean
 from linhyp.census import EdgeSpaceIndex, stabiliser_orbits
-from linhyp.hypergraphs import OVERLAP_GE3, cluster_threshold
+from linhyp.hypergraphs import OVERLAP_GE3, Edge, cluster_threshold
 from linhyp.switching import ForwardMove, ReverseMove, _forward_total, _reverse_total
 
 
@@ -200,6 +200,28 @@ def test_forward_needs_a_cluster():
     bad = hypergraph(pv, 3, [(1, 3, 5), (1, 3, 6), (1, 4, 5)])
     with pytest.raises(DomainError):
         enumerate_reverse(bad)
+
+
+def test_move_counts_refuse_an_index_of_another_instance():
+    # an index of parts 2,2,2,2 once gave 704 forward moves for 32
+    pv = partition((2, 2, 2))
+    h = hypergraph(pv, 3, [(1, 3, 5), (1, 3, 6)])
+    assert count_forward_moves(h, EdgeSpaceIndex(pv, 3)) == count_forward_moves(h) == 32
+    for other in (EdgeSpaceIndex(partition((2, 2, 2, 2)), 3), EdgeSpaceIndex(pv, 2)):
+        for count in (count_forward_moves, count_reverse_moves):
+            with pytest.raises(DomainError, match="another partition or edge size"):
+                count(h, other)
+
+
+def test_move_counts_refuse_an_edge_outside_the_space():
+    # a Hypergraph built directly can hold a vertex tuple that is no edge
+    # of its space: one sorting inside the space, one after its last edge
+    pv = partition((2, 2, 2))
+    h = hypergraph(pv, 3, [(1, 3, 5), (1, 3, 6)])
+    for stray in ((1, 4, 7), (2, 4, 7)):
+        bad = Hypergraph(pv, 3, h.edges | {Edge(stray, (0, 1, 2))})
+        with pytest.raises(DomainError, match="outside the edge space"):
+            count_reverse_moves(bad)
 
 
 def test_move_counts_refuse_before_building_the_index(monkeypatch):
