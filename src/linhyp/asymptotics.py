@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .partitions import PartitionVector, falling_factorial, log_sigma, sigmas
+from .partitions import PartitionVector, check_m, falling_factorial, log_sigma, sigmas
 
 __all__ = [
     "EstimateResult",
@@ -70,11 +70,6 @@ def _cluster_mean(sig: tuple[int, ...], r: int, m: int) -> Fraction:
     return Fraction(sig[2] * sig[r - 2] ** 2 * falling_factorial(m, 2), 2 * sig[r] * sig[r])
 
 
-def _check_m(m: int, edges: int) -> None:
-    if not 0 <= m <= edges:
-        raise DomainError(f"m={m} outside 0..{edges}")
-
-
 def estimate_partite(pv: PartitionVector, r: int, m: int) -> EstimateResult:
     """General multipartite estimate of ln |linear hypergraphs|.
 
@@ -86,7 +81,7 @@ def estimate_partite(pv: PartitionVector, r: int, m: int) -> EstimateResult:
     if not 3 <= r <= pv.k:
         raise DomainError(f"need 3 <= r <= k, got r={r}, k={pv.k}")
     sig = sigmas(pv, r)
-    _check_m(m, sig[r])
+    check_m(m, sig[r])
     # log_sigma stays the leading term's own call, so that a traced bench
     # run times it as a layer (bench/tracer.py)
     leading = m * log_sigma(pv, r) - log_factorial(m)
@@ -106,7 +101,7 @@ def estimate_uniform(n: int, r: int, m: int) -> EstimateResult:
     if not 3 <= r <= n:
         raise DomainError(f"need 3 <= r <= n, got r={r}, n={n}")
     edges = math.comb(n, r)
-    _check_m(m, edges)
+    check_m(m, edges)
     leading = m * math.log(edges) - log_factorial(m)
     correction = -Fraction(
         falling_factorial(r, 2) ** 2 * falling_factorial(m, 2),

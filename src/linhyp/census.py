@@ -20,6 +20,12 @@ together from the link rows of the edges it places, and its last level
 is two popcounts, taken without a visitor by the level before it.
 EdgeSpaceIndex's one table is the edges' sorted vertex tuples; vertex
 pairs are read off them by combinations, never coded as integers.
+_guard stands before every search: it refuses an m outside 0..sigma_r
+(partitions.check_m), answers the cells with m < 2 or r < 3, where no
+two edges are linked, prices what the call allocates and builds the
+index, and returns sigma_r with it.  count_linear, census_by_cluster and
+switching.bijection_audit take C(sigma_r, m) only where their answer
+reports it, after the search, so no refusal waits on the binomial.
 count_linear_naive filters every subset by vertex bitmasks, with no
 EdgeSpaceIndex, and exists to cross-check them.  All counts are exact
 integers.
@@ -41,10 +47,11 @@ from .hypergraphs import (
     cluster_threshold,
     edge_space,
     edge_tuples,
+    linked_pairs,
     plus_violation,
     shared_pair_counts,
 )
-from .partitions import PartitionVector, sigma
+from .partitions import PartitionVector, check_m, sigma
 
 DEFAULT_WORK_CEILING = 10 ** 8
 # edges one EdgeSpaceIndex may hold; an edge costs 72-73 bytes when built (its
@@ -191,12 +198,8 @@ class EdgeSpaceIndex:
 
 def count_all(pv: PartitionVector, r: int, m: int) -> int:
     """Number of m-subsets of the edge space, binomial(sigma_r, m)."""
-    return _subset_count(sigma(pv, r), m)
-
-
-def _subset_count(edge_count: int, m: int) -> int:
-    if not 0 <= m <= edge_count:
-        raise DomainError(f"m={m} outside 0..{edge_count}")
+    edge_count = sigma(pv, r)
+    check_m(m, edge_count)
     return math.comb(edge_count, m)
 
 
@@ -217,22 +220,26 @@ def orbit_count(pv: PartitionVector, r: int) -> int:
 def _guard(
     pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = False
 ) -> tuple[int, EdgeSpaceIndex | None]:
-    """(binomial(sigma_r, m), the edge index the search needs or None), or WorkCeilingError.
+    """(sigma_r, the edge index the search needs or None), or a refusal.
 
-    With m < 2 or r < 3 no two edges are linked: every m-subset is
-    linear, and nothing is priced or built.  Otherwise the price, checked
-    before anything is built, is what the call allocates: sigma_r for the
-    edge index, plus sigma_r^2 for cat when the caller reads it (the
-    audit, cat=True).  _plus_strata meters the search's own work.
+    In order: m outside 0..sigma_r is refused (DomainError); with m < 2
+    or r < 3 no two edges are linked, every m-subset is linear, and
+    nothing is priced or built (index None); otherwise the call is
+    priced at what it allocates, sigma_r for the edge index plus
+    sigma_r^2 for cat when the caller reads it (the audit, cat=True),
+    and refused above work_ceiling (WorkCeilingError) before the index
+    is built.  _plus_strata meters the search's own work.  No binomial
+    is computed here: the callers take C(sigma_r, m) only where their
+    answer reports it, so no refusal waits on one.
     """
     edge_count = sigma(pv, r)
-    total = _subset_count(edge_count, m)
+    check_m(m, edge_count)
     if m < 2 or r < 3:
-        return total, None
+        return edge_count, None
     price = edge_count + (edge_count ** 2 if cat else 0)
     if price > work_ceiling:
         raise WorkCeilingError(price, work_ceiling, "census", unit="work units")
-    return total, EdgeSpaceIndex(pv, r)
+    return edge_count, EdgeSpaceIndex(pv, r)
 
 
 def _vertex_masks(index: EdgeSpaceIndex, fixed: tuple[int, ...]) -> tuple[dict[int, int], dict[int, int]]:
@@ -381,16 +388,17 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     linked, and every m-subset is linear.
 
     Each prefix the walk reaches, at most three edges, is classified
-    whole by plus_violation, from its edges' shared vertices, as
-    hypergraphs.classify does: two edges sharing two vertices are
-    linked, and two sharing three or more make the prefix not plus.  A
-    prefix that is not plus has nothing walked under it.  At m = depth the prefix is the whole
-    subset, and no link row is built.  Above it the prefix edges' link
-    rows are folded into the three masks once, and extend goes on from
-    there.  The union-find oracle tests (tests/test_census.py) hold the
-    search to every m-subset's signature at depth 2, and with a visitor
-    at depth 3; test_rooted_audit_matches_an_unrooted_sweep
-    (tests/test_switching.py) holds the audit at depth 3, at m = 3 and 4.
+    whole as hypergraphs.classify does: hypergraphs.linked_pairs reads
+    its linked pairs off its edges' shared vertices, or None when two
+    share three or more, and plus_violation applies the rule to them.  A
+    prefix that is not plus has nothing walked under it.  At m = depth
+    the prefix is the whole subset, and no link row is built.  Above it
+    the prefix edges' link rows are folded into the three masks once,
+    and extend goes on from there.  The union-find oracle tests
+    (tests/test_census.py) hold the search to every m-subset's signature
+    at depth 2, and with a visitor at depth 3;
+    test_rooted_audit_matches_an_unrooted_sweep (tests/test_switching.py)
+    holds the audit at depth 3, at m = 3 and 4.
 
     visit, when given, is called on every plus m-subset that holds a
     root prefix, with its sorted edge ids and t, and returns a dict of
@@ -497,17 +505,9 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
 
     def rooted(ids: tuple[int, ...]):
         charge(0)  # the stabiliser passes that reached this prefix
-        # the plus rule on the prefix's shared vertices, as classify applies it:
-        # two link the edges, three or more mean the prefix is not plus
-        vsets = [set(edges[i]) for i in ids]
-        linked = []
-        for x, y in combinations(range(len(ids)), 2):
-            shared = len(vsets[x] & vsets[y])
-            if shared > 2:
-                return None
-            if shared == 2:
-                linked.append((x, y))
-        if plus_violation(linked, cap) is not None:
+        # the plus rule on the prefix's shared vertices, as classify applies it
+        linked = linked_pairs([edges[i] for i in ids])
+        if linked is None or plus_violation(linked, cap) is not None:
             return None
         if len(ids) < depth:
             return {}
@@ -549,8 +549,10 @@ def count_linear(
     """Exact number of linear m-edge hypergraphs: the plus search at cap 0, one thread."""
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    total, index = _guard(pv, r, m, work_ceiling)
-    return total if index is None else _plus_strata(index, m, 0, work_ceiling=work_ceiling)[0]
+    edge_count, index = _guard(pv, r, m, work_ceiling)
+    if index is None:
+        return math.comb(edge_count, m)
+    return _plus_strata(index, m, 0, work_ceiling=work_ceiling)[0]
 
 
 def count_linear_naive(
@@ -617,9 +619,13 @@ def census_by_cluster(
     work_ceiling: int = DEFAULT_WORK_CEILING,
 ) -> CensusResult:
     """Stratify the m-subsets of the edge space by plus-search cluster count."""
-    total, index = _guard(pv, r, m, work_ceiling)
+    edge_count, index = _guard(pv, r, m, work_ceiling)
     cap = cluster_threshold(pv, r, m)
-    by_cluster = {0: total} if index is None else _plus_strata(index, m, cap, work_ceiling=work_ceiling)
+    by_cluster = None if index is None else _plus_strata(index, m, cap, work_ceiling=work_ceiling)
+    # taken after the metered search, which a refusal never waits on
+    total = math.comb(edge_count, m)
+    if by_cluster is None:
+        by_cluster = {0: total}
     return CensusResult(
         total=total,
         linear=by_cluster[0],

@@ -9,8 +9,10 @@ expansion threshold.  With no pair sharing three or more vertices, that
 holds exactly when no edge lies in two linked pairs, and then t is the
 number of linked pairs; plus_violation is this rule, shared by classify,
 EdgeSpaceIndex.classify_combo and the census's plus search
-(census._plus_strata).  The search classifies its root prefix of at most
-three edges with it, by shared vertices as classify does, then applies
+(census._plus_strata).  linked_pairs is the one overlap rule on vertex
+sets: it lists the pairs sharing exactly two vertices, or refuses a pair
+sharing three or more, for classify, is_linear and the search's root
+prefix of at most three edges.  The search then applies
 the same rule one edge at a time, on bitmasks of the edges that meet
 one, two or a clustered vertex pair of its selection, and is held to
 the oracle montecarlo.cluster_signature by a property test; the
@@ -122,10 +124,26 @@ def edge_space(pv: PartitionVector, r: int) -> Iterator[Edge]:
     return (Edge(vs, tuple(map(part.__getitem__, vs))) for vs in tuples)
 
 
+def linked_pairs(vertex_sets: Iterable[Iterable[int]]) -> list[tuple[int, int]] | None:
+    """Index pairs (x, y), x < y, of the vertex sets sharing exactly two vertices.
+
+    None when two of them share three or more.  The one overlap rule:
+    classify, is_linear and the census's root prefixes
+    (census._plus_strata) read their linked pairs from it.
+    """
+    linked = []
+    for (x, a), (y, b) in combinations(enumerate(map(frozenset, vertex_sets)), 2):
+        shared = len(a & b)
+        if shared == 2:
+            linked.append((x, y))
+        elif shared > 2:
+            return None
+    return linked
+
+
 def is_linear(h: Hypergraph) -> bool:
     """True when every pair of edges shares at most one vertex."""
-    vsets = [frozenset(e.vertices) for e in h.edges]
-    return all(len(a & b) <= 1 for a, b in combinations(vsets, 2))
+    return linked_pairs(e.vertices for e in h.edges) == []
 
 
 @functools.lru_cache(maxsize=256)
@@ -186,21 +204,16 @@ def shared_pair_counts(t_by_alpha, r: int):
 
     t_by_alpha[alpha], for alpha = 2..r-1, counts the unordered edge
     pairs containing each alpha-subset of vertices, summed over the
-    subsets: the sum over edge pairs of binomial(shared, alpha).  N_j,
-    the pairs sharing exactly j vertices, follows by inversion.  Returns
-    (sum of N_j over j >= 2, N_2); works on ints and elementwise on
-    integer arrays.
+    subsets: T_alpha = sum_j C(j, alpha) N_j over the N_j pairs sharing
+    exactly j vertices.  Inverted, N_j = sum_alpha (-1)^(alpha-j)
+    C(alpha, j) T_alpha, and summing over j >= 2 gives two closed sums:
+    sum_{j>=2} N_j = sum_alpha (-1)^alpha (alpha - 1) T_alpha and
+    N_2 = sum_alpha (-1)^alpha C(alpha, 2) T_alpha.  Returns the pair;
+    works on ints and elementwise on integer arrays.
     """
-    n_ge2 = 0
-    n_eq2 = 0
-    for j in range(2, r):
-        nj = sum(
-            (-1) ** (alpha - j) * math.comb(alpha, j) * t_by_alpha[alpha]
-            for alpha in range(j, r)
-        )
-        n_ge2 = n_ge2 + nj
-        if j == 2:
-            n_eq2 = nj
+    alphas = range(2, r)
+    n_ge2 = sum((-1) ** alpha * (alpha - 1) * t_by_alpha[alpha] for alpha in alphas)
+    n_eq2 = sum((-1) ** alpha * math.comb(alpha, 2) * t_by_alpha[alpha] for alpha in alphas)
     return n_ge2, n_eq2
 
 
@@ -214,18 +227,13 @@ def classify(h: Hypergraph, cap: int) -> Classification:
     code reads them from there.
     """
     order = h.sorted_edges()
-    vsets = [frozenset(e.vertices) for e in order]
-    linked_pairs = []
-    for i, j in combinations(range(len(vsets)), 2):
-        shared = len(vsets[i] & vsets[j])
-        if shared >= 3:
-            return Classification(False, None, OVERLAP_GE3)
-        if shared == 2:
-            linked_pairs.append((i, j))
-    reason = plus_violation(linked_pairs, cap)
+    linked = linked_pairs(e.vertices for e in order)
+    if linked is None:
+        return Classification(False, None, OVERLAP_GE3)
+    reason = plus_violation(linked, cap)
     if reason is not None:
         return Classification(False, None, reason)
-    pairs = tuple((order[i], order[j]) for i, j in linked_pairs)
+    pairs = tuple((order[i], order[j]) for i, j in linked)
     return Classification(True, len(pairs), None, pairs)
 
 

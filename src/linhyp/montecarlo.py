@@ -36,8 +36,9 @@ the same draws in estimate_linear_probability, draw_subset_ids and
 sample_hypergraph, and every report is reproducible; the stream is not
 the one of the earlier per-trial loop, so seeded outputs differ from it.
 Before anything is allocated the sampler refuses edge spaces whose
-counts do not fit in int64 and tagged pair codes that do not fit in 64
-bits (DomainError), trials * m^2 above
+counts do not fit in int64, an m outside 0..sigma_r (partitions.check_m)
+and tagged pair codes that do not fit in 64 bits (DomainError), trials *
+m^2 above
 SAMPLER_WORK_CEILING, and blocks of more than SAMPLER_BLOCK_CELLS
 vertex-subset codes (WorkCeilingError).
 """
@@ -64,7 +65,7 @@ from .hypergraphs import (
     make_edge,
     shared_pair_counts,
 )
-from .partitions import PartitionVector, falling_factorial, sigma
+from .partitions import PartitionVector, check_m, falling_factorial, sigma
 
 BLOCK_TRIALS = 4096
 # trials * m^2 bounds a run's id comparisons: the draw compares up to m
@@ -212,8 +213,7 @@ def _batch_sampler(pv: PartitionVector, r: int, m: int, trials: int) -> EdgeSamp
             f"a part-suffix count reaches {max(sampler.suffix[0])}; "
             "the sampler needs every count below 2**63"
         )
-    if not 0 <= m <= total:
-        raise DomainError(f"need 0 <= m <= {total}, got m={m}")
+    check_m(m, total)
     work = trials * max(m, 1) ** 2
     if work > SAMPLER_WORK_CEILING:
         raise WorkCeilingError(
@@ -626,8 +626,9 @@ def draw_subset_ids(pv: PartitionVector, r: int, m: int, trials: int, seed: int 
 def edge_subset_probability(pv: PartitionVector, r: int, m: int, t: int) -> Fraction:
     """P(t fixed distinct edges all land in a uniform m-subset)."""
     total = sigma(pv, r)
-    if not 0 <= t <= m <= total:
-        raise DomainError(f"need 0 <= t <= m <= {total}, got t={t}, m={m}")
+    check_m(m, total)
+    if not 0 <= t <= m:
+        raise DomainError(f"need 0 <= t <= m, got t={t}, m={m}")
     return Fraction(falling_factorial(m, t), falling_factorial(total, t))
 
 
@@ -653,8 +654,7 @@ class OverlapExpectation:
 def expected_overlap_pairs(pv: PartitionVector, r: int, m: int) -> OverlapExpectation:
     """Linked pairs in the edge space and their expected hit count at m."""
     total = sigma(pv, r)
-    if not 0 <= m <= total:
-        raise DomainError(f"need 0 <= m <= {total}, got {m}")
+    check_m(m, total)
     pairs = linked_pair_count(pv, r)
     if m < 2:
         return OverlapExpectation(pairs, Fraction(0))

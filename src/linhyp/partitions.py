@@ -235,6 +235,17 @@ def log_sigma(pv: PartitionVector, s: int) -> float:
     return math.log(sigma(pv, s))
 
 
+def check_m(m: int, edge_count: int) -> None:
+    """Refuse an m outside 0..edge_count, for which no m-subset of the edges exists.
+
+    The one m-range check: every count, estimate and sampler over
+    m-subsets of the sigma_r-edge space calls it before it computes
+    anything from m, C(sigma_r, m) included.
+    """
+    if not 0 <= m <= edge_count:
+        raise DomainError(f"m={m} outside 0..{edge_count}")
+
+
 def newton_gap(pv: PartitionVector, j: int) -> Fraction:
     """S_j^2 - S_{j-1} S_{j+1}, exact; nonnegative by Newton's inequality."""
     if not 1 <= j <= pv.k - 1:

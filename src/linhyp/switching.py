@@ -20,6 +20,12 @@ accepts it exactly when the result has one cluster fewer, apply_reverse
 exactly when the inserted pair is one of the result's clusters.  The
 enumerations scan the edge space by vertex sets, once per kept set, and
 stay independent of EdgeSpaceIndex, so that they cross-check the counts.
+
+bijection_audit is guarded by census._guard and takes the subset total
+C(sigma_r, m) after its search.  count_brackets and ratio_series refuse
+an m outside 0..sigma_r (partitions.check_m), and ratio_series refuses a
+series of more than SERIES_TERM_LIMIT terms (WorkCeilingError) before it
+runs a census or builds a term.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .census import (
     census_by_cluster,
     edge_set_orbit,
 )
-from .errors import DomainError
+from .errors import DomainError, WorkCeilingError
 from .hypergraphs import (
     Classification,
     Edge,
@@ -49,7 +55,7 @@ from .hypergraphs import (
     cluster_threshold,
     edge_space,
 )
-from .partitions import PartitionVector, sigmas
+from .partitions import PartitionVector, check_m, sigma, sigmas
 
 
 class ForwardMove(NamedTuple):
@@ -290,10 +296,11 @@ def count_brackets(pv: PartitionVector, r: int, m: int, t: int) -> CountBrackets
     """
     if not 3 <= r <= pv.k:
         raise DomainError(f"need 3 <= r <= k, got r={r}, k={pv.k}")
+    sig = sigmas(pv, r)
+    check_m(m, sig[r])
     if t < 1 or m < 2 * t:
         raise DomainError(f"stratum t={t} needs m >= 2t, got m={m}")
 
-    sig = sigmas(pv, r)
     s_r, s_1, s_2 = sig[r], sig[1], sig[2]
     s_rm2, s_rm3 = sig[r - 2], sig[r - 3]
     s_rm4 = sig[r - 4] if r >= 4 else 0  # a negative order reads as 0
@@ -420,7 +427,7 @@ def bijection_audit(
     distinct h0 where the key costs more than a scan; each scan is
     charged sigma_r to the search's meter.
     """
-    total, index = _guard(pv, r, m, work_ceiling, cat=True)
+    edge_count, index = _guard(pv, r, m, work_ceiling, cat=True)
     cap = cluster_threshold(pv, r, m)
     measured: dict[tuple[str, int], tuple[int, int]] = {}
     stats = None if index is None else _orbit_stats(index)
@@ -439,7 +446,11 @@ def bijection_audit(
                 measured[key] = (min(lo, value), max(hi, value))
         return tally
 
-    totals = {0: total} if index is None else _plus_strata(index, m, cap, visit, work_ceiling)
+    totals = None if index is None else _plus_strata(index, m, cap, visit, work_ceiling)
+    # taken after the metered search, which a refusal never waits on
+    total = math.comb(edge_count, m)
+    if totals is None:
+        totals = {0: total}
     counts = {t: c for t, c in totals.items() if isinstance(t, int) and c}
 
     records = []
@@ -579,6 +590,11 @@ class RatioSeriesReport:
 
 
 RATIO_C_HAT = 1.0 / 110.0
+# terms one ratio series may hold, cluster_threshold(pv, r, m): the terms,
+# the B sequence and both enclosures' sequences are lists of floats, about
+# 95 bytes a term at peak, so about 1.6 GB in all.  Fixed: only a smaller
+# m admits a longer series
+SERIES_TERM_LIMIT = 2 ** 24
 
 
 def ratio_series(
@@ -597,18 +613,25 @@ def ratio_series(
     and B(t) = 2(2m-2t+1)/(m(m-1)) below the cutoff t_prime, 1/(t-1) at
     and above it.  The cutoff defaults to the smallest t whose stratum
     must be empty (2t > m); with_census replaces it by the first stratum
-    the exact census finds empty and records the exact ratio sum.  A
-    budget_constant that is negative or not finite, or an explicit
-    t_prime below 1, raises DomainError before the census runs.
+    the exact census finds empty and records the exact ratio sum.  An m
+    outside 0..sigma_r, a budget_constant that is negative or not
+    finite, or an explicit t_prime below 1 raises DomainError, and a
+    series of more than SERIES_TERM_LIMIT terms raises WorkCeilingError,
+    before the census runs and before any term is built.
     """
     if not 3 <= r <= pv.k:
         raise DomainError(f"need 3 <= r <= k, got r={r}, k={pv.k}")
-    if m < 0:
-        raise DomainError(f"need m >= 0, got {m}")
+    check_m(m, sigma(pv, r))
     if not (math.isfinite(budget_constant) and budget_constant >= 0):
         raise DomainError(f"budget constant must be finite and >= 0, got {budget_constant}")
     if t_prime is not None and t_prime < 1:
         raise DomainError(f"cutoff t_prime must be >= 1, got {t_prime}")
+    n_terms = cluster_threshold(pv, r, m)
+    if n_terms > SERIES_TERM_LIMIT:
+        raise WorkCeilingError(
+            n_terms, SERIES_TERM_LIMIT, "ratio series", unit="terms", verb="needs",
+            remedy="this ceiling is fixed: lower m",
+        )
     applicability: list[str] = []
     exact_sum: Fraction | None = None
     census = None
@@ -641,7 +664,6 @@ def ratio_series(
     if t_prime is None:
         t_prime = m // 2 + 1
 
-    n_terms = cluster_threshold(pv, r, m)
     a_value = float(cluster_mean(pv, r, m))
     n = pv.n
     shift = budget_constant * (m * m / n ** 3 + m ** 3 / n ** 4)

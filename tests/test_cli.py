@@ -7,7 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linhyp import WorkCeilingError, census, montecarlo, switching, uniform_partition, verify
+from linhyp import (
+    DomainError,
+    WorkCeilingError,
+    census,
+    montecarlo,
+    partition,
+    switching,
+    uniform_partition,
+    verify,
+)
 from linhyp.cli import _decimal_from_log, main
 from linhyp.verify import enumerable_grid
 
@@ -252,6 +261,48 @@ def test_estimate_refuses_m_outside_the_edge_space(capsys):
     assert rc == 0 and json.loads(out)["m"] == 4
 
 
+# m = sigma_r + 1 on parts 2,2,2 r=3, whose edge space holds 8 edges: the
+# commands exit 2 and the library calls raise, all with one message
+PAST_SIGMA_R = {
+    "census": ("census",),
+    "estimate": ("estimate",),
+    "sample": ("sample", "--trials", "16"),
+    "series-bounds": ("series-bounds",),
+    "count_brackets": lambda pv: switching.count_brackets(pv, 3, 9, 1),
+    "expected_overlap_pairs": lambda pv: montecarlo.expected_overlap_pairs(pv, 3, 9),
+    "edge_subset_probability": lambda pv: montecarlo.edge_subset_probability(pv, 3, 9, 0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PAST_SIGMA_R))
+def test_m_past_sigma_r_is_refused_with_one_message(capsys, call):
+    how = PAST_SIGMA_R[call]
+    if callable(how):
+        with pytest.raises(DomainError) as info:
+            how(partition((2, 2, 2)))
+        assert str(info.value) == "m=9 outside 0..8"
+    else:
+        rc, out, err = run_cli(capsys, how[0], "--parts", "2,2,2", "--r", "3", "--m", "9", *how[1:])
+        assert (rc, out, err) == (2, "", "error: m=9 outside 0..8\n")
+
+
+def test_exact_refusals_compute_no_binomial(capsys, monkeypatch):
+    # uniform n=2000 r=3 holds 1,331,334,000 edges, so m = 10^6 is priced
+    # out before any search; C(sigma_r, m) of it would take over a minute
+    def no_binomial(*args):
+        raise AssertionError("computed a binomial before refusing")
+
+    monkeypatch.setattr(math, "comb", no_binomial)
+    edges = 1331334000
+    for command, price in (("census", edges), ("audit-switchings", edges + edges ** 2)):
+        rc, out, err = run_cli(capsys, command, "--uniform-n", "2000", "--r", "3", "--m", "1000000")
+        assert (rc, out) == (3, ""), command
+        assert err == (
+            f"error: census needs about {price} work units, above the ceiling of 100000000; "
+            "raise the ceiling with --work-ceiling (work_ceiling= in the library) to force it\n"
+        ), err
+
+
 # stdout of the unrooted full sweeps on parts 4,2,3,1,2 r=3, seven edge
 # orbits: the census at m=4, the audit at m=3, where it runs in under a second
 ORBIT_CELL_STDOUT = {
@@ -374,6 +425,29 @@ def test_series_cli_refuses_t_prime_below_one_before_the_census(capsys, monkeypa
         "--with-census", "--t-prime", "0",
     )
     assert (rc, out) == (2, "") and "t_prime" in err
+
+
+def test_series_refuses_more_terms_than_its_bound(capsys, monkeypatch):
+    # parts 2,2,2 r=3 m=8 has a 24,194-term series; one bound below it is
+    # refused before the census runs or a term is built, and the bound
+    # itself admits it
+    def no_work(*args, **kwargs):
+        raise AssertionError("the series was built before its length was checked")
+
+    argv = ("series-bounds", "--parts", "2,2,2", "--r", "3", "--m", "8")
+    admitted = run_cli(capsys, *argv)
+    assert admitted[0] == 0 and json.loads(admitted[1])["n_terms"] == 24194
+    monkeypatch.setattr(switching, "SERIES_TERM_LIMIT", 24194)
+    assert run_cli(capsys, *argv) == admitted
+    monkeypatch.setattr(switching, "SERIES_TERM_LIMIT", 24193)
+    for name in ("census_by_cluster", "_series_terms", "series_sum_bounds"):
+        monkeypatch.setattr(switching, name, no_work)
+    rc, out, err = run_cli(capsys, *argv, "--with-census")
+    assert (rc, out) == (3, "")
+    assert err == (
+        "error: ratio series needs 24194 terms, above the ceiling of 24193; "
+        "this ceiling is fixed: lower m\n"
+    ), err
 
 
 def test_verify_cli_run(capsys):

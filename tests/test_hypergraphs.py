@@ -26,6 +26,7 @@ from linhyp import (
     uniform_partition,
 )
 from linhyp.census import EdgeSpaceIndex
+from linhyp.hypergraphs import linked_pairs, plus_violation
 from linhyp.montecarlo import cluster_signature
 
 
@@ -202,8 +203,9 @@ def _index(sizes: tuple[int, ...], r: int) -> EdgeSpaceIndex:
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_plus_rule_agrees_with_union_find_oracle(data):
-    # the shared plus rule (classify, classify_combo) against the
-    # union-find oracle cluster_signature, with the cap applied to its t
+    # the shared plus rule (classify, classify_combo, and linked_pairs with
+    # plus_violation as the plus search's root prefix applies them) against
+    # the union-find oracle cluster_signature, with the cap applied to its t
     sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=5), label="sizes"))
     r = data.draw(st.sampled_from([r for r in (3, 4) if r <= len(sizes)]), label="r")
     pv = partition(sizes)
@@ -228,6 +230,12 @@ def test_plus_rule_agrees_with_union_find_oracle(data):
     assert (t, reason) == expected
     assert (cls.clusters, cls.reason) == expected
     assert cls.in_plus == (reason is None)
+    linked = linked_pairs(vsets)
+    if linked is None:
+        assert expected == (None, "overlap_ge3")
+    else:
+        violation = plus_violation(linked, cap)
+        assert (None if violation else len(linked), violation) == expected
     if reason is None:
         # classify's edge pairs are classify_combo's clusters
         position = {vs: i for i, vs in enumerate(index.edges)}
