@@ -568,12 +568,26 @@ def count_linear_naive(
     lists or link rows and no overlap matrix, and it does no pruning
     and no orbit rooting.  Two edges overlap in two or more vertices exactly when
     their common mask has more than one bit set.  The price is its own full sweep, sigma_r
-    + binomial(sigma_r, m) * C(m, 2) pair checks.  Kept as a cross-check
-    oracle for the fast path.
+    + binomial(sigma_r, m) * C(m, 2) pair checks, exact when it is
+    admitted; a refusal may report a lower bound on it instead, as
+    C(sigma_r, i) rises with i up to min(m, sigma_r - m), where it
+    reaches binomial(sigma_r, m), and the first partial product whose
+    price passes work_ceiling refuses the call.  So no refusal waits on
+    the full binomial.  Kept as a cross-check oracle for the fast path.
     """
-    work = sigma(pv, r) + count_all(pv, r, m) * (m * (m - 1) // 2)
+    edge_count = sigma(pv, r)
+    check_m(m, edge_count)
+    pairs = m * (m - 1) // 2
+    steps = min(m, edge_count - m) if pairs else 0
+    subsets, i = 1, 0
+    work = edge_count + pairs
+    while i < steps and work <= work_ceiling:
+        subsets = subsets * (edge_count - i) // (i + 1)
+        i += 1
+        work = edge_count + subsets * pairs
     if work > work_ceiling:
-        raise WorkCeilingError(work, work_ceiling, "census")
+        verb = "needs about" if i == steps else "needs more than"
+        raise WorkCeilingError(work, work_ceiling, "census", verb=verb)
     masks = [sum(1 << v for v in e.vertices) for e in edge_space(pv, r)]
     count = 0
     for combo in combinations(masks, m):

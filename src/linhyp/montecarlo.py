@@ -4,7 +4,18 @@ Every sampler runs one batch path, a block of BLOCK_TRIALS rows at a
 time, each block on its own counter RNG keyed (seed, block):
 
 1. draw: Floyd's algorithm, column by column, gives each row an exactly
-   uniform sorted m-subset of edge ids, with no rejection;
+   uniform sorted m-subset of edge ids.  Column c is drawn as
+   rng.integers(0, sigma_r - m + c + 1) draws it, bit for bit, so the
+   seeded stream and every seeded output stay numpy's: _bounded_columns
+   splits the generator's raw 64-bit words into numpy's 32-bit stream
+   and takes Lemire's multiply-shift over the whole block in a few
+   passes, where numpy's call with an array of bounds goes element by
+   element.  numpy's own call draws the block only where the passes
+   cannot follow it: when a word is rejected, or the bounds expect one
+   (about rows * m * sigma_r / 2**33 per block: below 0.1 at sigma_r =
+   10^4 and m = 20, thousands at sigma_r = 1.7e8 and m = 300), when a
+   bound is 1 or above 2**32, and when a generator passed to
+   sample_hypergraph holds a buffered 32-bit half or none (MT19937);
 2. unrank: EdgeSampler.unrank_many maps the ids to vertex tuples through
    the part-suffix counts, so part subsets come out with probability
    proportional to the product of their part sizes: one searchsorted per
@@ -97,18 +108,69 @@ def _blocks(trials: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]
         yield make_rng(seed, block), min(BLOCK_TRIALS, trials - start)
 
 
+def _bounded_columns(rng: np.random.Generator, bounds: np.ndarray, rows: int) -> np.ndarray:
+    """rng.integers(0, bounds, size=(rows, len(bounds))), bit for bit, in whole-array passes.
+
+    numpy draws each value from the generator's 32-bit stream by
+    Lemire's multiply-shift, (u * b) >> 32, and rejects u when
+    u * b mod 2**32 < 2**32 mod b; with an array of bounds it does so
+    one element at a time.  Here the block's ceil(n/2) raw 64-bit words
+    are split into 32-bit halves, low half first, as next_uint32 hands
+    them out, and every value comes from the same few passes; when n is
+    odd the last high half is left buffered in the state, as numpy
+    leaves it.  A rejection shifts every later value, which no pass
+    reproduces, so numpy's own call draws the block, from the saved
+    state, when a value is rejected or the bounds expect a rejection
+    (rows * sum(2**32 mod b) >= 2**32), when a bound is 1 (numpy takes
+    no word for it) or above 2**32 (numpy's 64-bit path), and when the
+    state holds a buffered half or has none (MT19937).
+    """
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    shape = (rows, len(bounds))
+    if bounds.min(initial=2) < 2 or bounds.max(initial=2) > 2 ** 32 or saved.get("has_uint32", 1):
+        return rng.integers(0, bounds, size=shape)
+    wide = bounds.astype(np.uint64)
+    thresholds = np.uint64(2 ** 32) % wide
+    if rows * int(thresholds.sum()) >= 2 ** 32:
+        return rng.integers(0, bounds, size=shape)
+    n = rows * len(bounds)
+    raw = bitgen.random_raw((n + 1) // 2)
+    # little-endian words on any host, so the uint32 view reads low halves first
+    words = raw.astype("<u8", copy=False).view("<u4")[:n].reshape(shape)
+    # u * b mod 2**32, in uint32 arithmetic
+    if (words * bounds.astype(np.uint32) < thresholds.astype(np.uint32)).any():
+        bitgen.state = saved
+        return rng.integers(0, bounds, size=shape)
+    if n % 2:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, int(raw[-1] >> np.uint64(32))
+        bitgen.state = state
+    out = words.astype(np.uint64)
+    del raw, words
+    out *= wide
+    out >>= np.uint64(32)
+    return out.view(np.int64)
+
+
 def _draw_block(rng: np.random.Generator, total: int, rows: int, m: int) -> np.ndarray:
     """(rows, m) sorted uniform m-subsets of range(total), by Floyd's algorithm.
 
     Column c draws t uniform in [0, j], j = total - m + c, and takes j
     instead when t is already in the row.  All columns are drawn up
-    front: a row whose draws are distinct keeps them as they are, so
-    only rows with a repeat run the column loop.
+    front, as rng.integers(0, j + 1) draws them (_bounded_columns, which
+    keeps numpy's stream and so every seeded output): a row whose draws
+    are distinct keeps them as they are, so only rows with a repeat run
+    the column loop.  Those rows are read off the flat list of equal
+    sorted neighbours, m - 1 comparisons per row.
     """
-    draws = rng.integers(0, np.arange(total - m, total, dtype=np.int64) + 1, size=(rows, m))
+    draws = _bounded_columns(rng, np.arange(total - m, total, dtype=np.int64) + 1, rows)
     ids = np.sort(draws, axis=1)
-    repeat = (ids[:, 1:] == ids[:, :-1]).any(axis=1)
-    if repeat.any():
+    flagged = np.flatnonzero(ids[:, 1:] == ids[:, :-1])
+    if flagged.size:
+        # not np.unique, whose first call imports numpy.ma
+        repeat = np.zeros(rows, dtype=bool)
+        repeat[flagged // (m - 1)] = True
         sub = draws[repeat]
         for c in range(1, m):
             col = sub[:, c]

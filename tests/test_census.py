@@ -1,6 +1,7 @@
 """Tests for exhaustive counting: pinned vectors, oracle agreement, guards."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -158,6 +159,26 @@ def test_naive_filter_builds_no_index_and_prices_its_sweep(monkeypatch):
         count_linear_naive(pv, 3, 3, work_ceiling=price - 1)
     assert info.value.required == price
     assert count_linear_naive(pv, 3, 3, work_ceiling=price) == 8
+
+
+@pytest.mark.parametrize("m", [10 ** 5, 10 ** 6])
+def test_naive_filter_refuses_before_the_full_binomial(m):
+    # C(1331334000, 10**5) has about 455,900 digits: computing it took a
+    # second and its str() raised ValueError, so the refusal comes from
+    # a partial product, a lower bound on the price
+    start = time.perf_counter()
+    with pytest.raises(WorkCeilingError, match="census needs more than") as info:
+        count_linear_naive(uniform_partition(2000), 3, m)
+    assert time.perf_counter() - start < 0.5
+    assert census.DEFAULT_WORK_CEILING < info.value.required < 10 ** 20
+
+
+def test_ceiling_error_prints_any_figure():
+    # str() of an int refuses past 4,300 digits; such figures print as d.ddde+N
+    message = str(WorkCeilingError(10 ** 5000 + 7, 99_996 * 10 ** 4101))
+    assert "needs about 1.000e+5000 " in message
+    assert "ceiling of 1.000e+4106;" in message
+    assert str(WorkCeilingError(10 ** 4000 - 1, 1)).count("9") == 4000
 
 
 def test_naive_filter_catches_a_wrong_pair_table(monkeypatch):

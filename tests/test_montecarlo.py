@@ -36,6 +36,7 @@ from linhyp.hypergraphs import TOO_MANY_CLUSTERS, edge_space
 from linhyp.montecarlo import (
     BLOCK_TRIALS,
     REASONS,
+    _bounded_columns,
     _classify,
     _draw_block,
     _key_dtype,
@@ -94,6 +95,79 @@ def test_draws_are_seed_deterministic_and_lane_split():
     r0 = make_rng(3, 0).integers(0, 1 << 62, size=4).tolist()
     r1 = make_rng(3, 1).integers(0, 1 << 62, size=4).tolist()
     assert r0 != r1
+
+
+class _CountingGenerator:
+    """A Generator's bit generator and integers, counting the integers calls."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+        self._rng = rng
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    bit_generator=st.sampled_from(["Philox", "PCG64", "SFC64", "MT19937"]),
+    seed=st.integers(0, 2 ** 64 - 1),
+    bounds=st.lists(
+        st.one_of(
+            st.integers(1, 40),
+            # 2**32 mod b is near b / 2 here: about one word in two is rejected
+            st.integers(2 ** 31 - 3, 2 ** 31 + 3),
+            st.sampled_from([2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40]),
+            st.integers(1, 2 ** 32),
+        ),
+        max_size=6,
+    ),
+    rows=st.integers(0, 7),
+    buffered=st.booleans(),
+)
+# a rejected first word, after the passes have drawn it
+@example(bit_generator="Philox", seed=1, bounds=[2 ** 31 + 1], rows=1, buffered=False)
+# odd n, and b = 2**32
+@example(bit_generator="Philox", seed=2, bounds=[2 ** 32, 9, 40], rows=3, buffered=False)
+@example(bit_generator="PCG64", seed=3, bounds=[7, 2 ** 32 + 1], rows=2, buffered=False)
+@example(bit_generator="Philox", seed=4, bounds=[7, 11], rows=5, buffered=True)
+@example(bit_generator="MT19937", seed=5, bounds=[7, 11], rows=5, buffered=False)
+# numpy takes no word for a bound of 1, as at m = sigma_r
+@example(bit_generator="Philox", seed=6, bounds=[1, 7, 9], rows=3, buffered=False)
+def test_bounded_columns_is_rng_integers(bit_generator, seed, bounds, rows, buffered):
+    def fresh():
+        rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+        if buffered:
+            # one 32-bit draw leaves the other half of its word buffered
+            rng.integers(0, np.array([5]))
+        return rng
+
+    bounds = np.array(bounds, dtype=np.int64)
+    want_rng, got_rng = fresh(), fresh()
+    want = want_rng.integers(0, bounds, size=(rows, len(bounds)))
+    got = _bounded_columns(got_rng, bounds, rows)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # the generator carries on identically, through a 32-bit and a 64-bit draw
+    follow = np.array([7, 2 ** 40])
+    after = got_rng.integers(0, follow, size=(3, 2))
+    assert np.array_equal(after, want_rng.integers(0, follow, size=(3, 2)))
+
+
+def test_bounded_columns_runs_both_branches():
+    # a sweep block, uniform n=20 at m=10 (sigma_r = 1140), expects about
+    # 0.01 rejections and runs the passes; a uniform n=1000 block at m=300
+    # (sigma_r = 166,167,000) expects thousands and calls numpy
+    for n, m, calls in ((20, 10, 0), (1000, 300, 1)):
+        total = math.comb(n, 3)
+        rng = _CountingGenerator(make_rng(1, 0))
+        _draw_block(rng, total, BLOCK_TRIALS, m)
+        assert rng.calls == calls, n
+        bounds = np.arange(total - m, total, dtype=np.int64) + 1
+        want = make_rng(1, 0).integers(0, bounds, size=(BLOCK_TRIALS, m))
+        assert np.array_equal(_bounded_columns(make_rng(1, 0), bounds, BLOCK_TRIALS), want), n
 
 
 def test_samplers_share_one_draw_stream():
