@@ -16,14 +16,17 @@ keys an unordered edge set by its orbit, from the same labelling of
 the vertices (_vertex_masks); the audit looks compat_stats up by that
 key, so it scans the edge space once per orbit of the (m-2)-sets its
 moves leave.  The search's state is a few bitmasks over edge ids, ORed
-together from the link rows of the edges it places, and its last level
-is two popcounts, taken without a visitor by the level before it.
+together from the link rows of the edges it places.  Without a visitor
+the last two edges of every node are counted in closed form, from the
+linked pairs of its candidate pools (EdgeSpaceIndex.shared_pairs, read
+off per-subset edge masks); with one the last edge is placed too.
 EdgeSpaceIndex's one table is the edges' sorted vertex tuples; vertex
 pairs are read off them by combinations, never coded as integers.
 _guard stands before every search: it refuses an m outside 0..sigma_r
 (partitions.check_m), answers the cells with m < 2 or r < 3, where no
-two edges are linked, prices what the call allocates and builds the
-index, and returns sigma_r with it.  count_linear, census_by_cluster and
+two edges are linked, once their answer C(sigma_r, m) is priced,
+prices what any other call allocates and builds the index, and
+returns sigma_r with it.  count_linear, census_by_cluster and
 switching.bijection_audit take C(sigma_r, m) only where their answer
 reports it, after the search, so no refusal waits on the binomial.
 count_linear_naive filters every subset by vertex bitmasks, with no
@@ -41,7 +44,7 @@ from functools import cached_property
 from itertools import chain, combinations, permutations, repeat
 from typing import Callable
 
-from .errors import DomainError, WorkCeilingError
+from .errors import FIGURE_DIGITS, DomainError, WorkCeilingError
 from .hypergraphs import (
     OVERLAP_GE3,
     cluster_threshold,
@@ -51,7 +54,7 @@ from .hypergraphs import (
     plus_violation,
     shared_pair_counts,
 )
-from .partitions import PartitionVector, check_m, sigma
+from .partitions import PartitionVector, check_m, sigma, sigmas
 
 DEFAULT_WORK_CEILING = 10 ** 8
 # edges one EdgeSpaceIndex may hold; an edge costs 72-73 bytes when built (its
@@ -74,12 +77,21 @@ class EdgeSpaceIndex:
     vertex pair; link_rows(e), the bitmasks over edge ids of the edges
     meeting one or at least two of e's pairs, built per edge the first
     time the plus search folds it into a root prefix or places it, and
-    kept; and cat, the pairwise overlap matrix, read only by
-    classify_combo.  Only the switching audit calls classify_combo: it
-    re-checks each subset the plus search visits against the search's
-    own classification, from the link rows.  edge_reads adds sigma_r per
-    pass over the edge space (a link-row build, compat_stats and
-    stabiliser_orbits calls), for the plus search's meter.
+    kept; subset_masks, per alpha in 2..r-1 the bitmask of the edges
+    holding each alpha-subset held by two or more, the pair masks read
+    off occupants; and cat, the pairwise overlap matrix, read only by
+    classify_combo.  The masks hold sigma_alpha(pv) sigma_r bits at
+    most, priced as mask_price work units, sigma_r per mask as a link
+    row is, before the plus search reads them.  shared_pairs(pool) reads
+    them: the pairs of edges in a bitmask pool sharing two or more and
+    exactly two vertices, by the binomial inversion of T_alpha, so the
+    compatible pairs of a pool of c candidates are C(c, 2) less the
+    first; the plus search counts its last two edges from it.  Only the
+    switching audit calls classify_combo: it re-checks each subset the
+    plus search visits against the search's own classification, from
+    the link rows.  edge_reads adds sigma_r per pass over the edge space
+    (a link-row build, compat_stats and stabiliser_orbits calls), for
+    the plus search's meter.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -105,11 +117,15 @@ class EdgeSpaceIndex:
     @cached_property
     def occupants(self) -> dict[tuple[int, int], list[int]]:
         """Ids of the edges holding each vertex pair (u, v), u < v, in edge order."""
-        occupants: dict[tuple[int, int], list[int]] = {}
+        return self._holders(2)
+
+    def _holders(self, alpha: int) -> dict[tuple[int, ...], list[int]]:
+        """Ids of the edges holding each sorted alpha-subset of vertices, in edge order."""
+        holders: dict[tuple[int, ...], list[int]] = {}
         for i, vs in enumerate(self.edges):
-            for pair in combinations(vs, 2):
-                occupants.setdefault(pair, []).append(i)
-        return occupants
+            for subset in combinations(vs, alpha):
+                holders.setdefault(subset, []).append(i)
+        return holders
 
     def link_rows(self, e: int) -> tuple[int, int]:
         """Bitmasks over edge ids of the edges meeting >= 1 and >= 2 of e's pairs.
@@ -122,14 +138,63 @@ class EdgeSpaceIndex:
         rows = self._links.get(e)
         if rows is None:
             self.edge_reads += self.count
-            occupants, bit = self.occupants, (1).__lshift__
+            occupants = self.occupants
             once = twice = 0
             for pair in combinations(self.edges[e], 2):
-                row = sum(map(bit, occupants[pair]))
+                row = _bitmask(occupants[pair])
                 twice |= once & row
                 once |= row
             rows = self._links[e] = (once, twice)
         return rows
+
+    @property
+    def mask_price(self) -> int:
+        """Work units subset_masks may allocate: one sigma_r-bit mask per alpha-subset, alpha in 2..r-1."""
+        return self.count * sum(sigmas(self.pv, self.r - 1)[2:])
+
+    @cached_property
+    def subset_masks(self) -> dict[int, dict[tuple[int, ...], int]]:
+        """Per alpha in 2..r-1, the bitmask over edge ids of the edges holding each alpha-subset.
+
+        Only subsets held by two or more edges are kept.  The alpha = 2
+        masks are read off occupants, so the pair table is one table read
+        two ways: by link_rows and here.  Built on first use and kept; the
+        plus search charges mask_price before it reads the table.
+        """
+        masks = {}
+        for alpha in range(2, self.r):
+            holders = self.occupants if alpha == 2 else self._holders(alpha)
+            masks[alpha] = {subset: _bitmask(ids) for subset, ids in holders.items() if len(ids) > 1}
+        return masks
+
+    def shared_pairs(self, pool: int) -> tuple[int, int]:
+        """Pairs of edges in the bitmask pool sharing >= 2 and exactly 2 vertices.
+
+        T_alpha(pool) = sum over the alpha-subsets S of C(|pool & mask_S|, 2),
+        inverted by shared_pair_counts.  When the members hold fewer
+        alpha-subsets, |pool| C(r, alpha), than the table has masks, the
+        sum is taken per member instead: T_alpha = 1/2 sum over i in pool
+        and S in e_i of (|pool & mask_S| - 1), where a subset with no mask
+        is held by i alone.
+        """
+        size = pool.bit_count()
+        if size < 2:
+            return 0, 0
+        edges, t_by_alpha = self.edges, {}
+        for alpha, masks in self.subset_masks.items():
+            doubled = 0
+            if size * math.comb(self.r, alpha) < len(masks):
+                get, rest = masks.get, pool
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    for subset in combinations(edges[low.bit_length() - 1], alpha):
+                        doubled += (pool & get(subset, low)).bit_count() - 1
+            else:
+                for c in map(int.bit_count, map(pool.__and__, masks.values())):
+                    doubled += c * (c - 1)
+            t_by_alpha[alpha] = doubled // 2
+        return shared_pair_counts(t_by_alpha, self.r)
 
     @property
     def cat(self) -> list[bytearray]:
@@ -196,6 +261,14 @@ class EdgeSpaceIndex:
         return (len(pool), *shared_pair_counts(t_by_alpha, self.r))
 
 
+def _bitmask(ids: list[int]) -> int:
+    """The int with bit i set for each i in ids, sorted ascending, set byte by byte."""
+    buf = bytearray((ids[-1] >> 3) + 1)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def count_all(pv: PartitionVector, r: int, m: int) -> int:
     """Number of m-subsets of the edge space, binomial(sigma_r, m)."""
     edge_count = sigma(pv, r)
@@ -217,24 +290,40 @@ def orbit_count(pv: PartitionVector, r: int) -> int:
     return coeff[r]
 
 
+def _binomial_price(edge_count: int, m: int) -> int:
+    """Work units of C(edge_count, m): k factors, k = min(m, edge_count - m), into its words.
+
+    The binomial is at most (e edge_count / k)^k, so it has at most
+    k log2(e edge_count / k) bits; each factor is charged one unit per
+    64 of them.  Read off floats, without the binomial.
+    """
+    k = min(m, edge_count - m)
+    bits = k * math.log2(math.e * edge_count / k) if k else 0
+    return k * (int(bits) // 64 + 1)
+
+
 def _guard(
     pv: PartitionVector, r: int, m: int, work_ceiling: int, cat: bool = False
 ) -> tuple[int, EdgeSpaceIndex | None]:
     """(sigma_r, the edge index the search needs or None), or a refusal.
 
     In order: m outside 0..sigma_r is refused (DomainError); with m < 2
-    or r < 3 no two edges are linked, every m-subset is linear, and
-    nothing is priced or built (index None); otherwise the call is
-    priced at what it allocates, sigma_r for the edge index plus
-    sigma_r^2 for cat when the caller reads it (the audit, cat=True),
-    and refused above work_ceiling (WorkCeilingError) before the index
-    is built.  _plus_strata meters the search's own work.  No binomial
-    is computed here: the callers take C(sigma_r, m) only where their
-    answer reports it, so no refusal waits on one.
+    or r < 3 no two edges are linked, every m-subset is linear, nothing
+    is built (index None), and the answer C(sigma_r, m) is priced
+    (_binomial_price); otherwise the call is priced at what it
+    allocates, sigma_r for the edge index plus sigma_r^2 for cat when
+    the caller reads it (the audit, cat=True).  A price above
+    work_ceiling is refused (WorkCeilingError) before the index or the
+    binomial is built.  _plus_strata meters the search's own work.  No
+    binomial is computed here: the callers take C(sigma_r, m) only where
+    their answer reports it, so no refusal waits on one.
     """
     edge_count = sigma(pv, r)
     check_m(m, edge_count)
     if m < 2 or r < 3:
+        price = _binomial_price(edge_count, m)
+        if price > work_ceiling:
+            raise WorkCeilingError(price, work_ceiling, "census", unit="work units")
         return edge_count, None
     price = edge_count + (edge_count ** 2 if cat else 0)
     if price > work_ceiling:
@@ -379,12 +468,22 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     edges after the last one chosen; it needs no skip for the fixed
     edges, which meet the used pairs in all of their C(r, 2) >= 3 pairs.
     (twice may also hold an edge that meets one used pair twice over, a
-    cluster's shared pair, but such an edge is in cblock anyway.)  The
-    last edge is not placed: the free candidates are counted into
-    stratum t and the cluster candidates into t + 1, two popcounts
-    (last).  Without a visitor the level before it calls last on each
-    of its candidates instead of an extend call, and so does rooted at
-    m = depth + 1.  Below two edges or below r = 3 no two edges are
+    cluster's shared pair, but such an edge is in cblock anyway.)  With
+    one edge left the free candidates are counted into stratum t and the
+    cluster candidates into t + 1, two popcounts (last): rooted does so
+    at m = depth + 1, and extend with a visitor before it places them.
+    Without a visitor a node with two edges left places neither: from
+    its free candidates F and cluster candidates J (split) it counts
+    them in closed form (last_two).  A pair from F not linked stays in
+    stratum t, C(|F|, 2) - ge2(F) of them; a pair from F sharing exactly
+    two vertices, eq2(F), opens a cluster, as does a member of F with
+    one of J it is not linked to, |F| |J| - (ge2(F | J) - ge2(F) -
+    ge2(J)), into t + 1; two members of J not linked make t + 2 unless
+    both join the same free edge f, C(|J|, 2) - ge2(J) - sum over f of
+    (C(|J_f|, 2) - ge2(J_f)), J_f = J & link_rows(f)[0].  ge2 and eq2
+    are the pool's pairs sharing at least two and exactly two vertices
+    (index.shared_pairs); strata past cap get nothing, and a count of
+    zero adds no key.  Below two edges or below r = 3 no two edges are
     linked, and every m-subset is linear.
 
     Each prefix the walk reaches, at most three edges, is classified
@@ -410,15 +509,21 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     The search is metered, not priced: one work count, refused with
     WorkCeilingError as soon as it passes work_ceiling, reporting the
     work done.  It adds 1 per extend call or last level counted in its
-    place; 1 per subset counted at the last level, or C(m, 2) when a
-    visitor is given, for its pair checks; and sigma_r per pass over
-    the edge space made on the search's behalf, read off
-    index.edge_reads: a link-row build, a stabiliser_orbits call in
-    _orbit_mean's walk, a compat_stats call in the visitor.  The count
-    is checked once per extend call or last level, on entry to rooted
-    and after each visit.  A prefix's rows follow at least depth
-    stabiliser passes, so at most work_ceiling / sigma_r link rows,
-    about work_ceiling / 4 bytes, are ever built.
+    place; 1 per subset counted at the last level or by last_two, or
+    C(m, 2) when a visitor is given, for its pair checks; 1 per
+    candidate of a node whose last two edges last_two counts, so that
+    node costs what placing each candidate and counting the edges after
+    it would; and sigma_r per pass over the edge space made on the
+    search's behalf, read off index.edge_reads: a link-row build, a
+    stabiliser_orbits call in _orbit_mean's walk, a compat_stats call in
+    the visitor.  When last_two will run, the count starts at
+    index.mask_price, sigma_r per subset mask the table may hold, and a
+    price above work_ceiling is refused ("needs more than") before the
+    walk and before any mask is built.  The count is checked once per
+    extend call or last level, on entry to rooted and after each visit.
+    A prefix's rows follow at least depth stabiliser passes, so at most
+    work_ceiling / sigma_r link rows, about work_ceiling / 4 bytes, are
+    ever built.
     """
     if m < 2 or index.r < 3:
         return {0: math.comb(index.count, m)}
@@ -428,6 +533,11 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     leaf = 1 if visit is None else m * (m - 1) // 2
     # the search's own units; edge reads made before it began are not its work
     done, limit = 0, work_ceiling + index.edge_reads
+    if visit is None and m >= depth + 2:
+        # the subset masks last_two reads, priced before the walk can build them
+        done = index.mask_price
+        if done > work_ceiling:
+            raise WorkCeilingError(done, work_ceiling, "census", unit="work units", verb="needs more than")
 
     def charge(work: int) -> None:
         nonlocal done
@@ -451,6 +561,28 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
             found += joined
         return found
 
+    def last_two(strata: Counter, fresh: int, joins: int, free: tuple, t: int) -> int:
+        # the last two edges in closed form, into strata t, t + 1 and t + 2
+        # (the docstring gives the three counts); returns the units to charge
+        shared = index.shared_pairs
+        f, j = fresh.bit_count(), joins.bit_count()
+        f_ge2, f_eq2 = shared(fresh)
+        counts = [f * (f - 1) // 2 - f_ge2, f_eq2 if t < cap else 0, 0]
+        if joins:
+            j_ge2 = shared(joins)[0]
+            counts[1] += f * j - (shared(fresh | joins)[0] - f_ge2 - j_ge2)
+            if t + 2 <= cap:
+                counts[2] = j * (j - 1) // 2 - j_ge2
+                for g in free:
+                    alike = joins & link_rows(g)[0]
+                    k = alike.bit_count()
+                    if k > 1:
+                        counts[2] -= k * (k - 1) // 2 - shared(alike)[0]
+        for s, c in enumerate(counts):
+            if c:
+                strata[t + s] += c
+        return f + j + sum(counts)
+
     def extend(strata: Counter, window: int, blocked: int, twice: int, cblock: int,
                free: tuple, t: int, ids: tuple, left: int) -> None:
         # the hot path: it charges inline and calls charge only to refuse
@@ -468,12 +600,13 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
                         strata[key] += value
                     charge(leaf)
             return
+        if left == 2 and visit is None:
+            # charged as placing each candidate and counting the edges after it would be
+            charge(1 + last_two(strata, fresh, joins, free, t))
+            return
         done += 1
         if done + index.edge_reads > limit:
             charge(0)
-        # without a visitor the level before the last counts each candidate's
-        # last level itself, at the 1 + found an extend call there would charge
-        fold = left == 2 and visit is None
         # window & -(low << 1) keeps the window's edges after i
         while fresh:
             low = fresh & -fresh
@@ -481,12 +614,7 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
             i = low.bit_length() - 1
             once, two = link_rows(i)
             after, blocked_i, twice_i = window & -(low << 1), blocked | once, twice | (blocked & once) | two
-            if fold:
-                done += 1 + last(strata, after, blocked_i, twice_i, cblock, t)
-                if done + index.edge_reads > limit:
-                    charge(0)
-            else:
-                extend(strata, after, blocked_i, twice_i, cblock, free + (i,), t, ids + (i,), left - 1)
+            extend(strata, after, blocked_i, twice_i, cblock, free + (i,), t, ids + (i,), left - 1)
         while joins:
             low = joins & -joins
             joins ^= low
@@ -495,13 +623,8 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
             once, two = link_rows(i)
             after, blocked_i, twice_i = window & -(low << 1), blocked | once, twice | (blocked & once) | two
             clustered = cblock | once | link_rows(f)[0]
-            if fold:
-                done += 1 + last(strata, after, blocked_i, twice_i, clustered, t + 1)
-                if done + index.edge_reads > limit:
-                    charge(0)
-            else:
-                extend(strata, after, blocked_i, twice_i, clustered, tuple(g for g in free if g != f), t + 1,
-                       ids + (i,), left - 1)
+            extend(strata, after, blocked_i, twice_i, clustered, tuple(g for g in free if g != f), t + 1,
+                   ids + (i,), left - 1)
 
     def rooted(ids: tuple[int, ...]):
         charge(0)  # the stabiliser passes that reached this prefix
@@ -600,6 +723,15 @@ def count_linear_naive(
     return count
 
 
+def _decimal(x: int) -> str:
+    """x >= 0 in decimal at any length: str() refuses an int past 4,300 digits, so a longer x is split."""
+    if x < 10 ** FIGURE_DIGITS:
+        return str(x)
+    low_digits = int(x.bit_length() * math.log10(2)) // 2
+    high, low = divmod(x, 10 ** low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)
+
+
 @dataclass(frozen=True)
 class CensusResult:
     """Exact stratification of all m-subsets by cluster count."""
@@ -618,10 +750,10 @@ class CensusResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "total": str(self.total),
-            "linear": str(self.linear),
-            "by_cluster": {str(t): str(c) for t, c in sorted(self.by_cluster.items())},
-            "not_plus": str(self.not_plus),
+            "total": _decimal(self.total),
+            "linear": _decimal(self.linear),
+            "by_cluster": {str(t): _decimal(c) for t, c in sorted(self.by_cluster.items())},
+            "not_plus": _decimal(self.not_plus),
             "cluster_cap": str(self.cluster_cap),
         }
 

@@ -211,9 +211,11 @@ def shared_pair_counts(t_by_alpha, r: int):
     N_2 = sum_alpha (-1)^alpha C(alpha, 2) T_alpha.  Returns the pair;
     works on ints and elementwise on integer arrays.
     """
-    alphas = range(2, r)
-    n_ge2 = sum((-1) ** alpha * (alpha - 1) * t_by_alpha[alpha] for alpha in alphas)
-    n_eq2 = sum((-1) ** alpha * math.comb(alpha, 2) * t_by_alpha[alpha] for alpha in alphas)
+    n_ge2 = n_eq2 = 0
+    for alpha in range(2, r):
+        signed = t_by_alpha[alpha] if alpha % 2 == 0 else -t_by_alpha[alpha]
+        n_ge2 += (alpha - 1) * signed
+        n_eq2 += alpha * (alpha - 1) // 2 * signed
     return n_ge2, n_eq2
 
 

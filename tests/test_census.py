@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linhyp import (
@@ -32,7 +32,7 @@ from linhyp.census import (
     orbit_count,
     stabiliser_orbits,
 )
-from linhyp.hypergraphs import cluster_threshold
+from linhyp.hypergraphs import cluster_threshold, edge_tuples
 from linhyp.montecarlo import cluster_signature
 from linhyp.verify import DESIGN_COUNTS
 
@@ -235,8 +235,10 @@ def test_link_rows_are_built_only_for_roots_and_second_edges(monkeypatch):
 
 def test_a_wrong_link_row_makes_the_search_disagree_with_the_naive_filter(monkeypatch):
     # drop the last edge from every other edge's row: the search then
-    # takes it as free beside edges it shares a vertex pair with (the
-    # last edge is no root and no second edge, so its own row is unread)
+    # takes it as free beside edges it shares a vertex pair with.  At
+    # m = 5 the third edges' rows are read (the last two edges are
+    # counted from subset masks, not rows); the wrong rows make the
+    # rooted tallies miss a multiple of m(m - 1), or change the count
     rows = EdgeSpaceIndex.link_rows
 
     def dropped(self, e):
@@ -245,10 +247,97 @@ def test_a_wrong_link_row_makes_the_search_disagree_with_the_naive_filter(monkey
         return (once & ~(1 << last) if e != last else once), two
 
     pv = partition((3, 3, 3))
-    want = count_linear_naive(pv, 3, 4)
-    assert count_linear(pv, 3, 4) == want
+    want = count_linear_naive(pv, 3, 5)
+    assert count_linear(pv, 3, 5) == want
     monkeypatch.setattr(EdgeSpaceIndex, "link_rows", dropped)
+    try:
+        got = count_linear(pv, 3, 5)
+    except AssertionError:
+        return
+    assert got != want
+
+
+def test_a_wrong_subset_mask_makes_the_search_disagree_with_the_naive_filter(monkeypatch):
+    # drop the last edge from every subset mask: the closed-form count of
+    # the last two edges then misses the pairs it shares a vertex pair in
+    build = EdgeSpaceIndex.subset_masks.func
+
+    def dropped(self):
+        return {alpha: {s: mask & ~(1 << self.count - 1) for s, mask in masks.items()}
+                for alpha, masks in build(self).items()}
+
+    pv = partition((3, 3, 3))
+    want = count_linear_naive(pv, 3, 4)
+    assert count_linear(pv, 3, 4) == want == 3078
+    monkeypatch.setattr(EdgeSpaceIndex, "subset_masks", property(dropped))
     assert count_linear(pv, 3, 4) != want
+
+
+def test_shared_pairs_match_a_pairwise_count():
+    # small pools take the per-member sum, large ones the sum over the
+    # table; both against the pairs counted off the vertex sets.  On
+    # parts 3,1,2 and 1,2,2,2 some subsets are held by one edge, which
+    # has no mask
+    rng = make_rng(341)
+    cells = (((2, 2, 2), 3), ((3, 1, 2), 3), ((3, 3, 3), 3), ((1,) * 7, 3), ((2, 2, 2, 2), 4), ((1, 2, 2, 2), 4),
+             ((1,) * 7, 5), ((2, 1, 2, 2, 1), 4))
+    for sizes, r in cells:
+        index = EdgeSpaceIndex(partition(sizes), r)
+        vsets = [set(vs) for vs in index.edges]
+        fewest = min(len(masks) / math.comb(r, alpha) for alpha, masks in index.subset_masks.items())
+        sums = set()
+        for _ in range(40):
+            size = int(rng.integers(0, index.count + 1))
+            ids = [int(i) for i in rng.choice(index.count, size=size, replace=False)]
+            shared = [len(vsets[a] & vsets[b]) for a, b in combinations(ids, 2)]
+            want = (sum(c >= 2 for c in shared), sum(c == 2 for c in shared))
+            assert index.shared_pairs(sum(1 << i for i in ids)) == want, (sizes, r, ids)
+            sums.add(size < fewest)
+        assert sums == {True, False}, (sizes, r)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_last_two_edges_counted_in_closed_form_match_the_oracles(data):
+    # from m = 4 on, the last two edges of every search node are counted
+    # from subset masks: hold count_linear to the naive filter and the
+    # census strata to cluster_signature on every m-subset
+    r = data.draw(st.sampled_from((3, 4, 5)), label="r")
+    sizes = data.draw(st.lists(st.integers(1, 3 if r == 3 else 2), min_size=r, max_size=r + 1), label="sizes")
+    pv = partition(sizes)
+    edges = sigma(pv, r)
+    # keep the sweeps small; about half the drawn partitions admit some m
+    ms = [m for m in range(min(7, edges), 3, -1) if math.comb(edges, m) <= 20_000]
+    assume(ms)
+    m = data.draw(st.sampled_from(ms), label="m")
+    assert count_linear(pv, r, m) == count_linear_naive(pv, r, m), (sizes, r, m)
+    cap = cluster_threshold(pv, r, m)
+    want = {0: 0}
+    for combo in combinations(edge_tuples(pv, r), m):
+        t, reason = cluster_signature(combo)
+        if reason is None and t <= cap:
+            want[t] = want.get(t, 0) + 1
+    assert census_by_cluster(pv, r, m).by_cluster == want, (sizes, r, m)
+
+
+def test_census_strata_hold_no_zero_key():
+    # two joins would make stratum 3 at m = 5, which no 5-edge set reaches;
+    # a count of zero there must not become a key
+    res = census_by_cluster(partition((3, 3, 3)), 3, 5)
+    assert res.by_cluster == {0: 3834, 1: 15876, 2: 10530}
+
+
+def test_the_subset_masks_are_priced_before_they_are_built(monkeypatch):
+    # uniform n=150 r=3 m=4: 11,175 pair masks of 551,300 bits, about
+    # 770 MB, refused before the first is built
+    built = _built_indexes(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(WorkCeilingError, match="census needs more than") as info:
+        count_linear(uniform_partition(150), 3, 4)
+    assert time.perf_counter() - start < 1
+    assert info.value.required == math.comb(150, 2) * math.comb(150, 3)
+    (index,) = built
+    assert "subset_masks" not in vars(index) and "occupants" not in vars(index)
 
 
 def test_rooted_price_charges_the_index_and_the_overlap_matrix(monkeypatch):

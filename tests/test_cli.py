@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -341,6 +342,23 @@ def test_exit_code_on_work_ceiling_at_small_m(capsys):
     # one edge is never linked to another: C(2000, 3), nothing searched
     rc, out, err = run_cli(capsys, "census", "--uniform-n", "2000", "--r", "3", "--m", "1")
     assert (rc, err) == (0, "") and json.loads(out)["linear"] == "1331334000"
+
+
+def test_trivial_cells_print_or_refuse_their_total(capsys):
+    # at r = 2 no two edges are linked, so the total C(sigma_r, m) is the
+    # answer: at m = 2000 it has 6,866 digits, past str()'s 4,300, and at
+    # m = 10^6 it would take half a minute, so it is priced and refused
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "census", "--uniform-n", "2000", "--r", "2", "--m", "2000")
+    assert (rc, err) == (0, "")
+    got = json.loads(out)
+    digits = got["total"]
+    assert len(digits) == 6866 and got["linear"] == digits and got["by_cluster"] == {"0": digits}
+    assert int(digits[:4000]) * 10 ** 2866 + int(digits[4000:]) == math.comb(1999000, 2000)
+    rc, out, err = run_cli(capsys, "census", "--uniform-n", "2000", "--r", "2", "--m", "1000000")
+    assert (rc, out) == (3, "") and err.startswith("error: census needs about ")
+    assert "raise the ceiling with --work-ceiling" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_edge_index_bound_refuses_before_building_an_edge(capsys, monkeypatch):
