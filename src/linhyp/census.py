@@ -16,12 +16,14 @@ keys an unordered edge set by its orbit, from the same labelling of
 the vertices (_vertex_masks); the audit looks compat_stats up by that
 key, so it scans the edge space once per orbit of the (m-2)-sets its
 moves leave.  The search's state is a few bitmasks over edge ids, ORed
-together from the link rows of the edges it places.  Without a visitor
-the last two edges of every node are counted in closed form, from the
-linked pairs of its candidate pools (EdgeSpaceIndex.shared_pairs, read
-off per-subset edge masks); with one the last edge is placed too.
-EdgeSpaceIndex's one table is the edges' sorted vertex tuples; vertex
-pairs are read off them by combinations, never coded as integers.
+together from the link rows of the edges it places.  Every branch
+ends in one of two leaves.  Without a visitor a node's last one or two
+edges are counted in closed form, from the linked pairs of its
+candidate pools (EdgeSpaceIndex.shared_pairs, read off per-subset edge
+masks); otherwise each complete m-subset is counted, and visited, one
+at a time.  EdgeSpaceIndex's one table is the edges' sorted vertex
+tuples; vertex pairs are read off them by combinations, never coded as
+integers.
 _guard stands before every search: it refuses an m outside 0..sigma_r
 (partitions.check_m), answers the cells with m < 2 or r < 3, where no
 two edges are linked, once their answer C(sigma_r, m) is priced,
@@ -86,12 +88,12 @@ class EdgeSpaceIndex:
     them: the pairs of edges in a bitmask pool sharing two or more and
     exactly two vertices, by the binomial inversion of T_alpha, so the
     compatible pairs of a pool of c candidates are C(c, 2) less the
-    first; the plus search counts its last two edges from it.  Only the
-    switching audit calls classify_combo: it re-checks each subset the
-    plus search visits against the search's own classification, from
-    the link rows.  edge_reads adds sigma_r per pass over the edge space
-    (a link-row build, compat_stats and stabiliser_orbits calls), for
-    the plus search's meter.
+    first; the plus search counts a node's last two edges from it.  Only
+    the switching audit calls classify_combo: it re-checks each subset
+    the plus search visits against the search's own classification,
+    from the link rows.  edge_reads adds sigma_r per pass over the edge
+    space (a link-row build, compat_stats and stabiliser_orbits calls),
+    for the plus search's meter.
     """
 
     def __init__(self, pv: PartitionVector, r: int):
@@ -108,11 +110,6 @@ class EdgeSpaceIndex:
         self._links: dict[int, tuple[int, int]] = {}
         self._cat: list[bytearray] | None = None
         self.edge_reads = 0
-
-    @cached_property
-    def vertex_part(self) -> list[int]:
-        """0-based part of each vertex, by vertex id; entry 0 pads the 1-based ids."""
-        return [0] + [p for p, size in enumerate(self.pv.sizes) for _ in range(size)]
 
     @cached_property
     def occupants(self) -> dict[tuple[int, int], list[int]]:
@@ -340,7 +337,7 @@ def _vertex_masks(index: EdgeSpaceIndex, fixed: tuple[int, ...]) -> tuple[dict[i
     one vertex of a part, so the masks inside one part are disjoint and
     pairwise distinct, and marks holds each of them once.
     """
-    part, edges = index.vertex_part, index.edges
+    part, edges = index.pv.vertex_part, index.edges
     held: dict[int, int] = {}
     for j, e in enumerate(fixed):
         for u in edges[e]:
@@ -369,7 +366,7 @@ def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> lis
     space, added to index.edge_reads.
     """
     index.edge_reads += index.count
-    part, sizes, d = index.vertex_part, index.pv.sizes, len(fixed)
+    part, sizes, d = index.pv.vertex_part, index.pv.sizes, len(fixed)
     held, marks = _vertex_masks(index, fixed)
     # a label's bits: the part's size, its masks as a set of 2^d bits, then the vertex's d bits
     kind = [(size << (1 << d) | marks.get(p, 0)) << d for p, size in enumerate(sizes)]
@@ -468,60 +465,64 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     edges after the last one chosen; it needs no skip for the fixed
     edges, which meet the used pairs in all of their C(r, 2) >= 3 pairs.
     (twice may also hold an edge that meets one used pair twice over, a
-    cluster's shared pair, but such an edge is in cblock anyway.)  With
-    one edge left the free candidates are counted into stratum t and the
-    cluster candidates into t + 1, two popcounts (last): rooted does so
-    at m = depth + 1, and extend with a visitor before it places them.
-    Without a visitor a node with two edges left places neither: from
-    its free candidates F and cluster candidates J (split) it counts
-    them in closed form (last_two).  A pair from F not linked stays in
-    stratum t, C(|F|, 2) - ge2(F) of them; a pair from F sharing exactly
-    two vertices, eq2(F), opens a cluster, as does a member of F with
-    one of J it is not linked to, |F| |J| - (ge2(F | J) - ge2(F) -
-    ge2(J)), into t + 1; two members of J not linked make t + 2 unless
-    both join the same free edge f, C(|J|, 2) - ge2(J) - sum over f of
+    cluster's shared pair, but such an edge is in cblock anyway.)
+
+    Every branch ends in one of two leaves.  Without a visitor, a node
+    with one or two edges left places none of them: from its free
+    candidates F and cluster candidates J it counts them in closed form
+    (counted).  With one left, |F| go into stratum t and |J| into t + 1.
+    With two left, a pair from F not linked stays in stratum t,
+    C(|F|, 2) - ge2(F) of them; a pair from F sharing exactly two
+    vertices, eq2(F), opens a cluster, as does a member of F with one of
+    J it is not linked to, |F| |J| - (ge2(F | J) - ge2(F) - ge2(J)),
+    into t + 1; two members of J not linked make t + 2 unless both join
+    the same free edge f, C(|J|, 2) - ge2(J) - sum over f of
     (C(|J_f|, 2) - ge2(J_f)), J_f = J & link_rows(f)[0].  ge2 and eq2
     are the pool's pairs sharing at least two and exactly two vertices
     (index.shared_pairs); strata past cap get nothing, and a count of
-    zero adds no key.  Below two edges or below r = 3 no two edges are
-    linked, and every m-subset is linear.
+    zero adds no key.  Every other branch ends at a complete m-subset,
+    one at a time (whole): the root prefix at m = depth, or, with a
+    visitor, each candidate at the last level, over the set bits of F
+    and then J.  whole adds 1 to the subset's stratum and, with a
+    visitor, the statistics visit returns for it.  Below two edges or
+    below r = 3 no two edges are linked, and every m-subset is linear.
 
     Each prefix the walk reaches, at most three edges, is classified
     whole as hypergraphs.classify does: hypergraphs.linked_pairs reads
     its linked pairs off its edges' shared vertices, or None when two
     share three or more, and plus_violation applies the rule to them.  A
     prefix that is not plus has nothing walked under it.  At m = depth
-    the prefix is the whole subset, and no link row is built.  Above it
-    the prefix edges' link rows are folded into the three masks once,
-    and extend goes on from there.  The union-find oracle tests
-    (tests/test_census.py) hold the search to every m-subset's signature
-    at depth 2, and with a visitor at depth 3;
+    the prefix is the whole subset, a leaf, and no link row is built.
+    Below m the prefix edges' link rows are folded into the three masks
+    once, and extend goes on from there with the m - depth edges left.
+    The union-find oracle tests (tests/test_census.py) hold the search
+    to every m-subset's signature at depth 2, and with a visitor at
+    depth 3;
     test_rooted_audit_matches_an_unrooted_sweep (tests/test_switching.py)
     holds the audit at depth 3, at m = 3 and 4.
 
-    visit, when given, is called on every plus m-subset that holds a
-    root prefix, with its sorted edge ids and t, and returns a dict of
-    further additive statistics, keyed apart from the integer strata;
-    they are weighted like the strata and returned beside them.  The
-    last edge is then also placed one at a time, over the set bits of
-    the candidates.  Below two edges nothing is visited.
+    visit, when given, is called by whole, and only there, on every plus
+    m-subset that holds a root prefix, with its sorted edge ids and t,
+    and returns a dict of further additive statistics, keyed apart from
+    the integer strata; they are weighted like the strata and returned
+    beside them.  Below two edges nothing is visited.
 
     The search is metered, not priced: one work count, refused with
     WorkCeilingError as soon as it passes work_ceiling, reporting the
-    work done.  It adds 1 per extend call or last level counted in its
-    place; 1 per subset counted at the last level or by last_two, or
-    C(m, 2) when a visitor is given, for its pair checks; 1 per
-    candidate of a node whose last two edges last_two counts, so that
-    node costs what placing each candidate and counting the edges after
-    it would; and sigma_r per pass over the edge space made on the
-    search's behalf, read off index.edge_reads: a link-row build, a
-    stabiliser_orbits call in _orbit_mean's walk, a compat_stats call in
-    the visitor.  When last_two will run, the count starts at
-    index.mask_price, sigma_r per subset mask the table may hold, and a
-    price above work_ceiling is refused ("needs more than") before the
-    walk and before any mask is built.  The count is checked once per
-    extend call or last level, on entry to rooted and after each visit.
-    A prefix's rows follow at least depth stabiliser passes, so at most
+    work done.  It adds 1 per extend call, a counted node's included;
+    at a leaf, 1 per subset counted, in closed form or by whole, or
+    C(m, 2) per subset whole visits, for its pair checks, and, when counted takes
+    two edges, 1 per candidate, so that node costs what placing each
+    candidate and counting the edges after it would; and sigma_r per
+    pass over the edge space made on the search's behalf, read off
+    index.edge_reads: a link-row build, a stabiliser_orbits call in
+    _orbit_mean's walk, a compat_stats call in the visitor.  When
+    counted will take two edges, the count starts at index.mask_price,
+    sigma_r per subset mask the table may hold, and a price above
+    work_ceiling is refused ("needs more than") before the walk and
+    before any mask is built.  The count is checked once per extend
+    call, on entry to rooted and after each whole subset.  A prefix's
+    rows follow at least depth stabiliser passes, so at most
     work_ceiling / sigma_r link rows, about work_ceiling / 4 bytes, are
     ever built.
     """
@@ -534,7 +535,7 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     # the search's own units; edge reads made before it began are not its work
     done, limit = 0, work_ceiling + index.edge_reads
     if visit is None and m >= depth + 2:
-        # the subset masks last_two reads, priced before the walk can build them
+        # the subset masks counted reads, priced before the walk can build them
         done = index.mask_price
         if done > work_ceiling:
             raise WorkCeilingError(done, work_ceiling, "census", unit="work units", verb="needs more than")
@@ -546,67 +547,60 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
             spent = done + index.edge_reads - limit + work_ceiling
             raise WorkCeilingError(spent, work_ceiling, "census", unit="work units", verb="stopped after")
 
-    def split(window: int, blocked: int, twice: int, cblock: int, t: int) -> tuple[int, int]:
-        # the window's candidates: the free ones, and while t < cap those opening a cluster
-        return window & ~blocked, window & blocked & ~(twice | cblock) if t < cap else 0
+    def whole(strata: Counter, ids: tuple, t: int) -> None:
+        # one complete m-subset: its stratum, then the visitor's statistics
+        strata[t] += 1
+        if visit is not None:
+            for key, value in visit(tuple(sorted(ids)), t).items():
+                strata[key] += value
+        charge(leaf)
 
-    def last(strata: Counter, window: int, blocked: int, twice: int, cblock: int, t: int) -> int:
-        # the last edge, counted: free candidates into stratum t, cluster ones into t + 1
-        fresh, joins = split(window, blocked, twice, cblock, t)
-        found = fresh.bit_count()
-        strata[t] += found
-        if joins:
-            joined = joins.bit_count()
-            strata[t + 1] += joined
-            found += joined
-        return found
-
-    def last_two(strata: Counter, fresh: int, joins: int, free: tuple, t: int) -> int:
-        # the last two edges in closed form, into strata t, t + 1 and t + 2
-        # (the docstring gives the three counts); returns the units to charge
-        shared = index.shared_pairs
+    def counted(strata: Counter, fresh: int, joins: int, free: tuple, t: int, left: int) -> int:
+        # the last one or two edges in closed form, into strata t to t + left
+        # (the docstring gives the counts); returns the units to charge
         f, j = fresh.bit_count(), joins.bit_count()
-        f_ge2, f_eq2 = shared(fresh)
-        counts = [f * (f - 1) // 2 - f_ge2, f_eq2 if t < cap else 0, 0]
-        if joins:
-            j_ge2 = shared(joins)[0]
-            counts[1] += f * j - (shared(fresh | joins)[0] - f_ge2 - j_ge2)
-            if t + 2 <= cap:
-                counts[2] = j * (j - 1) // 2 - j_ge2
-                for g in free:
-                    alike = joins & link_rows(g)[0]
-                    k = alike.bit_count()
-                    if k > 1:
-                        counts[2] -= k * (k - 1) // 2 - shared(alike)[0]
+        if left == 1:
+            counts = [f, j]
+        else:
+            shared = index.shared_pairs
+            f_ge2, f_eq2 = shared(fresh)
+            counts = [f * (f - 1) // 2 - f_ge2, f_eq2 if t < cap else 0, 0]
+            if joins:
+                j_ge2 = shared(joins)[0]
+                counts[1] += f * j - (shared(fresh | joins)[0] - f_ge2 - j_ge2)
+                if t + 2 <= cap:
+                    counts[2] = j * (j - 1) // 2 - j_ge2
+                    for g in free:
+                        alike = joins & link_rows(g)[0]
+                        k = alike.bit_count()
+                        if k > 1:
+                            counts[2] -= k * (k - 1) // 2 - shared(alike)[0]
         for s, c in enumerate(counts):
             if c:
                 strata[t + s] += c
-        return f + j + sum(counts)
+        return sum(counts) + (f + j if left == 2 else 0)
 
     def extend(strata: Counter, window: int, blocked: int, twice: int, cblock: int,
                free: tuple, t: int, ids: tuple, left: int) -> None:
         # the hot path: it charges inline and calls charge only to refuse
         nonlocal done
-        fresh, joins = split(window, blocked, twice, cblock, t)
-        if left == 1:
-            # only with a visitor: the last edge is placed too
-            last(strata, window, blocked, twice, cblock, t)
-            charge(1)
-            for cands, s in ((fresh, t), (joins, t + 1)):
-                while cands:
-                    low = cands & -cands
-                    cands ^= low
-                    for key, value in visit(tuple(sorted(ids + (low.bit_length() - 1,))), s).items():
-                        strata[key] += value
-                    charge(leaf)
-            return
-        if left == 2 and visit is None:
-            # charged as placing each candidate and counting the edges after it would be
-            charge(1 + last_two(strata, fresh, joins, free, t))
+        # the window's candidates: the free ones, and while t < cap those opening a cluster
+        fresh = window & ~blocked
+        joins = window & blocked & ~(twice | cblock) if t < cap else 0
+        if visit is None and left <= 2:
+            charge(1 + counted(strata, fresh, joins, free, t, left))
             return
         done += 1
         if done + index.edge_reads > limit:
             charge(0)
+        if left == 1:
+            # only with a visitor: the last edge is placed, one whole subset each
+            for cands, s in ((fresh, t), (joins, t + 1)):
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    whole(strata, ids + (low.bit_length() - 1,), s)
+            return
         # window & -(low << 1) keeps the window's edges after i
         while fresh:
             low = fresh & -fresh
@@ -635,11 +629,11 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
         if len(ids) < depth:
             return {}
         t = len(linked)
+        strata: Counter = Counter()
         if m == depth:
-            # the visitor's keys are apart from the integer strata
-            tally = {t: 1} if visit is None else {t: 1, **visit(tuple(sorted(ids)), t)}
-            charge(leaf)
-            return tally
+            # the prefix is the whole subset: no link row is built
+            whole(strata, ids, t)
+            return strata
         paired = {x for pair in linked for x in pair}
         blocked = twice = cblock = 0
         for x, i in enumerate(ids):
@@ -649,12 +643,7 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
             if x in paired:
                 cblock |= once
         free = tuple(i for x, i in enumerate(ids) if x not in paired)
-        strata: Counter = Counter()
-        window = (1 << index.count) - 1
-        if m == depth + 1 and visit is None:
-            charge(1 + last(strata, window, blocked, twice, cblock, t))
-        else:
-            extend(strata, window, blocked, twice, cblock, free, t, ids, m - depth)
+        extend(strata, (1 << index.count) - 1, blocked, twice, cblock, free, t, ids, m - depth)
         return strata
 
     totals = _orbit_mean(index, m, depth, rooted)

@@ -79,15 +79,17 @@ def _decimal_from_log(log_value: float) -> str:
 
 def _run_census(args) -> int:
     if args.grid:
-        print("parts,r,m,n,total,linear,not_plus,cluster_cap,strata")
+        # every row is computed before any is printed: a refused cell leaves stdout empty
+        rows = ["parts,r,m,n,total,linear,not_plus,cluster_cap,strata"]
         for g in enumerable_grid():
             res = census_by_cluster(g.pv, g.r, g.m, work_ceiling=args.work_ceiling)
             strata = "|".join(f"{t}:{c}" for t, c in sorted(res.by_cluster.items()))
             parts = "+".join(str(s) for s in g.sizes)
-            print(
+            rows.append(
                 f"{parts},{g.r},{g.m},{g.pv.n},{res.total},{res.linear},"
                 f"{res.not_plus},{res.cluster_cap},{strata}"
             )
+        print("\n".join(rows))
         return 0
     pv = _instance(args)
     res = census_by_cluster(pv, args.r, args.m, work_ceiling=args.work_ceiling)

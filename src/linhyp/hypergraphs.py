@@ -120,8 +120,8 @@ def edge_space(pv: PartitionVector, r: int) -> Iterator[Edge]:
     The stream has sigma(pv, r) members, in the order of edge_tuples.
     """
     tuples = edge_tuples(pv, r)
-    part = [0] + [p for p, size in enumerate(pv.sizes) for _ in range(size)]
-    return (Edge(vs, tuple(map(part.__getitem__, vs))) for vs in tuples)
+    part = pv.vertex_part.__getitem__
+    return (Edge(vs, tuple(map(part, vs))) for vs in tuples)
 
 
 def linked_pairs(vertex_sets: Iterable[Iterable[int]]) -> list[tuple[int, int]] | None:

@@ -53,9 +53,10 @@ class PartitionVector:
     The per-part tuple sizes is built on its first read and kept: a tuple
     of exact ints comes back as given, anything else as exact ints equal
     to the values the histogram counted.  No numeric reader reads it.
-    The part bounds are built on first use and kept.  Two vectors are
-    equal when their sizes are; equal histograms decide it without the
-    tuples when every part has one size, and the hash reads the histogram.
+    The part bounds and vertex_part, the part of each vertex, are built
+    on first use and kept.  Two vectors are equal when their sizes are;
+    equal histograms decide it without the tuples when every part has
+    one size, and the hash reads the histogram.
     """
 
     def __init__(self, sizes: Iterable[int]):
@@ -135,6 +136,15 @@ class PartitionVector:
     def _bounds(self) -> tuple[int, ...]:
         """bounds[i] = last vertex id of part i."""
         return tuple(accumulate(self.sizes))
+
+    @cached_property
+    def vertex_part(self) -> tuple[int, ...]:
+        """0-based part of each vertex, by vertex id; entry 0 pads the 1-based ids.
+
+        Built on first read and kept, like sizes: a vector nothing reads
+        it from holds no per-vertex table.
+        """
+        return (0, *[p for p, size in enumerate(self.sizes) for _ in range(size)])
 
     def part_of(self, v: int) -> int:
         """0-based index of the part containing vertex v (1-based)."""

@@ -760,6 +760,28 @@ def test_the_meter_refuses_the_search_it_would_otherwise_run(monkeypatch):
         assert len(index._links) <= ceiling // edges, func.__name__
 
 
+# WorkCeilingError.required of six metered refusals, r = 3.  The m = 3
+# searches stop at nodes with one edge left, the m >= 5 ones at nodes
+# with two left and at the placing levels above them; the audit's at its
+# visits.  Any change to what a leaf or an extend call charges moves them
+METER_FIGURES = [
+    (count_linear, uniform_partition(20), 5, census.DEFAULT_WORK_CEILING, 100_154_401),
+    (census_by_cluster, uniform_partition(20), 5, census.DEFAULT_WORK_CEILING, 100_097_790),
+    (census_by_cluster, uniform_partition(20), 10, census.DEFAULT_WORK_CEILING, 100_075_263),
+    (count_linear, uniform_partition(12), 3, 1000, 1_049),
+    (census_by_cluster, uniform_partition(12), 3, 1000, 1_057),
+    (bijection_audit, partition((3, 3, 3, 3)), 5, 20000, 20_045),
+]
+
+
+@pytest.mark.parametrize("func, pv, m, ceiling, required", METER_FIGURES,
+                         ids=[f"{f.__name__}-n{pv.n}-m{m}" for f, pv, m, _, _ in METER_FIGURES])
+def test_the_meter_figures_are_pinned(func, pv, m, ceiling, required):
+    with pytest.raises(WorkCeilingError, match="census stopped after") as info:
+        func(pv, 3, m, work_ceiling=ceiling)
+    assert (info.value.required, info.value.ceiling) == (required, ceiling)
+
+
 @pytest.mark.parametrize("shift", [(1, 0), (1, -1)])
 def test_wrong_stabiliser_orbit_size_raises_or_changes_the_answer(monkeypatch, shift):
     # (1, 0) leaves the sizes short of the edges left and must raise;

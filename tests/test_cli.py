@@ -217,6 +217,15 @@ def test_census_grid_csv(capsys):
     assert fields[8] == "0:16|1:12"
 
 
+@pytest.mark.parametrize("ceiling", ["0", "1"])
+def test_refused_census_grid_prints_nothing(capsys, ceiling):
+    # the grid's first cells are admitted at these ceilings and a later
+    # one is refused: no header or row of the admitted ones is printed
+    rc, out, err = run_cli(capsys, "census", "--grid", "--work-ceiling", ceiling)
+    assert rc == 3 and out == ""
+    assert err.startswith("error: census needs about") and f"ceiling of {ceiling};" in err
+
+
 def test_census_without_grid_needs_r_and_m(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--parts", "2,2,2"])

@@ -73,6 +73,17 @@ def test_part_bounds_built_on_first_use_cover_the_vertices():
         fresh.part_of(pv.n + 1)
 
 
+def test_vertex_part_agrees_with_part_of_and_is_built_on_first_read():
+    for pv in (partition((2, 2, 2)), partition((4, 1, 3, 1, 5, 3, 3)), partition((300, 2, 1, 256)),
+               uniform_partition(7)):
+        assert "vertex_part" not in vars(pv)
+        assert pv.vertex_part == (0, *(pv.part_of(v) for v in range(1, pv.n + 1))), pv.size_counts
+        assert "vertex_part" in vars(pv)
+    # nothing per vertex or per part is built for a vector nobody reads it from
+    huge = uniform_partition(10**9)
+    assert not {"vertex_part", "sizes", "_bounds"} & set(vars(huge))
+
+
 def test_cached_views_leave_equality_and_hash_alone():
     warm = partition((4, 1, 3, 1, 5, 3, 3))
     assert warm.size_counts == ((4, 1), (1, 2), (3, 3), (5, 1))
