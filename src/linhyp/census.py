@@ -21,9 +21,12 @@ ends in one of two leaves.  Without a visitor a node's last one or two
 edges are counted in closed form, from the linked pairs of its
 candidate pools (EdgeSpaceIndex.shared_pairs, read off per-subset edge
 masks); otherwise each complete m-subset is counted, and visited, one
-at a time.  EdgeSpaceIndex's one table is the edges' sorted vertex
+at a time, and where the root triple leaves one edge (the audit at
+m = 4) one per orbit of the triple's stabiliser, weighted by the
+orbit's size.  EdgeSpaceIndex's one table is the edges' sorted vertex
 tuples; vertex pairs are read off them by combinations, never coded as
-integers.
+integers; the audit's overlap matrix, cat, is built a row at a time as
+its rows are read.
 _guard stands before every search: it refuses an m outside 0..sigma_r
 (partitions.check_m), answers the cells with m < 2 or r < 3, where no
 two edges are linked, once their answer C(sigma_r, m) is priced,
@@ -82,9 +85,12 @@ class EdgeSpaceIndex:
     kept; subset_masks, per alpha in 2..r-1 the bitmask of the edges
     holding each alpha-subset held by two or more, the pair masks read
     off occupants; and cat, the pairwise overlap matrix, read only by
-    classify_combo.  The masks hold sigma_alpha(pv) sigma_r bits at
-    most, priced as mask_price work units, sigma_r per mask as a link
-    row is, before the plus search reads them.  shared_pairs(pool) reads
+    classify_combo: an OverlapRows table whose row i, sigma_r bytes, is
+    built from occupants when it is first read, so a classify_combo call
+    on an m-subset builds at most m - 1 rows.  The masks hold
+    sigma_alpha(pv) sigma_r bits at most, priced as mask_price work
+    units, sigma_r per mask as a link row is, before the plus search
+    reads them.  shared_pairs(pool) reads
     them: the pairs of edges in a bitmask pool sharing two or more and
     exactly two vertices, by the binomial inversion of T_alpha, so the
     compatible pairs of a pool of c candidates are C(c, 2) less the
@@ -108,7 +114,7 @@ class EdgeSpaceIndex:
         self.edges: list[tuple[int, ...]] = edge_tuples(pv, r)
         self.count = len(self.edges)
         self._links: dict[int, tuple[int, int]] = {}
-        self._cat: list[bytearray] | None = None
+        self._cat: OverlapRows | None = None
         self.edge_reads = 0
 
     @cached_property
@@ -194,15 +200,10 @@ class EdgeSpaceIndex:
         return shared_pair_counts(t_by_alpha, self.r)
 
     @property
-    def cat(self) -> list[bytearray]:
-        """Pairwise overlap category: 0 for <=1 shared, 1 for exactly 2, 2 for >=3."""
+    def cat(self) -> OverlapRows:
+        """The pairwise overlap matrix, its rows built on first read (OverlapRows)."""
         if self._cat is None:
-            cat = [bytearray(self.count) for _ in range(self.count)]
-            # c shared vertices meet in binomial(c, 2) pair lists
-            for group in self.occupants.values():
-                for i, j in combinations(group, 2):
-                    cat[i][j] = cat[j][i] = 2 if cat[i][j] else 1
-            self._cat = cat
+            self._cat = OverlapRows(self)
         return self._cat
 
     def classify_combo(self, combo: tuple[int, ...], cap: int):
@@ -258,6 +259,39 @@ class EdgeSpaceIndex:
         return (len(pool), *shared_pair_counts(t_by_alpha, self.r))
 
 
+class OverlapRows:
+    """The rows of an index's pairwise overlap matrix, each built on first read.
+
+    rows[i][j] is the overlap category of edges i and j: 0 for at most
+    one shared vertex (and for j = i), 1 for exactly two, 2 for three or
+    more.  Row i is sigma_r bytes, built from the occupant lists of edge
+    i's pairs, c shared vertices meeting in C(c, 2) of them, and kept.
+    len(rows) is sigma_r, and iterating yields every row in edge order.
+    """
+
+    def __init__(self, index: EdgeSpaceIndex):
+        self._index = index
+        self._rows: list[bytearray | None] = [None] * index.count
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> bytearray:
+        row = self._rows[i]
+        if row is None:
+            index = self._index
+            row = self._rows[i] = bytearray(index.count)
+            occupants = index.occupants
+            for pair in combinations(index.edges[i], 2):
+                for j in occupants[pair]:
+                    row[j] = 2 if row[j] else 1
+            row[i] = 0
+        return row
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 def _bitmask(ids: list[int]) -> int:
     """The int with bit i set for each i in ids, sorted ascending, set byte by byte."""
     buf = bytearray((ids[-1] >> 3) + 1)
@@ -309,11 +343,13 @@ def _guard(
     is built (index None), and the answer C(sigma_r, m) is priced
     (_binomial_price); otherwise the call is priced at what it
     allocates, sigma_r for the edge index plus sigma_r^2 for cat when
-    the caller reads it (the audit, cat=True).  A price above
-    work_ceiling is refused (WorkCeilingError) before the index or the
-    binomial is built.  _plus_strata meters the search's own work.  No
-    binomial is computed here: the callers take C(sigma_r, m) only where
-    their answer reports it, so no refusal waits on one.
+    the caller reads it (the audit, cat=True).  cat builds its rows as
+    they are read, so sigma_r^2 bounds what it may build rather than
+    what a call builds.  A price above work_ceiling is refused
+    (WorkCeilingError) before the index or the binomial is built.
+    _plus_strata meters the search's own work.  No binomial is computed
+    here: the callers take C(sigma_r, m) only where their answer reports
+    it, so no refusal waits on one.
     """
     edge_count = sigma(pv, r)
     check_m(m, edge_count)
@@ -381,6 +417,27 @@ def stabiliser_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...] = ()) -> lis
     return [(first, size) for first, size in classes.values() if first not in fixed]
 
 
+def _covering_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...]) -> list[tuple[int, int]]:
+    """stabiliser_orbits(index, fixed), whose sizes must add up to the other edges (AssertionError)."""
+    orbits = stabiliser_orbits(index, fixed)
+    if sum(size for _, size in orbits) != index.count - len(fixed):
+        raise AssertionError(f"stabiliser orbits of {fixed} do not partition the other edges")
+    return orbits
+
+
+def _fixes_every_edge(index: EdgeSpaceIndex, fixed: tuple[int, ...]) -> bool:
+    """True when fixed's stabiliser is the identity, read off the labelling alone.
+
+    It is when every part has at most one vertex outside the fixed edges
+    and no two parts share (size, marks) (_vertex_masks): no part can
+    move, and inside a part the held vertices keep their distinct masks.
+    False does not say the stabiliser moves an edge.
+    """
+    marks = _vertex_masks(index, fixed)[1]
+    kinds = [(size, marks.get(p, 0)) for p, size in enumerate(index.pv.sizes)]
+    return len(set(kinds)) == len(kinds) and all(size - mark.bit_count() <= 1 for size, mark in kinds)
+
+
 def edge_set_orbit(index: EdgeSpaceIndex, ids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Canonical key of the unordered edge set ids under the partition's automorphisms.
 
@@ -391,14 +448,24 @@ def edge_set_orbit(index: EdgeSpaceIndex, ids: tuple[int, ...]) -> tuple[tuple[i
     sorted pairs exactly when an automorphism carries one onto the
     other edge by edge, swapping equal-size parts of equal marks and
     matching vertices of equal mask.  Two edge sets therefore share a
-    key exactly when they share an orbit.  It costs len(ids)! orderings
-    of len(ids) * r vertices each and reads no other edge.
+    key exactly when they share an orbit.  Up to two edges it costs one
+    labelling: the other ordering of two edges swaps the masks 1 and 2,
+    bits 2 and 4 of each mark, so its pairs are read off the same marks.
+    From three edges on it costs len(ids)! labellings, one per ordering.
+    A labelling reads len(ids) * r vertices and no other edge.
     """
     sizes = index.pv.sizes
-    return min(
-        tuple(sorted((sizes[p], mark) for p, mark in _vertex_masks(index, order)[1].items()))
-        for order in permutations(ids)
-    )
+
+    def key(marks: dict[int, int]) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted((sizes[p], mark) for p, mark in marks.items()))
+
+    if len(ids) > 2:
+        return min(key(_vertex_masks(index, order)[1]) for order in permutations(ids))
+    marks = _vertex_masks(index, ids)[1]
+    if len(ids) < 2:
+        return key(marks)
+    swapped = {p: mark & ~6 | (mark & 2) << 1 | (mark & 4) >> 1 for p, mark in marks.items()}
+    return min(key(marks), key(swapped))
 
 
 def _orbit_mean(index: EdgeSpaceIndex, m: int, depth: int, rooted: Callable) -> Counter:
@@ -420,10 +487,7 @@ def _orbit_mean(index: EdgeSpaceIndex, m: int, depth: int, rooted: Callable) -> 
     weighted: Counter = Counter()
 
     def walk(fixed: tuple[int, ...], weight: int) -> None:
-        orbits = stabiliser_orbits(index, fixed)
-        if sum(size for _, size in orbits) != index.count - len(fixed):
-            raise AssertionError(f"stabiliser orbits of {fixed} do not partition the other edges")
-        for rep, size in orbits:
+        for rep, size in _covering_orbits(index, fixed):
             tally = rooted(fixed + (rep,))
             if tally is None:
                 continue
@@ -483,9 +547,21 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     zero adds no key.  Every other branch ends at a complete m-subset,
     one at a time (whole): the root prefix at m = depth, or, with a
     visitor, each candidate at the last level, over the set bits of F
-    and then J.  whole adds 1 to the subset's stratum and, with a
-    visitor, the statistics visit returns for it.  Below two edges or
-    below r = 3 no two edges are linked, and every m-subset is linear.
+    and then J.  whole adds a weight, 1 unless said otherwise, to the
+    subset's stratum and, with a visitor, weight times the statistics
+    visit returns for it.  Where the root prefix leaves one edge,
+    m = depth + 1 (the audit at m = 4), the window is the whole edge
+    space and F and J are read off the prefix's link rows, so both are
+    unions of orbits of the prefix's stabiliser, and the subset's
+    stratum and statistics are the same across an orbit.  There F and J
+    are masked to the representatives of stabiliser_orbits(index, ids),
+    each visited once with its orbit's size as weight; sizes that do not
+    add up to the edges left raise AssertionError.  That pass is skipped,
+    every weight 1, where _fixes_every_edge shows the stabiliser is the
+    identity.  Deeper nodes are not weighted: their window, the edges
+    after the last one placed, is no union of orbits.  Below two edges
+    or below r = 3 no two edges are linked, and every m-subset is
+    linear.
 
     Each prefix the walk reaches, at most three edges, is classified
     whole as hypergraphs.classify does: hypergraphs.linked_pairs reads
@@ -502,7 +578,8 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     holds the audit at depth 3, at m = 3 and 4.
 
     visit, when given, is called by whole, and only there, on every plus
-    m-subset that holds a root prefix, with its sorted edge ids and t,
+    m-subset that holds a root prefix (at m = depth + 1, on one per
+    orbit of the prefix's stabiliser), with its sorted edge ids and t,
     and returns a dict of further additive statistics, keyed apart from
     the integer strata; they are weighted like the strata and returned
     beside them.  Below two edges nothing is visited.
@@ -511,12 +588,13 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     WorkCeilingError as soon as it passes work_ceiling, reporting the
     work done.  It adds 1 per extend call, a counted node's included;
     at a leaf, 1 per subset counted, in closed form or by whole, or
-    C(m, 2) per subset whole visits, for its pair checks, and, when counted takes
-    two edges, 1 per candidate, so that node costs what placing each
-    candidate and counting the edges after it would; and sigma_r per
-    pass over the edge space made on the search's behalf, read off
-    index.edge_reads: a link-row build, a stabiliser_orbits call in
-    _orbit_mean's walk, a compat_stats call in the visitor.  When
+    C(m, 2) per subset whole visits, whatever its weight, for its pair
+    checks, and, when counted takes two edges, 1 per candidate, so that
+    node costs what placing each candidate and counting the edges after
+    it would; and sigma_r per pass over the edge space made on the
+    search's behalf, read off index.edge_reads: a link-row build, a
+    stabiliser_orbits call in _orbit_mean's walk or under a root prefix
+    that leaves one edge, a compat_stats call in the visitor.  When
     counted will take two edges, the count starts at index.mask_price,
     sigma_r per subset mask the table may hold, and a price above
     work_ceiling is refused ("needs more than") before the walk and
@@ -547,12 +625,13 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
             spent = done + index.edge_reads - limit + work_ceiling
             raise WorkCeilingError(spent, work_ceiling, "census", unit="work units", verb="stopped after")
 
-    def whole(strata: Counter, ids: tuple, t: int) -> None:
-        # one complete m-subset: its stratum, then the visitor's statistics
-        strata[t] += 1
+    def whole(strata: Counter, ids: tuple, t: int, weight: int = 1) -> None:
+        # one complete m-subset standing for weight of them: its stratum,
+        # then the visitor's statistics
+        strata[t] += weight
         if visit is not None:
             for key, value in visit(tuple(sorted(ids)), t).items():
-                strata[key] += value
+                strata[key] += weight * value
         charge(leaf)
 
     def counted(strata: Counter, fresh: int, joins: int, free: tuple, t: int, left: int) -> int:
@@ -594,12 +673,19 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
         if done + index.edge_reads > limit:
             charge(0)
         if left == 1:
-            # only with a visitor: the last edge is placed, one whole subset each
+            # only with a visitor: the last edge is placed, one whole subset
+            # each; under the root prefix, one per orbit of its stabiliser
+            weights = {}
+            if m == depth + 1 and not _fixes_every_edge(index, ids):
+                weights = dict(_covering_orbits(index, ids))
+                reps = _bitmask(sorted(weights))
+                fresh, joins = fresh & reps, joins & reps
             for cands, s in ((fresh, t), (joins, t + 1)):
                 while cands:
                     low = cands & -cands
                     cands ^= low
-                    whole(strata, ids + (low.bit_length() - 1,), s)
+                    i = low.bit_length() - 1
+                    whole(strata, ids + (i,), s, weights.get(i, 1))
             return
         # window & -(low << 1) keeps the window's edges after i
         while fresh:

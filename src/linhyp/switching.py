@@ -11,7 +11,9 @@ hypergraph, and from EdgeSpaceIndex.classify_combo in the audit, on each
 m-subset the census's plus search (census._plus_strata) visits: the plus
 m-subsets that hold a root triple (a root pair at m = 2), one ordered
 triple per orbit, each edge a representative of the orbits of the
-stabiliser of the edges before it (census.stabiliser_orbits).  The move
+stabiliser of the edges before it (census.stabiliser_orbits); at m = 4
+the fourth edge is such a representative too, weighted by its orbit's
+size.  The move
 counts are written once, in _forward_total and _reverse_total; the
 audit reads compat_stats through _orbit_stats, once per orbit of the
 (m-2)-sets the moves leave, and count_*_moves scan it directly.
@@ -229,9 +231,10 @@ def _orbit_stats(index: EdgeSpaceIndex) -> Callable[[tuple[int, ...]], tuple[int
     (size, n_ge2, n_eq2) is the same for every h0 in one orbit of the
     partition's automorphisms, so the scan runs once per orbit of the
     h0 it is asked for, keyed by census.edge_set_orbit, and once per
-    distinct h0 where the key is not computed.  The key enumerates
-    |h0|! orderings of |h0| * r vertices, so it is computed only when
-    that is at most sigma_r, the cost of the scan it saves.
+    distinct h0 where the key is not computed.  The key is computed only
+    when |h0|! orderings of |h0| * r vertices are at most sigma_r, the
+    cost of the scan it saves; it labels every ordering from three edges
+    on, and one below that.
     """
     by_set: dict[tuple[int, ...], tuple[int, int, int]] = {}
     by_orbit: dict[tuple, tuple[int, int, int]] = {}
@@ -412,15 +415,19 @@ def bijection_audit(
     search walks only the plus m-subsets that hold a root triple, one
     per orbit of ordered edge triples, and weights strata and move sums
     by the triple orbit's size over m(m - 1)(m - 2) exactly
-    (census._orbit_mean); at m = 2 it walks one root pair per orbit of
+    (census._orbit_mean); at m = 4 it visits one fourth edge per orbit
+    of the root triple's stabiliser and weights that subset by the
+    orbit's size too; at m = 2 it walks one root pair per orbit of
     ordered pairs.  not_plus is the rest of the subset total.  Each
     visited subset is classified again by EdgeSpaceIndex.classify_combo,
-    which reads the overlap matrix, not the search's pair and link rows;
-    a reason or a cluster count that differs from the search's raises
-    AssertionError.  The per-hypergraph ranges are taken over the
-    visited subsets unweighted: any three edges of a hypergraph (two at
-    m = 2) can be carried to a root triple, so every orbit of
-    hypergraphs has a member there.  Every move count reads
+    which reads the overlap matrix, not the search's pair and link rows,
+    building a row of it only when it is first read; a reason or a
+    cluster count that differs from the search's raises AssertionError.
+    The per-hypergraph ranges are taken over the visited subsets
+    unweighted: any three edges of a hypergraph (two at m = 2) can be
+    carried to a root triple, and at m = 4 the fourth to its orbit's
+    representative, so every orbit of hypergraphs has a member there.
+    Every move count reads
     compat_stats(h0) for the (m - 2)-set h0 a move leaves, and that is
     the same on h0's whole orbit, so _orbit_stats scans the edge space
     once per orbit of the h0 met (census.edge_set_orbit), or once per

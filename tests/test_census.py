@@ -32,7 +32,7 @@ from linhyp.census import (
     orbit_count,
     stabiliser_orbits,
 )
-from linhyp.hypergraphs import cluster_threshold, edge_tuples
+from linhyp.hypergraphs import cluster_threshold, edge_tuples, linked_pairs, plus_violation
 from linhyp.montecarlo import cluster_signature
 from linhyp.verify import DESIGN_COUNTS
 
@@ -473,6 +473,13 @@ def test_index_holds_only_the_vertex_tuples():
 def test_classify_combo_matches_pinned_strata():
     pv = partition((2, 2, 2, 2))
     index = EdgeSpaceIndex(pv, 4)
+    # the overlap rows are built as they are read: one call on an m-subset
+    # reads the rows of its first m - 1 edges
+    for m in (2, 3, 4):
+        fresh = EdgeSpaceIndex(pv, 4)
+        fresh.classify_combo(tuple(range(0, 3 * m, 3)), 10)
+        assert len(fresh.cat) == fresh.count
+        assert sum(row is not None for row in fresh.cat._rows) <= m - 1
     tally = {}
     bad = 0
     for combo in combinations(range(index.count), 3):
@@ -679,15 +686,28 @@ def _check_stabiliser_orbits(index, group, fixed, label):
 
 
 def test_stabiliser_orbits_are_the_orbits_of_the_roots_stabiliser():
-    # the second edges under each root, and the audit's third edges under
-    # each ordered root pair, against all automorphisms
+    # the second edges under each root, the audit's third edges under each
+    # ordered root pair, and the m = 4 audit's fourth edges under each plus
+    # root triple, against all automorphisms.  Where _fixes_every_edge lets
+    # the audit skip that last pass, every orbit must be one edge
     for sizes in ((2, 1, 2, 1), (3, 1, 2, 2), (1,) * 6):
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, 3)
+        cap = cluster_threshold(pv, 3, 4)
         group = list(_automorphisms(pv))
+        skipped = 0
         for root, _ in stabiliser_orbits(index):
             for rep, _ in _check_stabiliser_orbits(index, group, (root,), sizes):
-                _check_stabiliser_orbits(index, group, (root, rep), sizes)
+                for third, _ in _check_stabiliser_orbits(index, group, (root, rep), sizes):
+                    triple = (root, rep, third)
+                    linked = linked_pairs([index.edges[i] for i in triple])
+                    if linked is None or plus_violation(linked, cap) is not None:
+                        continue
+                    orbits = _check_stabiliser_orbits(index, group, triple, sizes)
+                    if census._fixes_every_edge(index, triple):
+                        skipped += 1
+                        assert all(size == 1 for _, size in orbits), (sizes, triple)
+        assert skipped, sizes
 
 
 def _set_orbits(index, group):
@@ -787,15 +807,16 @@ def test_wrong_stabiliser_orbit_size_raises_or_changes_the_answer(monkeypatch, s
     # (1, 0) leaves the sizes short of the edges left and must raise;
     # (1, -1) keeps the sum, so it must raise on a remainder or change an
     # answer, at every depth a walk reaches (the m = 3 audit's leaves are
-    # the root triples themselves)
+    # the root triples themselves; the m = 4 audit weights its fourth edge
+    # by the orbits of its root triple's stabiliser)
     pv = partition((2, 1, 2, 1))
     calls = (
         (2, lambda: _plus_strata(EdgeSpaceIndex(pv, 3), 4, 50)),
-        (3, lambda: bijection_audit(pv, 3, 4).to_json_dict()),
+        (4, lambda: bijection_audit(pv, 3, 4).to_json_dict()),
         (3, lambda: bijection_audit(pv, 3, 3).to_json_dict()),
     )
     want = [call() for _, call in calls]
-    for depth in (1, 2, 3):
+    for depth in (1, 2, 3, 4):
         with monkeypatch.context() as patch:
             _shift_orbit_sizes(patch, depth - 1, shift)
             for (reach, call), expected in zip(calls, want):

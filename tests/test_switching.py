@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -333,7 +333,7 @@ def _counted_scans(monkeypatch):
 
 
 def test_audit_scans_once_per_orbit_of_the_sets_a_move_leaves(monkeypatch):
-    # uniform n=12 r=3 m=4 asks for 2,734 distinct two-edge h0, in three
+    # uniform n=12 r=3 m=4 asks for 359 distinct two-edge h0, in three
     # orbits: disjoint, sharing one vertex, sharing two
     scans = _counted_scans(monkeypatch)
     rep = bijection_audit(uniform_partition(12), 3, 4)
@@ -374,11 +374,31 @@ def test_audit_raises_when_classify_combo_disagrees_with_the_search(monkeypatch,
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("sizes, r, m", [((1,) * 8, 3, 4), ((3, 1, 2, 2), 3, 4)])
+def _stabiliser_orbit_of(pv, index, triple):
+    """The first edge of every edge's orbit under the automorphisms that map
+    each edge of triple to itself, by brute force over every automorphism."""
+    parts = [list(pv.part_vertices(p)) for p in range(pv.k)]
+    position = {vs: i for i, vs in enumerate(index.edges)}
+    orbit = list(range(index.count))
+    for target in permutations(range(pv.k)):
+        if any(pv.sizes[p] != pv.sizes[q] for p, q in enumerate(target)):
+            continue
+        for images in product(*(permutations(parts[q]) for q in target)):
+            g = {v: w for p, image in enumerate(images) for v, w in zip(parts[p], image)}
+            image = [position[tuple(sorted(g[v] for v in vs))] for vs in index.edges]
+            if all(image[e] == e for e in triple):
+                for i, j in enumerate(image):
+                    orbit[j] = min(orbit[j], i)
+    return orbit
+
+
+@pytest.mark.parametrize("sizes, r, m", [((1,) * 6, 3, 4), ((3, 1, 2, 2), 3, 4), ((1,) * 7, 3, 5)])
 def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m):
-    # the rooted subsets, swept here without the plus search: each m-subset
-    # that holds a root triple, one triple per orbit of ordered edge
-    # triples, taken under every root pair, plus or not
+    # the rooted subsets, swept here without the plus search: under each
+    # root triple, one triple per orbit of ordered edge triples, the plus
+    # m-subsets that hold it.  At m = 4 the fourth edge is one per orbit of
+    # the triple's stabiliser, the orbit's first edge, the orbits found by
+    # brute force; at m = 5 every plus completion is visited
     pv = partition(sizes)
     index = EdgeSpaceIndex(pv, r)
     cap = cluster_threshold(pv, r, m)
@@ -386,9 +406,13 @@ def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m)
     for root, _ in stabiliser_orbits(index):
         for rep, _ in stabiliser_orbits(index, (root,)):
             for third, _ in stabiliser_orbits(index, (root, rep)):
-                others = [i for i in range(index.count) if i not in (root, rep, third)]
+                triple = (root, rep, third)
+                others = [i for i in range(index.count) if i not in triple]
+                if m == 4:
+                    orbit = _stabiliser_orbit_of(pv, index, triple)
+                    others = [i for i in others if orbit[i] == i]
                 for rest in combinations(others, m - 3):
-                    combo = tuple(sorted((root, rep, third, *rest)))
+                    combo = tuple(sorted((*triple, *rest)))
                     if index.classify_combo(combo, cap)[1] is None:
                         want.append(combo)
     true_classify = EdgeSpaceIndex.classify_combo
@@ -401,7 +425,7 @@ def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m)
 
     monkeypatch.setattr(EdgeSpaceIndex, "classify_combo", record)
     bijection_audit(pv, r, m)
-    assert all(reason is None for _, reason in seen)
+    assert want and all(reason is None for _, reason in seen)
     assert sorted(combo for combo, _ in seen) == sorted(want)
 
 
