@@ -425,19 +425,6 @@ def _covering_orbits(index: EdgeSpaceIndex, fixed: tuple[int, ...]) -> list[tupl
     return orbits
 
 
-def _fixes_every_edge(index: EdgeSpaceIndex, fixed: tuple[int, ...]) -> bool:
-    """True when fixed's stabiliser is the identity, read off the labelling alone.
-
-    It is when every part has at most one vertex outside the fixed edges
-    and no two parts share (size, marks) (_vertex_masks): no part can
-    move, and inside a part the held vertices keep their distinct masks.
-    False does not say the stabiliser moves an edge.
-    """
-    marks = _vertex_masks(index, fixed)[1]
-    kinds = [(size, marks.get(p, 0)) for p, size in enumerate(index.pv.sizes)]
-    return len(set(kinds)) == len(kinds) and all(size - mark.bit_count() <= 1 for size, mark in kinds)
-
-
 def edge_set_orbit(index: EdgeSpaceIndex, ids: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """Canonical key of the unordered edge set ids under the partition's automorphisms.
 
@@ -448,24 +435,14 @@ def edge_set_orbit(index: EdgeSpaceIndex, ids: tuple[int, ...]) -> tuple[tuple[i
     sorted pairs exactly when an automorphism carries one onto the
     other edge by edge, swapping equal-size parts of equal marks and
     matching vertices of equal mask.  Two edge sets therefore share a
-    key exactly when they share an orbit.  Up to two edges it costs one
-    labelling: the other ordering of two edges swaps the masks 1 and 2,
-    bits 2 and 4 of each mark, so its pairs are read off the same marks.
-    From three edges on it costs len(ids)! labellings, one per ordering.
-    A labelling reads len(ids) * r vertices and no other edge.
+    key exactly when they share an orbit.  It costs len(ids)! orderings
+    of len(ids) * r vertices each and reads no other edge.
     """
     sizes = index.pv.sizes
-
-    def key(marks: dict[int, int]) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((sizes[p], mark) for p, mark in marks.items()))
-
-    if len(ids) > 2:
-        return min(key(_vertex_masks(index, order)[1]) for order in permutations(ids))
-    marks = _vertex_masks(index, ids)[1]
-    if len(ids) < 2:
-        return key(marks)
-    swapped = {p: mark & ~6 | (mark & 2) << 1 | (mark & 4) >> 1 for p, mark in marks.items()}
-    return min(key(marks), key(swapped))
+    return min(
+        tuple(sorted((sizes[p], mark) for p, mark in _vertex_masks(index, order)[1].items()))
+        for order in permutations(ids)
+    )
 
 
 def _orbit_mean(index: EdgeSpaceIndex, m: int, depth: int, rooted: Callable) -> Counter:
@@ -556,12 +533,10 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
     stratum and statistics are the same across an orbit.  There F and J
     are masked to the representatives of stabiliser_orbits(index, ids),
     each visited once with its orbit's size as weight; sizes that do not
-    add up to the edges left raise AssertionError.  That pass is skipped,
-    every weight 1, where _fixes_every_edge shows the stabiliser is the
-    identity.  Deeper nodes are not weighted: their window, the edges
-    after the last one placed, is no union of orbits.  Below two edges
-    or below r = 3 no two edges are linked, and every m-subset is
-    linear.
+    add up to the edges left raise AssertionError.  Deeper nodes are not
+    weighted: their window, the edges after the last one placed, is no
+    union of orbits.  Below two edges or below r = 3 no two edges are
+    linked, and every m-subset is linear.
 
     Each prefix the walk reaches, at most three edges, is classified
     whole as hypergraphs.classify does: hypergraphs.linked_pairs reads
@@ -676,7 +651,7 @@ def _plus_strata(index: EdgeSpaceIndex, m: int, cap: int, visit: Callable | None
             # only with a visitor: the last edge is placed, one whole subset
             # each; under the root prefix, one per orbit of its stabiliser
             weights = {}
-            if m == depth + 1 and not _fixes_every_edge(index, ids):
+            if m == depth + 1:
                 weights = dict(_covering_orbits(index, ids))
                 reps = _bitmask(sorted(weights))
                 fresh, joins = fresh & reps, joins & reps

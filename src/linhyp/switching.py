@@ -231,10 +231,9 @@ def _orbit_stats(index: EdgeSpaceIndex) -> Callable[[tuple[int, ...]], tuple[int
     (size, n_ge2, n_eq2) is the same for every h0 in one orbit of the
     partition's automorphisms, so the scan runs once per orbit of the
     h0 it is asked for, keyed by census.edge_set_orbit, and once per
-    distinct h0 where the key is not computed.  The key is computed only
-    when |h0|! orderings of |h0| * r vertices are at most sigma_r, the
-    cost of the scan it saves; it labels every ordering from three edges
-    on, and one below that.
+    distinct h0 where the key is not computed.  The key enumerates
+    |h0|! orderings of |h0| * r vertices, so it is computed only when
+    that is at most sigma_r, the cost of the scan it saves.
     """
     by_set: dict[tuple[int, ...], tuple[int, int, int]] = {}
     by_orbit: dict[tuple, tuple[int, int, int]] = {}

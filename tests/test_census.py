@@ -688,14 +688,12 @@ def _check_stabiliser_orbits(index, group, fixed, label):
 def test_stabiliser_orbits_are_the_orbits_of_the_roots_stabiliser():
     # the second edges under each root, the audit's third edges under each
     # ordered root pair, and the m = 4 audit's fourth edges under each plus
-    # root triple, against all automorphisms.  Where _fixes_every_edge lets
-    # the audit skip that last pass, every orbit must be one edge
+    # root triple, against all automorphisms
     for sizes in ((2, 1, 2, 1), (3, 1, 2, 2), (1,) * 6):
         pv = partition(sizes)
         index = EdgeSpaceIndex(pv, 3)
         cap = cluster_threshold(pv, 3, 4)
         group = list(_automorphisms(pv))
-        skipped = 0
         for root, _ in stabiliser_orbits(index):
             for rep, _ in _check_stabiliser_orbits(index, group, (root,), sizes):
                 for third, _ in _check_stabiliser_orbits(index, group, (root, rep), sizes):
@@ -703,11 +701,7 @@ def test_stabiliser_orbits_are_the_orbits_of_the_roots_stabiliser():
                     linked = linked_pairs([index.edges[i] for i in triple])
                     if linked is None or plus_violation(linked, cap) is not None:
                         continue
-                    orbits = _check_stabiliser_orbits(index, group, triple, sizes)
-                    if census._fixes_every_edge(index, triple):
-                        skipped += 1
-                        assert all(size == 1 for _, size in orbits), (sizes, triple)
-        assert skipped, sizes
+                    _check_stabiliser_orbits(index, group, triple, sizes)
 
 
 def _set_orbits(index, group):

@@ -374,25 +374,36 @@ def test_audit_raises_when_classify_combo_disagrees_with_the_search(monkeypatch,
     assert len(calls) == 3
 
 
-def _stabiliser_orbit_of(pv, index, triple):
-    """The first edge of every edge's orbit under the automorphisms that map
-    each edge of triple to itself, by brute force over every automorphism."""
+def _edge_images(pv, index):
+    """The image of every edge, as an edge id per edge, under each of the
+    partition's automorphisms: equal-size parts permuted among themselves,
+    then the vertices inside each part."""
     parts = [list(pv.part_vertices(p)) for p in range(pv.k)]
     position = {vs: i for i, vs in enumerate(index.edges)}
-    orbit = list(range(index.count))
+    images = []
     for target in permutations(range(pv.k)):
         if any(pv.sizes[p] != pv.sizes[q] for p, q in enumerate(target)):
             continue
-        for images in product(*(permutations(parts[q]) for q in target)):
-            g = {v: w for p, image in enumerate(images) for v, w in zip(parts[p], image)}
-            image = [position[tuple(sorted(g[v] for v in vs))] for vs in index.edges]
-            if all(image[e] == e for e in triple):
-                for i, j in enumerate(image):
-                    orbit[j] = min(orbit[j], i)
+        for inner in product(*(permutations(parts[q]) for q in target)):
+            g = {v: w for p, image in enumerate(inner) for v, w in zip(parts[p], image)}
+            images.append([position[tuple(sorted(g[v] for v in vs))] for vs in index.edges])
+    return images
+
+
+def _stabiliser_orbit_of(images, triple):
+    """The first edge of every edge's orbit under the automorphisms, given
+    by their edge images, that map each edge of triple to itself."""
+    orbit = list(range(len(images[0])))
+    for image in images:
+        if all(image[e] == e for e in triple):
+            for i, j in enumerate(image):
+                orbit[j] = min(orbit[j], i)
     return orbit
 
 
-@pytest.mark.parametrize("sizes, r, m", [((1,) * 6, 3, 4), ((3, 1, 2, 2), 3, 4), ((1,) * 7, 3, 5)])
+@pytest.mark.parametrize(
+    "sizes, r, m", [((1,) * 8, 3, 4), ((1,) * 6, 3, 4), ((3, 1, 2, 2), 3, 4), ((1,) * 7, 3, 5)]
+)
 def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m):
     # the rooted subsets, swept here without the plus search: under each
     # root triple, one triple per orbit of ordered edge triples, the plus
@@ -402,6 +413,7 @@ def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m)
     pv = partition(sizes)
     index = EdgeSpaceIndex(pv, r)
     cap = cluster_threshold(pv, r, m)
+    images = _edge_images(pv, index) if m == 4 else None
     want = []
     for root, _ in stabiliser_orbits(index):
         for rep, _ in stabiliser_orbits(index, (root,)):
@@ -409,7 +421,7 @@ def test_audit_classifies_each_plus_rooted_subset_once(monkeypatch, sizes, r, m)
                 triple = (root, rep, third)
                 others = [i for i in range(index.count) if i not in triple]
                 if m == 4:
-                    orbit = _stabiliser_orbit_of(pv, index, triple)
+                    orbit = _stabiliser_orbit_of(images, triple)
                     others = [i for i in others if orbit[i] == i]
                 for rest in combinations(others, m - 3):
                     combo = tuple(sorted((*triple, *rest)))
