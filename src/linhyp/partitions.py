@@ -4,14 +4,14 @@ Vertices 1..n are laid out in consecutive blocks: part 0 holds 1..n_0,
 part 1 holds the next n_1 integers, and so on.  The elementary symmetric
 functions are taken over the part-size histogram, so equal parts cost one
 closed-form factor, not one step each.  The histogram is built once, by
-two C-level passes, when the vector is built: bytes() packs the parts one
-byte each when every size lies in 0..255, refusing non-integers, and numpy
-counts the bytes; n, k, the smallest size and the sum of 1/n_i are then
-read from the histogram, not from the parts.  The per-part tuple of exact
-ints is built only when sizes is first read, which no numeric reader here
-does.  Everything here is exact integer or rational arithmetic up to the
-final math.log in log_sigma, which takes the exact sigma however large it
-is.
+two C-level passes, when the vector is built: bytearray() packs the parts
+one byte each when every size lies in 0..255, refusing non-integers, and
+numpy counts the bytes; n, k, the smallest size and the sum of 1/n_i are
+then read from the histogram, not from the parts.  The per-part tuple of
+exact ints is built only when sizes is first read, which no numeric
+reader here does.  Everything here is exact integer or rational
+arithmetic up to the final math.log in log_sigma, which takes the exact
+sigma however large it is.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ def falling_factorial(x: int, t: int) -> int:
 class PartitionVector:
     """Immutable vector of part sizes, all at least 1.
 
-    Construction makes two C-level passes over the parts: bytes() packs
-    them one byte each, reading every part through __index__ and refusing
-    non-integers, and np.bincount counts the packed bytes.  k, n and the
-    size histogram come from those two passes; only a vector holding a
-    size past 255 (or below 0) is canonicalised and counted by a Counter.
+    Construction makes two C-level passes over the parts: bytearray()
+    packs them one byte each, reading every part through __index__ and
+    refusing non-integers, and np.bincount counts the packed bytes.  k, n
+    and the size histogram come from those two passes; only a vector
+    holding a size past 255 (or below 0) is canonicalised and counted by a
+    Counter.
     The per-part tuple sizes is built on its first read and kept: a tuple
     of exact ints comes back as given, anything else as exact ints equal
     to the values the histogram counted.  No numeric reader reads it.
@@ -61,15 +62,18 @@ class PartitionVector:
 
     def __init__(self, sizes: Iterable[int]):
         try:
-            # bytes() of a tuple or list reads each part through __index__;
-            # of a numpy array or a memoryview it would copy raw memory
+            # bytearray() of a tuple or list reads each part through
+            # __index__; of a numpy array or a memoryview it would copy raw
+            # memory
             parts = sizes if type(sizes) in (tuple, list) else tuple(sizes)
         except TypeError:
             raise DomainError(f"part sizes must be an iterable of integers, got {reprlib.repr(sizes)}") from None
         if not parts:
             raise DomainError("a partition vector needs at least one part")
         try:
-            packed = bytes(parts)
+            # bytes() refuses the same parts but is two to three times
+            # slower a part on a tuple or list
+            packed = bytearray(parts)
         except TypeError:
             raise _refusal(parts) from None
         except ValueError:
@@ -88,10 +92,11 @@ class PartitionVector:
             seen = sorted((size for size, count in enumerate(counts) if count), key=packed.index)
             size_counts = tuple((size, counts[size]) for size in seen)
             kept = packed
-        # a given tuple is kept so that sizes can be the very object given
+        # a given tuple is kept so that sizes can be the very object given;
+        # a given list is not: the vector keeps its own packed buffer
         self._fill(parts if type(parts) is tuple else kept, size_counts, len(parts))
 
-    def _fill(self, parts: tuple | bytes | None, size_counts: tuple[tuple[int, int], ...], k: int) -> None:
+    def _fill(self, parts: tuple | bytearray | None, size_counts: tuple[tuple[int, int], ...], k: int) -> None:
         vars(self).update(
             _parts=parts,
             # (size, number of parts of that size), sizes in first-seen order
@@ -125,9 +130,9 @@ class PartitionVector:
         parts = self._parts
         if parts is None:
             return (1,) * self.k
-        if type(parts) is bytes:
+        if type(parts) is bytearray:
             return tuple(parts)
-        # bytes() packed True as 1 and a numpy integer as its value
+        # bytearray() packed True as 1 and a numpy integer as its value
         if operator.countOf(map(type, parts), int) == len(parts):
             return parts
         return tuple(map(operator.index, parts))

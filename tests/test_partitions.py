@@ -160,6 +160,23 @@ def test_partition_reads_values_from_arrays_and_memoryviews():
         assert all(type(x) is int for x in got.sizes)
 
 
+@pytest.mark.parametrize("k", [3, 10**5])
+def test_a_vector_built_from_a_list_does_not_share_it(k):
+    original = tuple(make_rng(k).integers(1, 8, size=k).tolist())
+    twin = partition(original)
+    for read_first in (False, True):
+        lst = list(original)
+        pv = partition(lst)
+        if read_first:
+            assert pv.sizes == original
+        lst[0] = original[0] + 1
+        assert type(pv.sizes) is tuple and all(type(x) is int for x in pv.sizes)
+        assert pv.sizes == original
+        assert (pv.size_counts, pv.n, pv.k) == (twin.size_counts, twin.n, twin.k)
+        assert pv == twin and hash(pv) == hash(twin)
+        assert pv != partition(lst)
+
+
 _BYTE_SIZE = st.one_of(st.integers(1, 255), st.just(True), st.integers(1, 255).map(np.int64))
 _SIZE = st.one_of(_BYTE_SIZE, st.integers(250, 300), st.integers(1, 300).map(np.uint16))
 
@@ -222,12 +239,13 @@ def test_mixed_types_equal_and_hash_like_their_canonical_twin_read_or_not():
 @pytest.mark.parametrize("tail", [(0,), (2.5,), (-3,), (300, 0)])
 def test_refusal_names_the_first_bad_part_briefly(tail):
     sizes = (2,) * 100000 + tail
-    with pytest.raises(DomainError) as info:
-        partition(sizes)
-    message = str(info.value)
-    assert len(message) < 200
     at = 100000 + (len(tail) - 1)
-    assert f"part {at} of {len(sizes)} is {sizes[at]!r}" in message
+    for given in (sizes, list(sizes)):
+        with pytest.raises(DomainError) as info:
+            partition(given)
+        message = str(info.value)
+        assert len(message) < 200
+        assert f"part {at} of {len(sizes)} is {sizes[at]!r}" in message
 
 
 def test_uniform_partition_is_built_from_its_histogram():
